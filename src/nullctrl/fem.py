@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import SpaceTimeMesh, locate
+from .mesh import SpaceTimeMesh, locate, locate_time
 
 CONSTRAINTS = ("none", "zero_lateral", "zero_lateral_final", "zero_mean_slice")
 
@@ -334,6 +334,35 @@ class TensorFemSpace:
             return vals
         return vals, np.stack(gs, axis=1)                    # (N, comp, dir)
 
+    def at(self, coeffs, x):
+        """Evaluator t -> values of the FEM function at the fixed points x.
+
+        x has shape (..., 2); the point location, spatial basis values and
+        DOF indices are computed once, so a call costs one time-basis
+        tabulation and one small contraction.  t is one time or an array
+        of times broadcastable to x.shape[:-1].  Values have shape
+        x.shape[:-1], plus a trailing 2 for vector spaces.
+        """
+        x = np.asarray(x, dtype=float)
+        pts_shape = x.shape[:-1]
+        shape = pts_shape + ((2,) if self.components == 2 else ())
+        _, tri, _, bary, _ = locate(self.mesh, x.reshape(-1, 2), 0.0)
+        sval, _ = tabulate_triangle(self.m, bary[:, 1:3])   # (N, nn_s)
+        sdofs = self.space_conn[tri][:, None, :]            # (N, 1, nn_s)
+        levels = np.asarray(coeffs, dtype=float).reshape(
+            self.components, self.ns_time, self.ns_space)
+
+        def values(t):
+            tt = np.broadcast_to(np.asarray(t, dtype=float), pts_shape)
+            slab, tloc = locate_time(self.mesh, tt.ravel())
+            tval, _ = tabulate_interval(self.n, tloc)       # (N, nn_t)
+            lv = slab[:, None, None] * self.n + np.arange(self.nn_t)[:, None]
+            cc = levels[:, lv, sdofs]                       # (comp, N, nn_t, nn_s)
+            out = np.einsum("cnts,nt,ns->nc", cc, tval, sval)
+            return out.reshape(shape)
+
+        return values
+
 
 def build_space(mesh, m, n, components=1, constraint="none") -> TensorFemSpace:
     return TensorFemSpace(mesh=mesh, m=m, n=n, components=components,
@@ -359,7 +388,6 @@ class Batch:
     tq: np.ndarray
     w: np.ndarray
     _tables: dict
-    _spaces: dict
 
     def tables(self, space):
         key = (space.m, space.n)
@@ -469,10 +497,9 @@ class Assembler:
                 nqs = len(self.rule.tri_weights)
                 Xq = np.tile(self.Xq_space[tris], (1, len(tp), 1))
                 tqq = np.repeat(tq, nqs, axis=1)
-                tables = {k: {} for k in self._space_tables}
                 tables = {k: tabs[g][v] for k, tabs in self._space_tables.items()}
                 yield Batch(tris=tris, slabs=slabs, Xq=Xq, tq=tqq, w=w,
-                            _tables=tables, _spaces={})
+                            _tables=tables)
 
 
 def l2_norm(space, coeffs, weight=None, region=None, assembler=None):

@@ -122,18 +122,6 @@ class SaddleSystem:
             return np.asarray(lam, dtype=float)
         return self._project(lam, self.dual)
 
-    def dump_text(self) -> str:
-        """Plain-text (coordinate format) dump of A, B, L for inspection."""
-        lines = [f"saddle kind={self.problem.kind} n={self.n_primal} m={self.n_dual}"]
-        for tag, M in (("A", self.A.tocoo()), ("B", self.B.tocoo())):
-            lines.append(f"{tag} {M.shape[0]} {M.shape[1]} {M.nnz}")
-            for r, c, v in zip(M.row, M.col, M.data):
-                lines.append(f"{tag} {r} {c} {v!r}")
-        lines.append(f"L {len(self.L)}")
-        for k, v in enumerate(self.L):
-            lines.append(f"L {k} {v!r}")
-        return "\n".join(lines) + "\n"
-
 
 class _Builder:
     """Accumulates bilinear terms into full-size COO blocks, then reduces."""

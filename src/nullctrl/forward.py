@@ -3,8 +3,9 @@
 These deliberately re-implement their own spatial finite elements (hand-coded
 P1/P2 triangles on a structured grid) and use classical time stepping, so
 that agreement with the space-time control solver is evidence rather than
-tautology.  The only shared interface is the control field, evaluated
-pointwise at quadrature points.
+tautology.  The only shared interface is the control field: a solver picks
+its own quadrature points X, calls control.at(X) once, and gets back a
+function t -> pointwise control values at X.
 """
 
 from __future__ import annotations
@@ -214,6 +215,16 @@ class SpatialGrid:
         return np.flatnonzero((fi == 0) | (fi == nfx - 1)
                               | (fj == 0) | (fj == nfy - 1))
 
+    def tris_in(self, box):
+        """Triangles whose centroid lies inside box (x0, x1, y0, y1); all
+        triangles when box is None."""
+        if box is None:
+            return np.arange(self.ntri)
+        cent = self.verts.mean(axis=1)
+        x0, x1, y0, y1 = box
+        return np.flatnonzero((cent[:, 0] > x0) & (cent[:, 0] < x1)
+                              & (cent[:, 1] > y0) & (cent[:, 1] < y1))
+
     def quad_points(self, npts):
         qp, qw = _tri_gauss(npts)
         lam = np.column_stack([1 - qp[:, 0] - qp[:, 1], qp])
@@ -249,21 +260,6 @@ def _assemble(grid, degree, qnpts, kind, coeff=None):
     return sp.coo_matrix((E.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _load_vector(grid, degree, qnpts, fun, restrict=None):
-    """Load vector of int f phi; fun maps points (t, q, 2) -> values."""
-    qp, qw, X = grid.quad_points(qnpts)
-    lam = np.column_stack([1 - qp[:, 0] - qp[:, 1], qp])
-    sv = _p2_shape(lam) if degree == 2 else _p1_shape(lam)
-    conn = grid.conn(degree)
-    w = qw[None, :] * grid.detJ[:, None]
-    keep = np.arange(grid.ntri) if restrict is None else restrict
-    f = fun(X[keep])
-    contrib = np.einsum("tq,qi->ti", w[keep] * f, sv)
-    out = np.zeros(conn.max() + 1)
-    np.add.at(out, conn[keep], contrib)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Crank-Nicolson heat solver
 # ---------------------------------------------------------------------------
@@ -273,14 +269,15 @@ def heat_forward_cn(grid: SpatialGrid, degree, y0, G, control, T, nt_fwd,
     """theta = 1/2 stepping of the controlled reaction-diffusion problem.
 
     y_t - Lap y + G y = v 1_omega with homogeneous Dirichlet data; y0 and G
-    may be scalars or callables; control is None or a field with
-    control(X, t) -> values supported in the control region.  The first
-    startup_steps use theta = 1, damping the checkerboard transient excited
-    by boundary-incompatible initial data (the scheme stays second order).
+    may be scalars or callables; control is None or a field whose
+    control.at(X) returns t -> values at the points X, supported in the
+    control region.  The first startup_steps use theta = 1, damping the
+    checkerboard transient excited by boundary-incompatible initial data
+    (the scheme stays second order).
     Returns the norm history and the final coefficient vector.
     """
     deg = int(degree)
-    qnpts = 6 if deg == 2 else 6
+    qnpts = 6
     M = _assemble(grid, deg, qnpts, "mass")
     K = _assemble(grid, deg, qnpts, "stiffness")
     if callable(G):
@@ -306,26 +303,25 @@ def heat_forward_cn(grid: SpatialGrid, degree, y0, G, control, T, nt_fwd,
         solves[theta] = (spla.factorized(lhs.tocsc()),
                          (M / dt - (1.0 - theta) * S).tocsr())
 
-    omega_tris = None
-    if omega_box is not None:
-        cent = grid.verts.mean(axis=1)
-        x0, x1b, y0b, y1b = omega_box
-        omega_tris = np.flatnonzero((cent[:, 0] > x0) & (cent[:, 0] < x1b)
-                                    & (cent[:, 1] > y0b) & (cent[:, 1] < y1b))
+    if control is not None:
+        qp, qw, X = grid.quad_points(qnpts)
+        keep = grid.tris_in(omega_box)
+        lam = np.column_stack([1 - qp[:, 0] - qp[:, 1], qp])
+        sv = _p2_shape(lam) if deg == 2 else _p1_shape(lam)
+        conn = grid.conn(deg)[keep]
+        w = qw[None, :] * grid.detJ[keep, None]
+        v_at = control.at(X[keep])
 
     def control_load(t):
-        if control is None:
-            return np.zeros(n)
-        return _load_vector(grid, deg, qnpts, lambda X: control(X, t),
-                            restrict=omega_tris)
+        out = np.zeros(n)
+        if control is not None:
+            np.add.at(out, conn, np.einsum("tq,qi->ti", w * v_at(t), sv))
+        return out
 
     def control_norm(t):
         if control is None:
             return 0.0
-        qp, qw, X = grid.quad_points(qnpts)
-        keep = omega_tris if omega_tris is not None else np.arange(grid.ntri)
-        v = control(X[keep], t)
-        w = qw[None, :] * grid.detJ[keep, None]
+        v = v_at(t)
         return float(np.sqrt(max((w * v * v).sum(), 0.0)))
 
     times = np.linspace(0.0, T, nt_fwd + 1)
@@ -437,21 +433,16 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, nonlinear,
     y = np.array(y)
     y[bdry] = traj_nodes(0.0)[bdry]
 
-    omega_tris = None
-    if omega_box is not None:
-        cent = grid.verts.mean(axis=1)
-        x0, x1b, y0b, y1b = omega_box
-        omega_tris = np.flatnonzero((cent[:, 0] > x0) & (cent[:, 0] < x1b)
-                                    & (cent[:, 1] > y0b) & (cent[:, 1] < y1b))
+    if control is not None:
+        keep = grid.tris_in(omega_box)
+        v_at = control.at(th.X[keep])
+        w, conn = th.w[keep], th.conn2[keep]
 
     def control_load(t):
         out = np.zeros((n2, 2))
-        if control is None:
-            return out
-        keep = omega_tris if omega_tris is not None else np.arange(grid.ntri)
-        v = np.asarray(control(th.X[keep], t), dtype=float)
-        contrib = np.einsum("tq,tqc,qi->tic", th.w[keep], v, th.v2)
-        np.add.at(out, th.conn2[keep], contrib)
+        if control is not None:
+            v = np.asarray(v_at(t), dtype=float)
+            np.add.at(out, conn, np.einsum("tq,tqc,qi->tic", w, v, th.v2))
         return out
 
     dt = T / nt_fwd

@@ -69,25 +69,6 @@ class SpaceTimeMesh:
     def tri_vertices(self, tri) -> np.ndarray:
         return self.vertices[self.triangles[tri]]
 
-    def dump_text(self) -> str:
-        """Plain-text listing of vertices, triangles and flags (debugging)."""
-        lines = [f"mesh {self.nx}x{self.ny}x{self.nt} on "
-                 f"({self.L1},{self.L2})x[0,{self.T}] omega={self.omega}"]
-        lines.append(f"vertices {len(self.vertices)}")
-        for k, (x, y) in enumerate(self.vertices):
-            lines.append(f"v {k} {x!r} {y!r}")
-        lines.append(f"triangles {self.ntri}")
-        for k, (a, b, c) in enumerate(self.triangles):
-            lines.append(f"t {k} {a} {b} {c} omega={int(self.omega_flag[k])}")
-        lines.append(f"time_nodes {self.nt + 1}")
-        for k, t in enumerate(self.time_nodes):
-            lines.append(f"s {k} {t!r}")
-        lines.append(f"edges {len(self.edges)}")
-        for k, (a, b) in enumerate(self.edges):
-            lines.append(f"e {k} {a} {b} "
-                         f"boundary={int(self.boundary_edge_flags[k])}")
-        return "\n".join(lines) + "\n"
-
 
 def _grid_index(value, grid, name):
     k = int(np.argmin(np.abs(grid - value)))
@@ -185,6 +166,16 @@ def _interval_index(grid, v):
     return np.clip(k, 0, len(grid) - 2)
 
 
+def locate_time(mesh: SpaceTimeMesh, t):
+    """Containing slab of the time(s) t and the affine coordinate in [0, 1]
+    within it; slab interfaces resolve to the earlier slab."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < -_ALIGN_TOL * mesh.T) or np.any(t > mesh.T * (1 + _ALIGN_TOL)):
+        raise ValueError("point outside the space-time cylinder")
+    slab = _interval_index(mesh.time_nodes, t)
+    return slab, (t - mesh.time_nodes[slab]) / mesh.ht
+
+
 def locate(mesh: SpaceTimeMesh, x, t):
     """Containing prism of the point(s) (x, t) with local coordinates.
 
@@ -201,13 +192,12 @@ def locate(mesh: SpaceTimeMesh, x, t):
 
     eps = _ALIGN_TOL
     if (np.any(pts[:, 0] < -eps * mesh.L1) or np.any(pts[:, 0] > mesh.L1 * (1 + eps))
-            or np.any(pts[:, 1] < -eps * mesh.L2) or np.any(pts[:, 1] > mesh.L2 * (1 + eps))
-            or np.any(tt < -eps * mesh.T) or np.any(tt > mesh.T * (1 + eps))):
+            or np.any(pts[:, 1] < -eps * mesh.L2) or np.any(pts[:, 1] > mesh.L2 * (1 + eps))):
         raise ValueError("point outside the space-time cylinder")
+    slab, tloc = locate_time(mesh, tt)
 
     i = _interval_index(mesh.xgrid, pts[:, 0])
     j = _interval_index(mesh.ygrid, pts[:, 1])
-    slab = _interval_index(mesh.time_nodes, tt)
 
     xi = (pts[:, 0] - mesh.xgrid[i]) / mesh.hx
     eta = (pts[:, 1] - mesh.ygrid[j]) / mesh.hy
@@ -231,7 +221,6 @@ def locate(mesh: SpaceTimeMesh, x, t):
                                  1.0 - xi[up2]])
     tri[:] = 2 * (j * mesh.nx + i) + np.where(lower | low2, 0, 1)
 
-    tloc = (tt - mesh.time_nodes[slab]) / mesh.ht
     prism = slab * mesh.ntri + tri
     if scalar:
         return int(prism[0]), int(tri[0]), int(slab[0]), bary[0], float(tloc[0])

@@ -57,7 +57,8 @@ class WeightedField:
     """FEM field times an inverse-weight power, restricted to a region.
 
     Evaluates pointwise as weight(x,t) * u_h(x,t); with a region box the
-    value is exactly 0 outside it (control locality).  `on_batch` serves the
+    value is exactly 0 outside it (control locality).  `at` binds the field
+    to fixed points once and returns t -> values; `on_batch` serves the
     assembler's quadrature grid directly, avoiding point location.
     """
 
@@ -71,43 +72,47 @@ class WeightedField:
         self.sign = sign
         self.region = region
 
-    def _wvals(self, X, t):
-        w = self.ws.inv_weight(self.weight, X, t) ** self.power
-        return self.sign * w
+    def _inside(self, X):
+        x0, x1, y0, y1 = self.region
+        return ((X[..., 0] >= x0) & (X[..., 0] <= x1)
+                & (X[..., 1] >= y0) & (X[..., 1] <= y1))
+
+    def at(self, X):
+        """Evaluator t -> values at the fixed points X (..., 2).
+
+        Point location, spatial basis, DOF indices, the weight exponent
+        chi(X) and the region mask are computed once; a call costs the time
+        basis, one small contraction and exp(-chi/(T-t)).  t is one time or
+        an array of times broadcastable to X.shape[:-1].
+        """
+        X = np.asarray(X, dtype=float)
+        field = self.space.at(self.coeffs, X)
+        chi, _, _ = self.ws.chi(X)
+        scale = np.full(X.shape[:-1], self.sign)
+        if self.region is not None:
+            scale = scale * self._inside(X)
+
+        def values(t):
+            w = scale * self.ws.inv_weight_of_chi(self.weight, chi,
+                                                  t) ** self.power
+            out = field(t)
+            return out * (w[..., None] if out.ndim > w.ndim else w)
+
+        return values
 
     def __call__(self, X, t):
-        X = np.asarray(X, dtype=float)
-        shape = X.shape[:-1]
-        pts = X.reshape(-1, 2)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel()
-        vals = self.space.eval(self.coeffs, pts, tt)
-        w = self._wvals(pts, tt)
-        if self.space.components == 2:
-            out = vals * w[:, None]
-            out_shape = shape + (2,)
-        else:
-            out = vals * w
-            out_shape = shape
-        if self.region is not None:
-            x0, x1, y0, y1 = self.region
-            inside = ((pts[:, 0] >= x0) & (pts[:, 0] <= x1)
-                      & (pts[:, 1] >= y0) & (pts[:, 1] <= y1))
-            out = out * (inside[:, None] if out.ndim == 2 else inside)
-        return out.reshape(out_shape)
+        """Values at the points X (..., 2) and the time(s) t."""
+        return self.at(X)(t)
 
     def on_batch(self, batch):
         X = batch.Xq[:, None, :, :]
         t = batch.tq[None, :, :]
-        w = self._wvals(X, t)
+        w = self.sign * self.ws.inv_weight(self.weight, X, t) ** self.power
         vals = np.stack([batch.field(self.space, self.coeffs, c)
                          for c in range(self.space.components)], axis=-1)
         out = vals * w[..., None]
         if self.region is not None:
-            x0, x1, y0, y1 = self.region
-            Xc = batch.Xq
-            inside = ((Xc[..., 0] >= x0) & (Xc[..., 0] <= x1)
-                      & (Xc[..., 1] >= y0) & (Xc[..., 1] <= y1))
-            out = out * inside[:, None, :, None]
+            out = out * self._inside(batch.Xq)[:, None, :, None]
         return out
 
 

@@ -80,21 +80,6 @@ class IterationLog:
                 fh.write(f"{k},{e1:.12e},{e2:.12e}\n")
 
 
-def _mnorm(M, v):
-    if M is None or M.shape[0] == 0:
-        return float(np.linalg.norm(v))
-    return float(np.sqrt(max(v @ (M @ v), 0.0)))
-
-
-def _rel_change(M, new, old):
-    """Relative increment in the function-space norm, guarded near zero."""
-    num = _mnorm(M, new - old)
-    den = _mnorm(M, new)
-    if den < 1e-14:
-        return num
-    return num / den
-
-
 def _equilibration(system):
     """Diagonal basis renormalization (dp, dl) for the iteration.
 
@@ -114,6 +99,37 @@ def _equilibration(system):
     return dp, dl
 
 
+def _eq_mass(M, d):
+    """Mass matrix of the norm test in the equilibrated basis, D M D.
+
+    A missing or empty mass matrix means the Euclidean norm of the
+    unscaled vector, i.e. M = I.
+    """
+    if M is None or M.shape[0] == 0:
+        return sp.diags(d * d, format="csr")
+    return (sp.diags(d) @ M @ sp.diags(d)).tocsr()
+
+
+def _stacked_operators(system, dp, dl):
+    """KX = [A; B; M_p] and KL = [B^T; M_d] in the equilibrated basis."""
+    Dp, Dl = sp.diags(dp), sp.diags(dl)
+    B = (Dl @ system.B @ Dp).tocsr()
+    KX = sp.vstack([(Dp @ system.A @ Dp).tocsr(), B,
+                    _eq_mass(system.M_primal, dp)], format="csr")
+    KL = sp.vstack([B.T.tocsr(), _eq_mass(system.M_dual, dl)], format="csr")
+    return KX, KL
+
+
+def _rel_increment(new, old, Mnew, Mold):
+    """||new - old||_M / ||new||_M from the products M new and M old,
+    guarded near zero."""
+    num = np.sqrt(max((new - old) @ (Mnew - Mold), 0.0))
+    den = np.sqrt(max(new @ Mnew, 0.0))
+    if den < 1e-14:
+        return num
+    return num / den
+
+
 def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
                   start=None):
     """Iterate the primal-dual scheme, by default from the zero guess.
@@ -127,22 +143,24 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
     update.  start=(x0, lam0) warm-starts the iteration (used by the outer
     fixed-point loop); the returned iterate and log always refer to the
     original assembled scaling.
+
+    Each step makes two sparse products: KX = [A; B; M_p] with the new
+    primal iterate and KL = [B^T; M_d] with the new dual one (all in the
+    equilibrated basis).  They give B x^{k+1} for the dual update, A x and
+    B^T lam for the next step and the mass products of the stopping test.
     """
     if params.equilibrate:
         dp, dl = _equilibration(system)
     else:
         dp = np.ones(system.n_primal)
         dl = np.ones(system.n_dual)
-    Dp, Dl = sp.diags(dp), sp.diags(dl)
-    A = (Dp @ system.A @ Dp).tocsr()
-    B = (Dl @ system.B @ Dp).tocsr()
+    n, m = system.n_primal, system.n_dual
+    KX, KL = _stacked_operators(system, dp, dl)
     L = dp * system.L
-    BT = B.T.tocsr()
-    Mp, Md = system.M_primal, system.M_dual
 
     if start is None:
-        x = np.zeros(system.n_primal)
-        lam = np.zeros(system.n_dual)
+        x = np.zeros(n)
+        lam = np.zeros(m)
     else:
         x = np.asarray(start[0], dtype=float) / dp
         lam = np.asarray(start[1], dtype=float) / dl
@@ -151,25 +169,31 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
     def project(vec, scale, fn):
         return fn(scale * vec) / scale
 
-    for k in range(1, params.max_iter + 1):
-        x_new = x - params.r * (A @ x - L + BT @ lam)
-        x_new = project(x_new, dp, system.project_primal)
-        lam_new = lam + params.r * params.s * (B @ x_new)
-        lam_new = project(lam_new, dl, system.project_dual)
-        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(lam_new))):
-            raise SolverDiverged(k, log)
-        if k % 64 == 0 and max(np.abs(x_new).max(),
-                               np.abs(lam_new).max()) > 1e130:
-            raise SolverDiverged(k, log)   # slow exponential blow-up
-        e1 = _rel_change(Mp, dp * x_new, dp * x)
-        e2 = _rel_change(Md, dl * lam_new, dl * lam)
-        log.iters.append(k)
-        log.rel_err1.append(e1)
-        log.rel_err2.append(e2)
-        x, lam = x_new, lam_new
-        if e1 <= params.tol and e2 <= params.tol:
-            log.converged = True
-            break
+    kx, kl = KX @ x, KL @ lam
+    # divergence is reported by SolverDiverged, not by floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, params.max_iter + 1):
+            x_new = x - params.r * (kx[:n] - L + kl[:n])
+            x_new = project(x_new, dp, system.project_primal)
+            kx_new = KX @ x_new
+            lam_new = lam + params.r * params.s * kx_new[n:n + m]
+            lam_new = project(lam_new, dl, system.project_dual)
+            if not (np.all(np.isfinite(x_new))
+                    and np.all(np.isfinite(lam_new))):
+                raise SolverDiverged(k, log)
+            if k % 64 == 0 and max(np.abs(x_new).max(),
+                                   np.abs(lam_new).max()) > 1e130:
+                raise SolverDiverged(k, log)   # slow exponential blow-up
+            kl_new = KL @ lam_new
+            e1 = _rel_increment(x_new, x, kx_new[n + m:], kx[n + m:])
+            e2 = _rel_increment(lam_new, lam, kl_new[n:], kl[n:])
+            log.iters.append(k)
+            log.rel_err1.append(e1)
+            log.rel_err2.append(e2)
+            x, lam, kx, kl = x_new, lam_new, kx_new, kl_new
+            if e1 <= params.tol and e2 <= params.tol:
+                log.converged = True
+                break
     x, lam = dp * x, dl * lam
     log.residual_primal = float(np.linalg.norm(
         system.A @ x - system.L + system.B.T @ lam))

@@ -128,10 +128,13 @@ class WeightSet:
         exponential dominates every power); never forms the un-inverted
         weight.
         """
+        chi, _, _ = self.chi(np.asarray(x, dtype=float))
+        return self.inv_weight_of_chi(i, chi, t)
+
+    def inv_weight_of_chi(self, i, chi, t):
+        """inv_weight from precomputed exponent values chi = chi(x)[0]."""
         if i not in ("-", 0, 1, 2):
             raise ValueError("weight index must be '-' or 0, 1, 2")
-        x = np.asarray(x, dtype=float)
-        chi, _, _ = self.chi(x)
         t = np.asarray(t, dtype=float)
         chi, t = np.broadcast_arrays(chi, t)
         tau = self.T - t

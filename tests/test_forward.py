@@ -49,6 +49,38 @@ def test_heat_incompatible_data_boundary_recovered():
     assert hist.state_norms[-1] < 1e-2 * hist.state_norms[0]
 
 
+class ConstantControl:
+    """Control equal to c at every point it is bound to; counts bindings."""
+
+    def __init__(self, c):
+        self.c = c
+        self.bindings = 0
+
+    def at(self, X):
+        self.bindings += 1
+        return lambda t: np.full(X.shape[:-1], self.c)
+
+
+def test_heat_controlled_branch():
+    # the box sits on grid lines, so the triangles it selects tile it and
+    # the control's L2(Omega) norm is |c| sqrt(area) at every time
+    grid = SpatialGrid(8, 8, 1.0, 1.0)
+    box = (0.25, 0.75, 0.25, 0.5)
+    area = (box[1] - box[0]) * (box[3] - box[2])
+    runs = []
+    for c in (-3.0, -6.0):
+        control = ConstantControl(c)
+        hist, y = heat_forward_cn(grid, 2, 0.0, 1.0, control, 0.5, 20,
+                                  omega_box=box)
+        assert control.bindings == 1
+        assert np.allclose(hist.control_norms, abs(c) * np.sqrt(area),
+                           rtol=1e-12, atol=0.0)
+        assert hist.state_norms[-1] > 0.0
+        runs.append(y)
+    assert np.allclose(runs[1], 2.0 * runs[0], rtol=1e-12,
+                       atol=1e-14 * np.abs(runs[1]).max())
+
+
 def test_trajectory_closed_forms():
     p = Trajectory("poiseuille")
     assert np.allclose(trajectory_eval(p, np.array([2.0, 0.5]), 0.7), [1.0, 0.0])

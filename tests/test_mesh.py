@@ -63,7 +63,9 @@ def test_deterministic_rebuild():
     assert np.array_equal(a.triangles, b.triangles)
     assert np.array_equal(a.time_nodes, b.time_nodes)
     assert np.array_equal(a.omega_flag, b.omega_flag)
-    assert a.dump_text() == b.dump_text()
+    assert np.array_equal(a.edges, b.edges)
+    assert np.array_equal(a.boundary_edge_flags, b.boundary_edge_flags)
+    assert a.omega == b.omega
 
 
 def test_boundary_edge_flags():

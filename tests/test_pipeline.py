@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from nullctrl.config import RunConfig, validate
-from nullctrl.fem import Assembler, QuadratureRule, l2_norm
-from nullctrl.pipeline import fixed_point_ns, solve_heat_control, \
-    solve_stokes_control
+from nullctrl.fem import Assembler, QuadratureRule, build_space, l2_norm
+from nullctrl.mesh import build_mesh
+from nullctrl.pipeline import WeightedField, fixed_point_ns, \
+    solve_heat_control, solve_stokes_control
+from nullctrl.weights import WeightSet
 
 
 def heat_cfg(**over):
@@ -138,3 +140,50 @@ def test_fixed_point_zero_perturbation():
     pts = np.array([[1.2, 1.5], [2.0, 1.3]])
     assert np.abs(sol.control(pts, 0.3)).max() == 0.0
     assert np.abs(sol.state(pts, 0.3)).max() == 0.0
+
+
+def test_bound_evaluator_matches_scattered_points():
+    """WeightedField.at(P)(t) agrees with TensorFemSpace.eval times the
+    inverse weight, on mesh vertices, element edges (axis-aligned and
+    diagonal), the control-region boundary and the domain boundary, at
+    t = 0, slab nodes, slab interiors and T, and for per-point times."""
+    mesh = build_mesh(4, 4, 4, 1.0, 1.0, 1.0, (0.25, 0.75, 0.25, 0.75))
+    ws = WeightSet(1.0, 1.0, 1.0, (0.5, 0.5))
+    rng = np.random.default_rng(3)
+    g = np.linspace(0.0, 1.0, 5)
+    vertices = np.array([(x, y) for x in g for y in g])
+    edges = np.concatenate([vertices[:-1] + [0.0, 0.125],
+                            vertices[:-1] + [0.125, 0.0],
+                            vertices[:-1] + [0.125, 0.125]])
+    region_edge = np.array([(0.25, y) for y in rng.random(5)]
+                           + [(x, 0.75) for x in rng.random(5)])
+    P = np.concatenate([vertices, np.clip(edges, 0.0, 1.0), region_edge,
+                        rng.random((20, 2))])
+    inside = ((P[:, 0] >= 0.25) & (P[:, 0] <= 0.75)
+              & (P[:, 1] >= 0.25) & (P[:, 1] <= 0.75))
+    fields = []
+    for comps in (1, 2):
+        for deg in (1, 2):
+            sp_ = build_space(mesh, deg, 2, comps, "none")
+            c = rng.standard_normal(sp_.ndof)
+            fields.append(WeightedField(sp_, c, ws, weight=0, power=comps,
+                                        sign=-1.0, region=mesh.omega))
+            fields.append(WeightedField(sp_, c, ws, weight="-", power=comps))
+
+    def reference(f, t):
+        tt = np.broadcast_to(t, len(P))
+        vals = f.space.eval(f.coeffs, P, tt)
+        w = f.sign * ws.inv_weight(f.weight, P, tt) ** f.power
+        if f.region is not None:
+            w = w * inside
+        return vals * (w[:, None] if vals.ndim == 2 else w)
+
+    times = [0.0, 0.25, 0.5, 0.75, 0.1, 0.6, 1.0,
+             rng.random(len(P))]
+    for f in fields:
+        bound = f.at(P)
+        for t in times:
+            got, want = bound(t), reference(f, t)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())

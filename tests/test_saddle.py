@@ -1,12 +1,18 @@
 """Primal-dual iteration and the direct factorization oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nullctrl.forms import ProblemSpec, SaddleSystem
+from nullctrl.fem import build_space
+from nullctrl.forms import (ProblemSpec, SaddleSystem, assemble_heat,
+                            assemble_stokes)
+from nullctrl.mesh import build_mesh
 from nullctrl.saddle import (AHParams, IterationLog, SolverDiverged,
                              arrow_hurwicz, direct_solve)
+from nullctrl.weights import WeightSet
 
 
 def toy_system():
@@ -114,10 +120,57 @@ def test_converged_constraint_residual_scale():
 
 def test_divergence_reported():
     system = toy_system()
-    with pytest.raises(SolverDiverged) as err:
-        arrow_hurwicz(system, AHParams(r=500.0, s=10.0, tol=1e-12,
-                                       max_iter=500, equilibrate=False))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverDiverged) as err:
+            arrow_hurwicz(system, AHParams(r=500.0, s=10.0, tol=1e-12,
+                                           max_iter=500, equilibrate=False))
     assert err.value.iteration >= 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def assembled_systems():
+    """A small heat system and a small Stokes system in the variables as
+    printed (hatted=False, so the zero-mean-slice projection runs); both
+    have non-identity mass matrices."""
+    ws = WeightSet(1.0, 1.0, 1.0, (0.5, 0.5))
+    mesh = build_mesh(3, 3, 3, 1.0, 1.0, 1.0, (1 / 3, 2 / 3, 1 / 3, 2 / 3))
+    heat = assemble_heat(mesh, (build_space(mesh, 2, 2, 1, "none"),
+                                build_space(mesh, 2, 2, 1, "zero_lateral"),
+                                build_space(mesh, 2, 2, 1,
+                                            "zero_lateral_final")),
+                         ws, 1.0, 1000.0)
+    stokes = assemble_stokes(mesh, (build_space(mesh, 2, 2, 2, "none"),
+                                    build_space(mesh, 2, 2, 2, "zero_lateral"),
+                                    build_space(mesh, 2, 2, 1,
+                                                "zero_mean_slice"),
+                                    build_space(mesh, 2, 2, 2, "zero_lateral"),
+                                    build_space(mesh, 1, 2, 1,
+                                                "zero_mean_slice")),
+                             ws, 1.0, (1000.0, 0.0), hatted=False)
+    return heat, stokes
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_relative_increments_are_mass_norm_ratios(which):
+    """rel_err1/rel_err2 of step k+1 equal |new - old|_M / |new|_M of the
+    consecutive iterates in the assembled (unscaled) basis."""
+    system = assembled_systems()[which]
+    k = 6
+    params = AHParams(tol=1e-14, max_iter=k)
+    xk, lk, _ = arrow_hurwicz(system, params)
+    x1, l1, log = arrow_hurwicz(system, AHParams(tol=1e-14, max_iter=k + 1))
+    assert len(log.iters) == k + 1 and not log.converged
+
+    def ratio(M, new, old):
+        d = new - old
+        return np.sqrt(d @ (M @ d)) / np.sqrt(new @ (M @ new))
+
+    want1 = ratio(system.M_primal, x1, xk)
+    want2 = ratio(system.M_dual, l1, lk)
+    assert want1 > 0 and want2 > 0
+    assert log.rel_err1[k] == pytest.approx(want1, rel=1e-10)
+    assert log.rel_err2[k] == pytest.approx(want2, rel=1e-10)
 
 
 def test_direct_dimension_guard():
