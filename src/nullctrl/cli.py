@@ -29,12 +29,9 @@ def _parser():
     run.add_argument("--nt", type=int)
     run.add_argument("--y0-scale", dest="y0_scale", type=float)
     run.add_argument("--max-iter", dest="max_iter", type=int)
-    run.add_argument("--method", choices=("ah", "direct"))
+    run.add_argument("--method", choices=cfgmod.SOLVER_METHODS)
     run.add_argument("--out", dest="output_dir")
     run.add_argument("--no-verify", action="store_true")
-    run.add_argument("--jobs", type=int, default=None,
-                     help="worker budget hint; results are identical for "
-                     "any value")
     run.add_argument("--set", dest="sets", action="append", default=[],
                      metavar="key=value", help="override any config key")
     return p
@@ -45,8 +42,7 @@ def _load_config(args) -> cfgmod.RunConfig:
         cfg = cfgmod.from_file(args.source)
     else:
         cfg = cfgmod.from_preset(args.source)
-    for flag in ("nx", "ny", "nt", "y0_scale", "max_iter", "output_dir",
-                 "jobs"):
+    for flag in ("nx", "ny", "nt", "y0_scale", "max_iter", "output_dir"):
         val = getattr(args, flag, None)
         if val is not None:
             cfg = cfgmod.apply_setting(cfg, flag, val)

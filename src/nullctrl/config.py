@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 SCENARIOS = ("heat", "stokes", "navier_stokes")
+SOLVER_METHODS = ("ah", "direct", "lsq")
 
 PRESETS = {
     "heat-sec26": dict(
@@ -96,7 +97,6 @@ class RunConfig:
     verify_nt: int = 200
     # output
     output_dir: str = "run_out"
-    jobs: int = 1
 
     @property
     def y0_value(self) -> float:
@@ -160,10 +160,9 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ValueError(f"unknown trajectory {cfg.trajectory!r}")
     if cfg.r <= 0 or cfg.s <= 0 or cfg.tol <= 0 or cfg.max_iter < 1:
         raise ValueError("solver parameters must be positive")
-    if cfg.solver_method not in ("ah", "direct", "lsq"):
-        raise ValueError("solver_method must be 'ah', 'direct' or 'lsq'")
-    if cfg.jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    if cfg.solver_method not in SOLVER_METHODS:
+        raise ValueError("solver_method must be one of "
+                         + ", ".join(SOLVER_METHODS))
     omega = snap_omega(cfg.omega, cfg.nx, cfg.ny, cfg.L1, cfg.L2)
     cfg = replace(cfg, omega=omega)
     a, b = cfg.anchor

@@ -393,9 +393,6 @@ class _TaylorHood:
                       self.w, np.einsum("tqc,tqjc->tqjc", a, self.g2), self.v2)
         return self._mat2(E)
 
-    def field_at_quad(self, u):
-        return np.einsum("tic,qi->tqc", u[self.conn2], self.v2)
-
     def divergence_residual(self, u):
         """|div u|_L2 relative to |grad u|_L2."""
         gu = np.einsum("tic,tqid->tqcd", u[self.conn2], self.g2)

@@ -41,10 +41,6 @@ class SpaceTimeMesh:
         return self.triangles.shape[0]
 
     @property
-    def nslab(self) -> int:
-        return self.nt
-
-    @property
     def nprism(self) -> int:
         return self.ntri * self.nt
 

@@ -250,17 +250,14 @@ def fixed_point_ns(cfg):
     x = lam = None
     system = None
     log = None
-    kkt = None
     for it in range(1, cfg.outer_max + 1):
         system = assemble_oseen(mesh, spaces, ws, cfg.nu, traj, w_field, u0,
                                 rule=rule, hatted=cfg.hatted)
         start = None if x is None else (x, lam)
         if cfg.solver_method == "direct":
-            # one factorization serves the whole loop as a preconditioner;
-            # resolve() refines against each outer iterate's operator
-            if kkt is None:
-                kkt = KktSolver(system)
-            x, lam, _rn = kkt.resolve(system, start=start)
+            # a fresh factorization per pass: refinement against the
+            # previous pass's factorization diverges on the next system
+            x, lam, _rn = KktSolver(system).resolve(start=start)
         else:
             x, lam, log, _info = _solve_system(system, cfg, start=start)
         z_new = system.expand(x)["z"]

@@ -1,7 +1,14 @@
-"""First-order primal-dual iteration for the assembled saddle systems.
+"""Solvers for the assembled saddle systems, on one equilibrated core.
 
-The iteration needs matrix-vector products only; nothing is factorized.  A
-direct sparse factorization of the full KKT matrix exists as an oracle and
+All four solvers (the primal-dual iteration `arrow_hurwicz`, the
+least-squares `lsq_solve`, the direct `direct_solve` and the factorized
+`KktSolver`) work on the same equilibrated system (`equilibrated`): its
+scalings, its scaled A, B, L, and the two conversions of a start into that
+basis and of a solution back to the assembled, projected (x, lam).
+
+The iteration needs matrix-vector products only; nothing is factorized.
+`KktSolver` factorizes the regularized KKT matrix of one system exactly once
+and refines against that same system; `direct_solve` is the oracle and
 fallback for small systems.
 """
 
@@ -99,6 +106,45 @@ def _equilibration(system):
     return dp, dl
 
 
+@dataclass
+class Equilibrated:
+    """A system in the equilibrated basis: x = dp * x_eq, lam = dl * lam_eq.
+
+    A, B and L are the scaled operators D_p A D_p, D_l B D_p and D_p L.
+    """
+
+    system: SaddleSystem
+    dp: np.ndarray
+    dl: np.ndarray
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    L: np.ndarray
+
+    def to_basis(self, start):
+        """start=(x, lam) in the assembled basis -> (x_eq, lam_eq), or None."""
+        if start is None:
+            return None
+        return (np.asarray(start[0], dtype=float) / self.dp,
+                np.asarray(start[1], dtype=float) / self.dl)
+
+    def from_basis(self, x, lam):
+        """Equilibrated (x_eq, lam_eq) -> the assembled, projected (x, lam)."""
+        return (self.system.project_primal(self.dp * x),
+                self.system.project_dual(self.dl * lam))
+
+
+def equilibrated(system: SaddleSystem, equilibrate=True) -> Equilibrated:
+    """The system in its equilibrated basis (unit scalings if not
+    equilibrate)."""
+    if equilibrate:
+        dp, dl = _equilibration(system)
+    else:
+        dp, dl = np.ones(system.n_primal), np.ones(system.n_dual)
+    Dp, Dl = sp.diags(dp), sp.diags(dl)
+    return Equilibrated(system, dp, dl, (Dp @ system.A @ Dp).tocsr(),
+                        (Dl @ system.B @ Dp).tocsr(), dp * system.L)
+
+
 def _eq_mass(M, d):
     """Mass matrix of the norm test in the equilibrated basis, D M D.
 
@@ -110,13 +156,12 @@ def _eq_mass(M, d):
     return (sp.diags(d) @ M @ sp.diags(d)).tocsr()
 
 
-def _stacked_operators(system, dp, dl):
+def _stacked_operators(eq: Equilibrated):
     """KX = [A; B; M_p] and KL = [B^T; M_d] in the equilibrated basis."""
-    Dp, Dl = sp.diags(dp), sp.diags(dl)
-    B = (Dl @ system.B @ Dp).tocsr()
-    KX = sp.vstack([(Dp @ system.A @ Dp).tocsr(), B,
-                    _eq_mass(system.M_primal, dp)], format="csr")
-    KL = sp.vstack([B.T.tocsr(), _eq_mass(system.M_dual, dl)], format="csr")
+    KX = sp.vstack([eq.A, eq.B, _eq_mass(eq.system.M_primal, eq.dp)],
+                   format="csr")
+    KL = sp.vstack([eq.B.T.tocsr(), _eq_mass(eq.system.M_dual, eq.dl)],
+                   format="csr")
     return KX, KL
 
 
@@ -149,21 +194,15 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
     equilibrated basis).  They give B x^{k+1} for the dual update, A x and
     B^T lam for the next step and the mass products of the stopping test.
     """
-    if params.equilibrate:
-        dp, dl = _equilibration(system)
-    else:
-        dp = np.ones(system.n_primal)
-        dl = np.ones(system.n_dual)
+    eq = equilibrated(system, params.equilibrate)
+    dp, dl, L = eq.dp, eq.dl, eq.L
     n, m = system.n_primal, system.n_dual
-    KX, KL = _stacked_operators(system, dp, dl)
-    L = dp * system.L
+    KX, KL = _stacked_operators(eq)
 
     if start is None:
-        x = np.zeros(n)
-        lam = np.zeros(m)
+        x, lam = np.zeros(n), np.zeros(m)
     else:
-        x = np.asarray(start[0], dtype=float) / dp
-        lam = np.asarray(start[1], dtype=float) / dl
+        x, lam = eq.to_basis(start)
     log = IterationLog()
 
     def project(vec, scale, fn):
@@ -194,85 +233,63 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
             if e1 <= params.tol and e2 <= params.tol:
                 log.converged = True
                 break
-    x, lam = dp * x, dl * lam
+    x, lam = eq.from_basis(x, lam)
     log.residual_primal = float(np.linalg.norm(
         system.A @ x - system.L + system.B.T @ lam))
     log.residual_constraint = float(np.linalg.norm(system.B @ x))
     return x, lam, log
 
 
+_MAX_REFINE = 40
+
+
 class KktSolver:
-    """Factorized solver for the (possibly singular) KKT system, reusable as
-    a preconditioner across mild system updates.
+    """One system's regularized KKT matrix, factorized once, with iterative
+    refinement against that system.
 
     The factorization is of the equilibrated, quasi-definite regularization
     [[A + eps I, B^T], [B, -eps I]]; iterative refinement against the true
     matrix removes the O(eps |x|) bias, converging to the minimal-energy
     element of the solution manifold when the exact system is singular.
-    `resolve` solves a *different* system with the same sparsity (e.g. the
-    next outer fixed-point iterate) by preconditioned refinement, and
-    refactorizes automatically when the operator has drifted too far.
     """
 
     def __init__(self, system: SaddleSystem, eps: float = 1e-8):
-        self.eps = eps
-        self._factorize(system)
-
-    def _scaled(self, system):
-        dp, dl = self.dp, self.dl
-        A = (sp.diags(dp) @ system.A @ sp.diags(dp)).tocsr()
-        B = (sp.diags(dl) @ system.B @ sp.diags(dp)).tocsr()
-        return A, B, dp * system.L
-
-    def _factorize(self, system):
-        self.dp, self.dl = _equilibration(system)
-        A, B, L = self._scaled(system)
-        n, m = A.shape[0], B.shape[0]
-        K = sp.bmat([[A + self.eps * sp.identity(n), B.T],
-                     [B, (-self.eps) * sp.identity(m)]], format="csc")
+        self.eq = eq = equilibrated(system)
+        n, m = system.n_primal, system.n_dual
+        K = sp.bmat([[eq.A + eps * sp.identity(n), eq.B.T],
+                     [eq.B, (-eps) * sp.identity(m)]], format="csc")
         self.lu = spla.splu(K)
-        self.n, self.m = n, m
 
-    def resolve(self, system, max_refine=40, tol=1e-9, start=None):
-        """Solve the given system, refining with the stored factorization."""
-        A, B, L = self._scaled(system)
-        n, m = self.n, self.m
-        rhs = np.concatenate([L, np.zeros(m)])
+    def resolve(self, start=None, tol=1e-9):
+        """Refine from start (zero by default) until the relative KKT
+        residual is below tol, refinement stops helping, or after
+        _MAX_REFINE steps.  Returns (x, lam, relative residual)."""
+        eq = self.eq
+        n, m = eq.A.shape[0], eq.B.shape[0]
+        rhs = np.concatenate([eq.L, np.zeros(m)])
         scale = np.linalg.norm(rhs) + 1e-300
 
         def residual(sol):
             return rhs - np.concatenate([
-                A @ sol[:n] + B.T @ sol[n:],
-                B @ sol[:n]])
+                eq.A @ sol[:n] + eq.B.T @ sol[n:],
+                eq.B @ sol[:n]])
 
-        sol = np.zeros(n + m)
-        if start is not None:
-            sol[:n] = np.asarray(start[0]) / self.dp
-            sol[n:] = np.asarray(start[1]) / self.dl
-        for attempt in range(2):
-            best = np.inf
-            for _ in range(max_refine):
-                r = residual(sol)
-                rn = np.linalg.norm(r) / scale
-                if rn <= tol:
-                    break
-                if rn > 2.0 * best:      # drifted operator: refinement fails
-                    break
-                best = min(best, rn)
-                sol = sol + self.lu.solve(r)
-            rn = np.linalg.norm(residual(sol)) / scale
-            if rn <= tol or attempt == 1:
+        sol = (np.zeros(n + m) if start is None
+               else np.concatenate(eq.to_basis(start)))
+        best = np.inf
+        for _ in range(_MAX_REFINE):
+            r = residual(sol)
+            rn = np.linalg.norm(r) / scale
+            if rn <= tol or rn > 2.0 * best:   # converged, or diverging
                 break
-            self._factorize(system)      # refresh the preconditioner
-            A, B, L = self._scaled(system)
-            rhs = np.concatenate([L, np.zeros(m)])
-        x = system.project_primal(self.dp * sol[:n])
-        lam = system.project_dual(self.dl * sol[n:])
+            best = min(best, rn)
+            sol = sol + self.lu.solve(r)
+        rn = np.linalg.norm(residual(sol)) / scale
+        x, lam = eq.from_basis(sol[:n], sol[n:])
         return x, lam, rn
 
 
-def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000,
-              gamma=1.0):
+def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000):
     """Minimal-norm least-squares solve of the (augmented) KKT system.
 
     The iteration runs on the equilibrated basis with the constraint block
@@ -281,38 +298,30 @@ def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000,
     whose KKT matrices are numerically singular, and it supports warm starts
     across outer fixed-point iterations.  Returns (x, lam, info_dict).
     """
-    dp, dl = _equilibration(system)
-    Dp, Dl = sp.diags(dp), sp.diags(dl)
-    A = (Dp @ system.A @ Dp).tocsr()
-    B = (Dl @ system.B @ Dp).tocsr()
-    L = dp * system.L
+    eq = equilibrated(system)
+    A, B = eq.A, eq.B
     n, mdim = system.n_primal, system.n_dual
-    rhs = np.concatenate([L, np.zeros(mdim)])
+    rhs = np.concatenate([eq.L, np.zeros(mdim)])
     if np.abs(rhs).max() == 0.0:
         return np.zeros(n), np.zeros(mdim), {"iterations": 0, "residual": 0.0}
-    K = sp.bmat([[A + gamma * (B.T @ B), B.T], [B, None]], format="csr")
-    x0 = None
-    if start is not None:
-        x0 = np.concatenate([np.asarray(start[0]) / dp,
-                             np.asarray(start[1]) / dl])
+    K = sp.bmat([[A + B.T @ B, B.T], [B, None]], format="csr")
+    x0 = None if start is None else np.concatenate(eq.to_basis(start))
     out = spla.lsmr(K, rhs, atol=tol, btol=tol, maxiter=max_iter, x0=x0)
     sol = out[0]
-    x = system.project_primal(dp * sol[:n])
-    lam = system.project_dual(dl * sol[n:])
+    x, lam = eq.from_basis(sol[:n], sol[n:])
     info = {"iterations": int(out[2]), "residual": float(out[3]),
             "istop": int(out[1])}
     return x, lam, info
 
 
-def direct_solve(system: SaddleSystem, max_dim: int = 120_000,
-                 regularization: float = 1e-8):
+def direct_solve(system: SaddleSystem, max_dim: int = 120_000):
     """Factorize the full symmetric indefinite KKT matrix (oracle/fallback).
 
     The factorization runs on the equilibrated basis (better pivots); if the
     matrix is numerically singular -- the discrete pair carries no inf-sup
-    guarantee, so this happens on the flow systems -- the dual block is
-    regularized quasi-definitely ([A B^T; B -delta I]) and the solve is
-    flagged; a least-squares pass is the last resort.  Returns
+    guarantee, so this happens on the flow systems -- the solve falls back to
+    one `KktSolver` factorization of the quasi-definite regularization
+    ([A B^T; B -delta I]) with refinement, and is flagged.  Returns
     (x, lam, flagged).
     """
     n, mdim = system.n_primal, system.n_dual
@@ -321,11 +330,8 @@ def direct_solve(system: SaddleSystem, max_dim: int = 120_000,
                          f"direct-solve guard {max_dim}")
     if np.abs(system.L).max() == 0.0:
         return np.zeros(n), np.zeros(mdim), False
-    dp, dl = _equilibration(system)
-    Dp, Dl = sp.diags(dp), sp.diags(dl)
-    A = (Dp @ system.A @ Dp).tocsr()
-    B = (Dl @ system.B @ Dp).tocsr()
-    L = dp * system.L
+    eq = equilibrated(system)
+    A, B, L = eq.A, eq.B, eq.L
     rhs = np.concatenate([L, np.zeros(mdim)])
 
     scale = np.linalg.norm(L) + 1.0
@@ -346,11 +352,9 @@ def direct_solve(system: SaddleSystem, max_dim: int = 120_000,
 
     sol = attempt_exact()
     if sol is not None:
-        x = system.project_primal(dp * sol[:n])
-        lam = system.project_dual(dl * sol[n:])
+        x, lam = eq.from_basis(sol[:n], sol[n:])
         return x, lam, False
     # numerically singular: regularized factorization with refinement picks
     # the minimal-energy element of the solution manifold, flagged
-    solver = KktSolver(system, eps=regularization)
-    x, lam, _rn = solver.resolve(system)
+    x, lam, _rn = KktSolver(system).resolve()
     return x, lam, True

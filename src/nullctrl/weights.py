@@ -156,8 +156,8 @@ class WeightSet:
         """Coefficient groups of the normalized constraint form at (x, t).
 
         Returns (c_mass, c_grad, c_time) where c_grad has a trailing length-2
-        axis; t = T is rejected (the mass coefficient is singular there, and
-        quadrature never samples it).
+        axis and c_time >= 0 vanishes as t -> T; t = T is rejected (the mass
+        coefficient is singular there, and quadrature never samples it).
         """
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -171,11 +171,6 @@ class WeightSet:
         c_mass = sq * (-1.5 + lchi) + (chi + np.einsum("...i,...i->...", gchi, gchi)) / sq
         return c_mass, c_grad, c_time
 
-    def hatted_coeffs(self, x, t) -> "HattedCoeffs":
-        c_mass, c_grad, c_time = self.hatted_coeff_arrays(x, t)
-        return HattedCoeffs(float(c_mass), np.asarray(c_grad, dtype=float),
-                            float(c_time))
-
     def rho0_at_start(self, x):
         """The one non-inverted evaluation: (T)^{3/2} exp(chi/T) at t = 0.
 
@@ -188,15 +183,3 @@ class WeightSet:
             raise ValueError("weight at t=0 out of floating-point range; "
                              "check K1, K2 and T")
         return self.T ** 1.5 * np.exp(expo)
-
-
-@dataclass(frozen=True)
-class HattedCoeffs:
-    """Pointwise coefficient groups of the normalized constraint form.
-
-    c_time >= 0 for t <= T and vanishes at t = T.
-    """
-
-    c_mass: float
-    c_grad: np.ndarray
-    c_time: float

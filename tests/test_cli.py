@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nullctrl import config as cfgmod
-from nullctrl.cli import run
+from nullctrl.cli import _load_config, _parser, run
 
 
 def run_cli(args):
@@ -56,6 +56,13 @@ def test_omega_snapping():
     assert same[1] == pytest.approx(0.6)
 
 
+def test_method_flag_takes_every_solver_method():
+    for method in ("ah", "direct", "lsq"):
+        args = _parser().parse_args(["run", "ns-taylor-green",
+                                     "--method", method])
+        assert _load_config(args).solver_method == method
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ValueError):
         cfgmod.apply_setting(cfgmod.from_preset("heat-sec26"), "mesh.bogus", 3)
@@ -92,9 +99,9 @@ def test_zero_scale_run_reports_zero_cost(tmp_path):
 
 def test_repeat_runs_bitwise_identical(tmp_path):
     outs = []
-    for k, jobs in enumerate(("1", "2")):
+    for k in range(2):
         out = str(tmp_path / f"det{k}")
-        rc = run(["run", "heat-sec26", "--out", out, "--jobs", jobs] + FAST)
+        rc = run(["run", "heat-sec26", "--out", out] + FAST)
         assert rc == 0
         outs.append(out)
     for name in ("iterations.csv", "norms.csv", "norms_uncontrolled.csv"):

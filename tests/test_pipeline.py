@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nullctrl.config import RunConfig, validate
+from nullctrl.config import RunConfig, from_preset, validate
 from nullctrl.fem import Assembler, QuadratureRule, build_space, l2_norm
 from nullctrl.mesh import build_mesh
 from nullctrl.pipeline import WeightedField, fixed_point_ns, \
@@ -140,6 +140,24 @@ def test_fixed_point_zero_perturbation():
     pts = np.array([[1.2, 1.5], [2.0, 1.3]])
     assert np.abs(sol.control(pts, 0.3)).max() == 0.0
     assert np.abs(sol.state(pts, 0.3)).max() == 0.0
+
+
+def test_direct_fixed_point_factorizes_each_pass_once(factorizations):
+    cfg = validate(dataclasses.replace(
+        from_preset("ns-taylor-green"), nx=3, ny=3, nt=3,
+        solver_method="direct", outer_max=2, verify=False))
+    _, fp = fixed_point_ns(cfg)
+    assert fp.iters == [1, 2] and not fp.converged
+    assert len(factorizations) == 2
+
+
+def test_direct_fallback_factorizes_once(factorizations):
+    # the small Stokes system is numerically singular, and refinement
+    # cannot meet its tolerance on it: one regularized factorization still
+    # serves the whole solve
+    sol = solve_stokes_control(stokes_cfg(nx=3, ny=3, nt=3))
+    assert sol.extras["least_squares"]
+    assert len(factorizations) == 1
 
 
 def test_bound_evaluator_matches_scattered_points():

@@ -10,8 +10,8 @@ from nullctrl.fem import build_space
 from nullctrl.forms import (ProblemSpec, SaddleSystem, assemble_heat,
                             assemble_stokes)
 from nullctrl.mesh import build_mesh
-from nullctrl.saddle import (AHParams, IterationLog, SolverDiverged,
-                             arrow_hurwicz, direct_solve)
+from nullctrl.saddle import (AHParams, IterationLog, KktSolver,
+                             SolverDiverged, arrow_hurwicz, direct_solve)
 from nullctrl.weights import WeightSet
 
 
@@ -178,7 +178,7 @@ def test_direct_dimension_guard():
         direct_solve(toy_system(), max_dim=2)
 
 
-def test_singular_system_flagged_least_squares():
+def test_singular_system_flagged_least_squares(factorizations):
     # B with a dependent row makes the KKT matrix exactly singular
     A = sp.identity(3, format="csr")
     B = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
@@ -188,10 +188,22 @@ def test_singular_system_flagged_least_squares():
                           M_dual=sp.identity(2, format="csr"),
                           mesh=None, problem=ProblemSpec(kind="heat"))
     x, lam, flagged = direct_solve(system)
+    assert len(factorizations) == 1   # the regularized fallback, once
     assert flagged
     assert np.all(np.isfinite(x))
     assert abs(x[0]) <= 1e-8          # constraint x0 = 0 still honored
     assert np.allclose(x[1:], [2.0, 3.0], atol=1e-8)
+
+
+def test_kkt_solver_matches_direct_on_random_system(factorizations):
+    system = random_system(np.random.default_rng(5))
+    xd, ld, flagged = direct_solve(system)
+    assert not flagged and not factorizations
+    x, lam, rn = KktSolver(system).resolve()
+    assert len(factorizations) == 1
+    assert rn <= 1e-9
+    assert np.allclose(x, xd, rtol=0, atol=1e-8)
+    assert np.allclose(lam, ld, rtol=0, atol=1e-8)
 
 
 def test_iteration_log_csv(tmp_path):

@@ -136,23 +136,24 @@ def test_hatted_coeffs_unit_time_to_go():
     # chi == 4, grad == 0 cannot be arranged exactly, so check the printed
     # combination directly on a synthetic weight set via its pieces
     ws = WeightSet(1.0, 1.0, 2.0, (0.5, 0.5))
-    hc = ws.hatted_coeffs(np.array([0.5, 0.5]), 1.0)   # tau = 1
+    c_mass, c_grad, c_time = ws.hatted_coeff_arrays(np.array([0.5, 0.5]),
+                                                    1.0)   # tau = 1
     chi, gchi, lchi = ws.chi(np.array([0.5, 0.5]))
-    assert hc.c_time == pytest.approx(1.0)
-    assert hc.c_mass == pytest.approx(-1.5 + lchi + chi + gchi @ gchi, rel=1e-13)
-    assert np.allclose(hc.c_grad, 2.0 * gchi)
+    assert c_time == pytest.approx(1.0)
+    assert c_mass == pytest.approx(-1.5 + lchi + chi + gchi @ gchi, rel=1e-13)
+    assert np.allclose(c_grad, 2.0 * gchi)
 
 
 def test_hatted_coeffs_gradient_vanishes_at_anchor(ws):
     for t in (0.0, 0.3, 0.9):
-        hc = ws.hatted_coeffs(np.array([0.5, 0.5]), t)
-        assert np.abs(hc.c_grad).max() < 1e-12
-        assert hc.c_time >= 0.0
+        _, c_grad, c_time = ws.hatted_coeff_arrays(np.array([0.5, 0.5]), t)
+        assert np.abs(c_grad).max() < 1e-12
+        assert c_time >= 0.0
 
 
 def test_hatted_coeffs_reject_horizon(ws):
     with pytest.raises(ValueError):
-        ws.hatted_coeffs(np.array([0.5, 0.5]), 1.0)
+        ws.hatted_coeff_arrays(np.array([0.5, 0.5]), 1.0)
 
 
 def test_weight_set_validation():
