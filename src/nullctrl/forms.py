@@ -124,7 +124,8 @@ class SaddleSystem:
 
 
 class _Builder:
-    """Accumulates bilinear terms into full-size COO blocks, then reduces."""
+    """Collects bilinear terms as element values and DOF maps, then builds
+    full-size COO blocks from them and reduces those to the free DOFs."""
 
     def __init__(self, mesh, primal_spaces, dual_spaces):
         self.mesh = mesh
@@ -143,8 +144,7 @@ class _Builder:
             self.full_off[name] = off
             off += spc.ndof
         self.n_full_dual = off
-        self._acc = {"A": ([], [], []), "B": ([], [], []),
-                     "Mp": ([], [], []), "Md": ([], [], [])}
+        self._terms = {"A": [], "B": [], "Mp": [], "Md": []}
         self.L_full = np.zeros(self.n_full_primal)
 
     @staticmethod
@@ -184,12 +184,7 @@ class _Builder:
               + self.full_off[tname])
         Dr = (batch.dofs(rspace) + rcomp * rspace.ndof_scalar
               + self.full_off[rname])
-        rows = np.broadcast_to(Dt[:, :, :, None], E.shape)
-        cols = np.broadcast_to(Dr[:, :, None, :], E.shape)
-        r, c, d = self._acc[target]
-        r.append(rows.ravel())
-        c.append(cols.ravel())
-        d.append(E.ravel())
+        self._terms[target].append((E, Dt, Dr))
 
     def add_initial_load(self, name, comp, fun):
         """L contribution int_Omega fun(x) phi(x, 0) dx on the named field."""
@@ -214,25 +209,52 @@ class _Builder:
             idx.append(self.full_off[name] + spaces[name].free_idx)
         return np.concatenate(idx) if idx else np.empty(0, dtype=int)
 
+    def _matrix(self, target, shape, rows_idx, cols_idx):
+        """The target's terms as one CSR matrix, reduced to the free DOFs.
+
+        The COO arrays are sized once and each term is copied into its slice
+        and dropped, in the order the terms were added: that order fixes the
+        order in which scipy sums duplicate entries, hence the matrix bits.
+        The index arrays have the dtype scipy converts to, so the conversion
+        copies nothing.
+        """
+        terms = self._terms.pop(target)
+        if not terms:
+            return sp.csr_matrix((len(rows_idx), len(cols_idx)))
+        total = sum(E.size for E, _, _ in terms)
+        idx = (np.int32 if max(max(shape), total) <= np.iinfo(np.int32).max
+               else np.int64)
+        data = np.empty(total)
+        rows = np.empty(total, dtype=idx)
+        cols = np.empty(total, dtype=idx)
+        start = 0
+        for k, (E, Dt, Dr) in enumerate(terms):
+            terms[k] = None
+            seg = slice(start, start + E.size)
+            data[seg].reshape(E.shape)[...] = E
+            rows[seg].reshape(E.shape)[...] = Dt[..., None]
+            cols[seg].reshape(E.shape)[...] = Dr[:, :, None, :]
+            start += E.size
+        del E
+        M = sp.coo_matrix((data, (rows, cols)), shape=shape)
+        del data, rows, cols
+        M = M.tocsr()
+        M = M[rows_idx][:, cols_idx]
+        M.sum_duplicates()
+        return M
+
     def finish(self, problem) -> SaddleSystem:
         pfree = self._free_indices(self.primal_names, self.primal_spaces)
         dfree = self._free_indices(self.dual_names, self.dual_spaces)
 
-        def mat(target, shape, rows_idx, cols_idx):
-            r, c, d = self._acc[target]
-            if not r:
-                return sp.csr_matrix((len(rows_idx), len(cols_idx)))
-            M = sp.coo_matrix((np.concatenate(d),
-                               (np.concatenate(r), np.concatenate(c))),
-                              shape=shape).tocsr()
-            M = M[rows_idx][:, cols_idx]
-            M.sum_duplicates()
-            return M
-
-        A = mat("A", (self.n_full_primal, self.n_full_primal), pfree, pfree)
-        B = mat("B", (self.n_full_dual, self.n_full_primal), dfree, pfree)
-        Mp = mat("Mp", (self.n_full_primal, self.n_full_primal), pfree, pfree)
-        Md = mat("Md", (self.n_full_dual, self.n_full_dual), dfree, dfree)
+        A = self._matrix("A", (self.n_full_primal, self.n_full_primal),
+                         pfree, pfree)
+        B = self._matrix("B", (self.n_full_dual, self.n_full_primal),
+                         dfree, pfree)
+        Mp = self._matrix("Mp", (self.n_full_primal, self.n_full_primal),
+                          pfree, pfree)
+        Md = self._matrix("Md", (self.n_full_dual, self.n_full_dual),
+                          dfree, dfree)
         L = self.L_full[pfree]
 
         primal, dual = [], []

@@ -249,8 +249,11 @@ class KktSolver:
 
     The factorization is of the equilibrated, quasi-definite regularization
     [[A + eps I, B^T], [B, -eps I]]; iterative refinement against the true
-    matrix removes the O(eps |x|) bias, converging to the minimal-energy
-    element of the solution manifold when the exact system is singular.
+    matrix removes the O(eps |x|) bias when the system has a solution,
+    singular or not.  When it has none (the load has a component outside
+    the range of the KKT matrix, as on the flow systems) refinement cannot
+    remove that component: the residual stays flat above it while the
+    iterate grows along the kernel, and resolve returns the last iterate.
     """
 
     def __init__(self, system: SaddleSystem, eps: float = 1e-8):
@@ -261,9 +264,12 @@ class KktSolver:
         self.lu = spla.splu(K)
 
     def resolve(self, start=None, tol=1e-9):
-        """Refine from start (zero by default) until the relative KKT
-        residual is below tol, refinement stops helping, or after
-        _MAX_REFINE steps.  Returns (x, lam, relative residual)."""
+        """Refine from start (zero by default).
+
+        Stops when the relative KKT residual is at most tol, when it exceeds
+        twice the best residual so far (divergence), or after _MAX_REFINE
+        steps; a residual that stays flat above tol runs all _MAX_REFINE
+        steps.  Returns (x, lam, relative residual)."""
         eq = self.eq
         n, m = eq.A.shape[0], eq.B.shape[0]
         rhs = np.concatenate([eq.L, np.zeros(m)])
@@ -304,7 +310,9 @@ def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000):
     rhs = np.concatenate([eq.L, np.zeros(mdim)])
     if np.abs(rhs).max() == 0.0:
         return np.zeros(n), np.zeros(mdim), {"iterations": 0, "residual": 0.0}
-    K = sp.bmat([[A + B.T @ B, B.T], [B, None]], format="csr")
+    K = sp.vstack([sp.hstack([A + B.T @ B, B.T], format="csr"),
+                   sp.hstack([B, sp.csr_matrix((mdim, mdim))], format="csr")],
+                  format="csr")
     x0 = None if start is None else np.concatenate(eq.to_basis(start))
     out = spla.lsmr(K, rhs, atol=tol, btol=tol, maxiter=max_iter, x0=x0)
     sol = out[0]
@@ -321,8 +329,10 @@ def direct_solve(system: SaddleSystem, max_dim: int = 120_000):
     matrix is numerically singular -- the discrete pair carries no inf-sup
     guarantee, so this happens on the flow systems -- the solve falls back to
     one `KktSolver` factorization of the quasi-definite regularization
-    ([A B^T; B -delta I]) with refinement, and is flagged.  Returns
-    (x, lam, flagged).
+    ([A B^T; B -delta I]) with refinement, and is flagged.  The fallback
+    solves a singular system that has a solution; on one that has none it
+    returns `KktSolver.resolve`'s last iterate, whose residual stays above
+    its tolerance.  Returns (x, lam, flagged).
     """
     n, mdim = system.n_primal, system.n_dual
     if n + mdim > max_dim:
@@ -354,7 +364,6 @@ def direct_solve(system: SaddleSystem, max_dim: int = 120_000):
     if sol is not None:
         x, lam = eq.from_basis(sol[:n], sol[n:])
         return x, lam, False
-    # numerically singular: regularized factorization with refinement picks
-    # the minimal-energy element of the solution manifold, flagged
+    # numerically singular: regularized factorization with refinement, flagged
     x, lam, _rn = KktSolver(system).resolve()
     return x, lam, True

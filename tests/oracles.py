@@ -8,8 +8,10 @@ assembly cannot cancel in the comparison.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from nullctrl.fem import Assembler, QuadratureRule
+from nullctrl.forms import _Builder
 
 
 class Poly2T:
@@ -266,3 +268,28 @@ def reduced_vector(system, which, **fields):
         full = fields[blk.name]
         out[blk.offset:blk.offset + blk.size] = full[blk.space.free_idx]
     return out
+
+
+class ConcatenatingBuilder(_Builder):
+    """The assembly builder with the plain reference conversion to CSR.
+
+    Each term's COO triplets are raveled from broadcast index maps,
+    concatenated per target and converted in one call; the library's builder
+    must give the same matrices bit for bit, with a fraction of the memory.
+    """
+
+    def _matrix(self, target, shape, rows_idx, cols_idx):
+        terms = self._terms.pop(target)
+        if not terms:
+            return sp.csr_matrix((len(rows_idx), len(cols_idx)))
+        r = [np.broadcast_to(Dt[:, :, :, None], E.shape).ravel()
+             for E, Dt, _ in terms]
+        c = [np.broadcast_to(Dr[:, :, None, :], E.shape).ravel()
+             for E, _, Dr in terms]
+        d = [E.ravel() for E, _, _ in terms]
+        M = sp.coo_matrix((np.concatenate(d),
+                           (np.concatenate(r), np.concatenate(c))),
+                          shape=shape).tocsr()
+        M = M[rows_idx][:, cols_idx]
+        M.sum_duplicates()
+        return M

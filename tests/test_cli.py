@@ -11,10 +11,16 @@ from nullctrl import config as cfgmod
 from nullctrl.cli import _load_config, _parser, run
 
 
+# the child imports the package from where this process found it
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cfgmod.__file__)))
+
+
 def run_cli(args):
+    path = [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
         [sys.executable, "-m", "nullctrl.cli"] + args,
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     return proc
 
 

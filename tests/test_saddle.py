@@ -5,13 +5,15 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nullctrl.fem import build_space
 from nullctrl.forms import (ProblemSpec, SaddleSystem, assemble_heat,
                             assemble_stokes)
 from nullctrl.mesh import build_mesh
 from nullctrl.saddle import (AHParams, IterationLog, KktSolver,
-                             SolverDiverged, arrow_hurwicz, direct_solve)
+                             SolverDiverged, arrow_hurwicz, direct_solve,
+                             equilibrated, lsq_solve)
 from nullctrl.weights import WeightSet
 
 
@@ -171,6 +173,23 @@ def test_relative_increments_are_mass_norm_ratios(which):
     assert want1 > 0 and want2 > 0
     assert log.rel_err1[k] == pytest.approx(want1, rel=1e-10)
     assert log.rel_err2[k] == pytest.approx(want2, rel=1e-10)
+
+
+def test_lsq_solve_matches_lsmr_on_block_matrix():
+    """lsq_solve's stacked operator is bit for bit the block matrix of
+    sp.bmat, so LSMR takes the same iterates on it."""
+    system = assembled_systems()[1]
+    n = system.n_primal
+    eq = equilibrated(system)
+    A, B = eq.A, eq.B
+    K = sp.bmat([[A + B.T @ B, B.T], [B, None]], format="csr")
+    rhs = np.concatenate([eq.L, np.zeros(system.n_dual)])
+    out = spla.lsmr(K, rhs, atol=1e-10, btol=1e-10, maxiter=300)
+    want_x, want_lam = eq.from_basis(out[0][:n], out[0][n:])
+    x, lam, info = lsq_solve(system, tol=1e-10, max_iter=300)
+    assert info["iterations"] == out[2] > 0
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(lam, want_lam)
 
 
 def test_direct_dimension_guard():
