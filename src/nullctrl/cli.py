@@ -6,6 +6,7 @@ import argparse
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -68,6 +69,13 @@ def _summary_lines(cfg, sol, fp, wall):
         lines.append(f"rel_err1_final = {sol.log.rel_err1[-1]:.6e}")
         lines.append(f"rel_err2_final = {sol.log.rel_err2[-1]:.6e}")
         lines.append(f"residual_constraint = {sol.log.residual_constraint:.6e}")
+    ex = sol.extras
+    if "istop" in ex:   # an LSMR solve
+        lines.append(f"lsmr_iterations = {ex['iterations']}")
+        lines.append(f"lsmr_istop = {ex['istop']}")
+        lines.append(f"lsmr_residual = {ex['residual']:.6e}")
+    if "kkt_residual" in ex:
+        lines.append(f"kkt_residual = {ex['kkt_residual']:.6e}")
     if fp is not None:
         lines.append(f"outer_iterations = {fp.iters[-1]}")
         lines.append(f"outer_converged = {fp.converged}")
@@ -140,6 +148,7 @@ def run(argv=None) -> int:
         else:
             sol, fp = fixed_point_ns(cfg)
     except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
         print(f"error: solver: {exc}", file=sys.stderr)
         return 1
     wall = time.time() - t0

@@ -123,6 +123,9 @@ class SaddleSystem:
         return self._project(lam, self.dual)
 
 
+_ELEMENT = "abq,qi,qj->abij"   # sum_q w_q c_q Op_i Op_j per prism
+
+
 class _Builder:
     """Collects bilinear terms as element values and DOF maps, then builds
     full-size COO blocks from them and reduces those to the free DOFs."""
@@ -146,6 +149,7 @@ class _Builder:
         self.n_full_dual = off
         self._terms = {"A": [], "B": [], "Mp": [], "Md": []}
         self.L_full = np.zeros(self.n_full_primal)
+        self._paths = {}   # einsum contraction path per operand shapes
 
     @staticmethod
     def _op(tables, op):
@@ -179,7 +183,13 @@ class _Builder:
             if not region_mask.any():
                 return
             CW = CW * region_mask[:, None, None]
-        E = np.einsum("abq,qi,qj->abij", CW, Ti, Tj, optimize=True)
+        # the optimal path depends on the operand shapes only, and a given
+        # path computes the same bits as optimize=True
+        key = (CW.shape, Ti.shape, Tj.shape)
+        if key not in self._paths:
+            self._paths[key] = np.einsum_path(_ELEMENT, CW, Ti, Tj,
+                                              optimize=True)[0]
+        E = np.einsum(_ELEMENT, CW, Ti, Tj, optimize=self._paths[key])
         Dt = (batch.dofs(tspace) + tcomp * tspace.ndof_scalar
               + self.full_off[tname])
         Dr = (batch.dofs(rspace) + rcomp * rspace.ndof_scalar

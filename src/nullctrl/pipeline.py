@@ -250,6 +250,7 @@ def fixed_point_ns(cfg):
     x = lam = None
     system = None
     log = None
+    info = {}   # the last pass's solver diagnostics
     for it in range(1, cfg.outer_max + 1):
         system = assemble_oseen(mesh, spaces, ws, cfg.nu, traj, w_field, u0,
                                 rule=rule, hatted=cfg.hatted)
@@ -257,9 +258,10 @@ def fixed_point_ns(cfg):
         if cfg.solver_method == "direct":
             # a fresh factorization per pass: refinement against the
             # previous pass's factorization diverges on the next system
-            x, lam, _rn = KktSolver(system).resolve(start=start)
+            x, lam, rn = KktSolver(system).resolve(start=start)
+            info = {"kkt_residual": rn}
         else:
-            x, lam, log, _info = _solve_system(system, cfg, start=start)
+            x, lam, log, info = _solve_system(system, cfg, start=start)
         z_new = system.expand(x)["z"]
         dz = z_new if z_prev is None else z_new - z_prev
         num = l2_norm(zsp, dz, weight=uweight, assembler=asm)
@@ -296,5 +298,5 @@ def fixed_point_ns(cfg):
                           history=hist, history_uncontrolled=hist0,
                           extras={"system": system, "x": x, "lam": lam,
                                   "mesh": mesh, "ws": ws, "spaces": spaces,
-                                  "trajectory": traj, "u0": u0})
+                                  "trajectory": traj, "u0": u0, **info})
     return sol, fp

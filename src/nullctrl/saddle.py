@@ -14,6 +14,10 @@ fallback for small systems.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,6 +299,107 @@ class KktSolver:
         return x, lam, rn
 
 
+def _available_cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _product_pool():
+    """The helper threads of the split products, created on first use so
+    that importing the package starts no thread.  The calling thread takes
+    part in each product, so one CPU is left to it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=max(_available_cpus() - 1, 1),
+                thread_name_prefix="nullctrl-matvec")
+        return _pool
+
+
+def _row_blocks(M: sp.csr_matrix, nblocks: int):
+    """At most nblocks zero-copy CSR views of consecutive row ranges of M,
+    with about equal nonzeros each; each range holds at least one row.
+
+    A view shares M's data and indices and has its own rebased indptr.
+    """
+    n_rows = M.shape[0]
+    cuts = np.searchsorted(M.indptr, np.arange(1, nblocks) * M.nnz / nblocks)
+    bounds = np.unique(np.concatenate([[0], cuts, [n_rows]]))
+    blocks = []
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        s, e = M.indptr[r0], M.indptr[r1]
+        # the arrays are set after construction: the constructor copies a
+        # view that is less than half of its base array
+        block = sp.csr_matrix((r1 - r0, M.shape[1]), dtype=M.dtype)
+        block.data, block.indices = M.data[s:e], M.indices[s:e]
+        block.indptr = M.indptr[r0:r1 + 1] - s
+        blocks.append(block)
+    return blocks
+
+
+def _split_product(blocks, v):
+    """The rows of M @ v from M's row blocks, on the calling thread and the
+    pool's helpers together.
+
+    Both take the blocks one at a time until none is left (scipy's sparse
+    kernels release the GIL while they compute).  The calling thread starts
+    at once and withdraws the helpers that have not started when it runs
+    out of blocks, so the product never waits for a thread that could not
+    get a CPU.  A block gives the same bits on any thread.
+    """
+    pool = _product_pool()
+    parts = [None] * len(blocks)
+    todo = deque(range(len(blocks)))   # popleft is thread-safe
+
+    def work():
+        while True:
+            try:
+                i = todo.popleft()
+            except IndexError:   # every block is taken
+                return
+            parts[i] = blocks[i] @ v
+
+    helpers = [pool.submit(work) for _ in blocks[1:]]
+    work()
+    for helper in helpers:
+        if not helper.cancel():   # started: wait for its blocks
+            helper.result()
+    return np.concatenate(parts)
+
+
+def _row_split_matvec(M: sp.csr_matrix, nblocks: int):
+    """v -> M @ v from the row blocks of `_row_blocks` (`_split_product`).
+
+    Every output row is still summed from 0 over its stored columns in
+    ascending order, so the result is bit-identical to M @ v.  With one
+    block this is M's own product and no thread starts.
+    """
+    blocks = _row_blocks(M, nblocks)
+    if len(blocks) <= 1:
+        return M.__matmul__
+    return lambda v: _split_product(blocks, v)
+
+
+def _split_operator(K: sp.csr_matrix):
+    """K as a LinearOperator whose K v and K^T u run on row blocks across the
+    available CPUs (`_row_split_matvec`).  K^T is built once as CSR; its
+    rows are summed in the same order as the CSC product K.T @ u, so both
+    products keep their bits."""
+    nblocks = _available_cpus()
+    KT = K.T.tocsr()
+    return spla.LinearOperator(K.shape, dtype=K.dtype,
+                               matvec=_row_split_matvec(K, nblocks),
+                               rmatvec=_row_split_matvec(KT, nblocks))
+
+
 def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000):
     """Minimal-norm least-squares solve of the (augmented) KKT system.
 
@@ -302,19 +407,25 @@ def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000):
     augmented into the primal one (same solution set: the constraint
     vanishes at any solution); this is the workhorse for the flow systems,
     whose KKT matrices are numerically singular, and it supports warm starts
-    across outer fixed-point iterations.  Returns (x, lam, info_dict).
+    across outer fixed-point iterations.  LSMR's two products per iteration
+    run on row blocks across the available CPUs (`_split_operator`), with
+    the bits of the serial products.  Returns (x, lam, info_dict) with LSMR's
+    iterations, residual norm and stop code istop.
     """
     eq = equilibrated(system)
     A, B = eq.A, eq.B
     n, mdim = system.n_primal, system.n_dual
     rhs = np.concatenate([eq.L, np.zeros(mdim)])
     if np.abs(rhs).max() == 0.0:
-        return np.zeros(n), np.zeros(mdim), {"iterations": 0, "residual": 0.0}
+        # LSMR's own stop code for a zero right-hand side: x = 0 solves it
+        return np.zeros(n), np.zeros(mdim), {"iterations": 0,
+                                             "residual": 0.0, "istop": 0}
     K = sp.vstack([sp.hstack([A + B.T @ B, B.T], format="csr"),
                    sp.hstack([B, sp.csr_matrix((mdim, mdim))], format="csr")],
                   format="csr")
     x0 = None if start is None else np.concatenate(eq.to_basis(start))
-    out = spla.lsmr(K, rhs, atol=tol, btol=tol, maxiter=max_iter, x0=x0)
+    out = spla.lsmr(_split_operator(K), rhs, atol=tol, btol=tol,
+                    maxiter=max_iter, x0=x0)
     sol = out[0]
     x, lam = eq.from_basis(sol[:n], sol[n:])
     info = {"iterations": int(out[2]), "residual": float(out[3]),

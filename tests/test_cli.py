@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from nullctrl import cli
 from nullctrl import config as cfgmod
 from nullctrl.cli import _load_config, _parser, run
+from nullctrl.saddle import SolverDiverged
 
 
 # the child imports the package from where this process found it
@@ -114,6 +116,31 @@ def test_repeat_runs_bitwise_identical(tmp_path):
         a = open(os.path.join(outs[0], name), "rb").read()
         b = open(os.path.join(outs[1], name), "rb").read()
         assert a == b, name
+
+
+def test_failing_solve_prints_traceback(tmp_path, monkeypatch, capsys):
+    def diverge(cfg):
+        raise SolverDiverged(7, None)
+
+    monkeypatch.setattr(cli, "solve_heat_control", diverge)
+    rc = run(["run", "heat-sec26", "--out", str(tmp_path / "fail")] + FAST)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "SolverDiverged: iteration diverged at step 7" in err
+    assert err.strip().splitlines()[-1].startswith("error: solver:")
+
+
+def test_import_starts_no_thread():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import threading; n = threading.active_count(); "
+         "import nullctrl.cli; print(n, threading.active_count())"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == after
 
 
 def test_invalid_config_exits_nonzero():

@@ -365,3 +365,28 @@ def test_assembly_memory_peak_bounded_by_assembled_matrices(ws):
     # concatenated COO triplets took 15.9 and 27.8
     assert _peak_over_csr_bytes(_heat_assembly(ws, 5, 4)) <= 10.0
     assert _peak_over_csr_bytes(_taylor_green_oseen()) <= 18.0
+
+
+@pytest.mark.parametrize("case", ["heat", "oseen"])
+def test_element_kernel_path_bitwise_equal_to_optimize_true(ws, monkeypatch,
+                                                            case):
+    """`_Builder.add` reuses one einsum contraction path per operand shapes;
+    every element block must keep the bits of a fresh optimize=True call."""
+    assemble = {"heat": lambda: _heat_assembly(ws, 5, 3),
+                "oseen": _taylor_green_oseen}[case]()
+    einsum = np.einsum
+    checked = []
+
+    def checking_einsum(spec, *operands, optimize=False):
+        got = einsum(spec, *operands, optimize=optimize)
+        if spec == forms._ELEMENT:
+            want = einsum(spec, *operands, optimize=True)
+            assert isinstance(optimize, list)   # a precomputed path
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            checked.append(tuple(op.shape for op in operands))
+        return got
+
+    monkeypatch.setattr(np, "einsum", checking_einsum)
+    assemble()
+    assert len(set(checked)) > 1 and len(checked) > len(set(checked))

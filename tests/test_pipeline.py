@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nullctrl import pipeline
+from nullctrl.cli import _summary_lines
 from nullctrl.config import RunConfig, from_preset, validate
 from nullctrl.fem import Assembler, QuadratureRule, build_space, l2_norm
 from nullctrl.mesh import build_mesh
@@ -146,9 +148,37 @@ def test_direct_fixed_point_factorizes_each_pass_once(factorizations):
     cfg = validate(dataclasses.replace(
         from_preset("ns-taylor-green"), nx=3, ny=3, nt=3,
         solver_method="direct", outer_max=2, verify=False))
-    _, fp = fixed_point_ns(cfg)
+    sol, fp = fixed_point_ns(cfg)
     assert fp.iters == [1, 2] and not fp.converged
     assert len(factorizations) == 2
+    rn = sol.extras["kkt_residual"]
+    assert np.isfinite(rn) and rn > 0
+    assert f"kkt_residual = {rn:.6e}" in _summary_lines(cfg, sol, fp, 0.0)
+
+
+def test_lsq_fixed_point_keeps_last_pass_diagnostics(monkeypatch):
+    infos = []
+    lsq = pipeline.lsq_solve
+
+    def recorded(*args, **kwargs):
+        out = lsq(*args, **kwargs)
+        infos.append(out[2])
+        return out
+
+    monkeypatch.setattr(pipeline, "lsq_solve", recorded)
+    cfg = validate(dataclasses.replace(
+        from_preset("ns-taylor-green"), nx=3, ny=3, nt=3,
+        solver_method="lsq", max_iter=60, outer_max=2, verify=False))
+    sol, fp = fixed_point_ns(cfg)
+    assert len(infos) == 2
+    last = infos[-1]
+    assert {k: sol.extras[k] for k in last} == last
+    assert set(last) == {"iterations", "residual", "istop"}
+    lines = _summary_lines(cfg, sol, fp, 0.0)
+    assert f"lsmr_iterations = {last['iterations']}" in lines
+    assert f"lsmr_istop = {last['istop']}" in lines
+    assert f"lsmr_residual = {last['residual']:.6e}" in lines
+    assert not any(ln.startswith("kkt_residual") for ln in lines)
 
 
 def test_direct_fallback_factorizes_once(factorizations):

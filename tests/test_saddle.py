@@ -1,5 +1,7 @@
 """Primal-dual iteration and the direct factorization oracle."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from nullctrl import saddle
 from nullctrl.fem import build_space
 from nullctrl.forms import (ProblemSpec, SaddleSystem, assemble_heat,
                             assemble_stokes)
@@ -190,6 +193,108 @@ def test_lsq_solve_matches_lsmr_on_block_matrix():
     assert info["iterations"] == out[2] > 0
     assert np.array_equal(x, want_x)
     assert np.array_equal(lam, want_lam)
+
+
+def _bits(v):
+    return np.asarray(v).view(np.int64)
+
+
+def _split_cases():
+    """A matrix with empty rows (leading, trailing and interior) and one with
+    fewer rows than blocks."""
+    rng = np.random.default_rng(5)
+    D = rng.standard_normal((60, 45)) * (rng.random((60, 45)) < 0.3)
+    D[:4] = 0.0
+    D[-6:] = 0.0
+    D[10:25:3] = 0.0
+    wide = sp.random(3, 50, density=0.4, format="csr", random_state=rng)
+    return {"empty-rows": sp.csr_matrix(D), "few-rows": wide}
+
+
+@pytest.mark.parametrize("case", ["empty-rows", "few-rows"])
+@pytest.mark.parametrize("nblocks", [1, 2, 3, 8])
+def test_row_split_products_bit_identical(case, nblocks):
+    M = _split_cases()[case]
+    MT = M.T.tocsr()
+    rng = np.random.default_rng(nblocks)
+    matvec = saddle._row_split_matvec(M, nblocks)
+    rmatvec = saddle._row_split_matvec(MT, nblocks)
+    v = rng.standard_normal(M.shape[1])
+    u = rng.standard_normal(M.shape[0])
+    assert np.array_equal(_bits(matvec(v)), _bits(M @ v))
+    # the CSR transpose against the CSC product lsmr's own adjoint makes
+    assert np.array_equal(_bits(rmatvec(u)), _bits(M.T @ u))
+    blocks = saddle._row_blocks(M, nblocks)
+    assert 1 <= len(blocks) <= min(nblocks, M.shape[0])
+    assert sum(b.shape[0] for b in blocks) == M.shape[0]
+    for b in blocks:
+        assert b.nnz == 0 or np.shares_memory(b.data, M.data)
+        assert b.nnz == 0 or np.shares_memory(b.indices, M.indices)
+    assert np.array_equal(_bits(saddle._split_product(blocks, v)),
+                          _bits(M @ v))
+
+
+def test_row_blocks_balance_nonzeros():
+    M = _split_cases()["empty-rows"]
+    row_nnz = np.diff(M.indptr)
+    blocks = saddle._row_blocks(M, 3)
+    assert len(blocks) == 3
+    for b in blocks:
+        assert abs(b.nnz - M.nnz / 3) <= row_nnz.max()
+
+
+def test_split_product_under_fast_thread_switching():
+    """The calling thread and the helpers take blocks from one shared queue;
+    with more blocks than CPUs and a tiny switch interval no block may be
+    lost or mixed up between products."""
+    rng = np.random.default_rng(11)
+    M = sp.random(400, 300, density=0.2, format="csr", random_state=rng)
+    blocks = saddle._row_blocks(M, 16)
+    vs = rng.standard_normal((50, 300))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for v in vs:
+            assert np.array_equal(_bits(saddle._split_product(blocks, v)),
+                                  _bits(M @ v))
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_split_product_does_not_wait_for_busy_helpers():
+    """With every helper thread busy the calling thread computes all blocks
+    itself and withdraws the helpers' tasks."""
+    M = _split_cases()["empty-rows"]
+    blocks = saddle._row_blocks(M, 4)
+    v = np.arange(M.shape[1], dtype=float)
+    release = threading.Event()
+    pool = saddle._product_pool()
+    busy = [pool.submit(release.wait, 30)
+            for _ in range(saddle._available_cpus() + 2)]
+    out = []
+    try:
+        caller = threading.Thread(
+            target=lambda: out.append(saddle._split_product(blocks, v)))
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive()
+    finally:
+        release.set()
+    assert all(f.result(timeout=10) for f in busy)
+    assert np.array_equal(_bits(out[0]), _bits(M @ v))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_lsq_solve_bits_independent_of_cpu_count(monkeypatch, cpus):
+    """One CPU takes the plain products, several the row-split ones; LSMR
+    takes the same iterates either way."""
+    system = assembled_systems()[1]
+    want = lsq_solve(system, tol=1e-10, max_iter=300)
+    monkeypatch.setattr(saddle, "_available_cpus", lambda: cpus)
+    got = lsq_solve(system, tol=1e-10, max_iter=300)
+    assert got[2] == want[2]
+    assert np.array_equal(_bits(got[0]), _bits(want[0]))
+    assert np.array_equal(_bits(got[1]), _bits(want[1]))
 
 
 def test_direct_dimension_guard():
