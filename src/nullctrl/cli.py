@@ -11,7 +11,7 @@ import traceback
 import numpy as np
 
 from . import config as cfgmod
-from .pipeline import (WeightedField, fixed_point_ns, solve_heat_control,
+from .pipeline import (fixed_point_ns, solve_heat_control,
                        solve_stokes_control)
 from .vtkout import write_field_series
 

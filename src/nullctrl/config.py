@@ -9,7 +9,7 @@ config.resolved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class RunConfig:
     tol: float = 1e-6
     max_iter: int = 30000
     equilibrate: bool = True
-    hatted: bool = True
     solver_method: str = "ah"
     outer_tol: float = 1e-4
     outer_max: int = 60
@@ -185,7 +184,6 @@ _SECTION_MAP = {
     "physics.y0_scale": "y0_scale",
     "solver.r": "r", "solver.s": "s", "solver.tol": "tol",
     "solver.max_iter": "max_iter", "solver.equilibrate": "equilibrate",
-    "solver.hatted": "hatted",
     "solver.method": "solver_method", "solver.outer_tol": "outer_tol",
     "solver.outer_max": "outer_max",
     "verify.enabled": "verify", "verify.nx": "verify_nx",

@@ -3,8 +3,7 @@
 Spaces are P_m (triangle) x P_n (interval) with C0 continuity; on the
 structured mesh every Lagrange node lands on a uniform fine grid, so global
 numbering is pure index arithmetic.  Constraint masks cover the lateral
-boundary, the final time level, and (by post-projection) zero spatial mean
-per time level.
+boundary and the final time level.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from .mesh import SpaceTimeMesh, locate, locate_time
 
-CONSTRAINTS = ("none", "zero_lateral", "zero_lateral_final", "zero_mean_slice")
+CONSTRAINTS = ("none", "zero_lateral", "zero_lateral_final")
 
 
 # ---------------------------------------------------------------------------
@@ -259,33 +258,6 @@ class TensorFemSpace:
         """Zero the fixed DOFs (idempotent, order independent)."""
         out = np.array(coeffs, dtype=float, copy=True)
         out[~self.free_mask] = 0.0
-        return out
-
-    def spatial_integral_weights(self):
-        """Per-spatial-node integral of the basis over the domain."""
-        qp, qw = triangle_quadrature(self.m + 1)
-        vals, _ = tabulate_triangle(self.m, qp)
-        det = self.mesh.hx * self.mesh.hy
-        w = np.zeros(self.ns_space)
-        contrib = (qw[:, None] * vals).sum(axis=0) * det
-        np.add.at(w, self.space_conn, contrib[None, :])
-        return w
-
-    def project_slice_mean(self, coeffs):
-        """Subtract the spatial mean on every fine time level (per component).
-
-        After projection the function has zero spatial mean for *all* t, since
-        the time-Lagrange interpolant of per-level zero means is zero.
-        """
-        if self.constraint != "zero_mean_slice":
-            return np.asarray(coeffs, dtype=float)
-        w = self.spatial_integral_weights()
-        vol = w.sum()
-        out = np.array(coeffs, dtype=float, copy=True)
-        for c in range(self.components):
-            blk = out[c * self.ndof_scalar:(c + 1) * self.ndof_scalar]
-            lv = blk.reshape(self.ns_time, self.ns_space)
-            lv -= (lv @ w)[:, None] / vol
         return out
 
     def eval(self, coeffs, x, t, grad=False):

@@ -18,7 +18,7 @@ test suite before the signs here were frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,7 +55,6 @@ class ProblemSpec:
     ybar: object = None            # background trajectory (oseen)
     w: object = None               # transported field (oseen fixed point)
     y0: object = None              # initial datum
-    hatted: bool = True            # weight-absorbing change of variables
 
     def __post_init__(self):
         if self.kind in ("stokes", "oseen") and not (self.nu and self.nu > 0):
@@ -93,34 +92,6 @@ class SaddleSystem:
     def expand(self, reduced, which="primal"):
         blocks = self.primal if which == "primal" else self.dual
         return {blk.name: blk.expand(reduced) for blk in blocks}
-
-    def _project(self, vec, blocks):
-        out = np.array(vec, dtype=float, copy=True)
-        for blk in blocks:
-            if blk.space.constraint == "zero_mean_slice":
-                seg = blk.expand(out)
-                seg = blk.space.project_slice_mean(seg)
-                out[blk.offset:blk.offset + blk.size] = seg[blk.space.free_idx]
-        return out
-
-    def project_primal(self, x):
-        """Enforce the zero-mean-per-slice convention on pressure-like fields.
-
-        Only meaningful for the formulation as printed: there, adding a
-        spatial constant per time level to the gradient potential (or the
-        divergence multiplier) is an exact gauge freedom.  In the hatted
-        variables the corresponding gauge directions are weight-scaled and
-        lie outside the polynomial spaces, so the discrete fields are fully
-        determined and the projection must not alter them.
-        """
-        if getattr(self.problem, "hatted", False) and self.problem.kind != "heat":
-            return np.asarray(x, dtype=float)
-        return self._project(x, self.primal)
-
-    def project_dual(self, lam):
-        if getattr(self.problem, "hatted", False) and self.problem.kind != "heat":
-            return np.asarray(lam, dtype=float)
-        return self._project(lam, self.dual)
 
 
 _ELEMENT = "abq,qi,qj->abij"   # sum_q w_q c_q Op_i Op_j per prism
@@ -358,13 +329,42 @@ def assemble_heat(mesh, spaces, ws: WeightSet, G, y0,
     return bld.finish(ProblemSpec(kind="heat", G=G, y0=y0))
 
 
-def _flow_builder(mesh, spaces, ws, nu, rule):
+def _batch_values(fun, batch):
+    """A background field on the batch's quadrature grid, (P1, P2, Q, 2).
+
+    fun is None, a callable of (X, t) or a batch evaluator with an
+    `on_batch` method.
+    """
+    if fun is None:
+        return None
+    if hasattr(fun, "on_batch"):
+        return np.asarray(fun.on_batch(batch), dtype=float)
+    X = batch.Xq[:, None, :, :]
+    t = batch.tq[None, :, :]
+    P1, P2 = len(batch.tris), len(batch.slabs)
+    return np.broadcast_to(np.asarray(fun(X, t), dtype=float),
+                           (P1, P2, len(batch.w), 2))
+
+
+def _assemble_flow(problem, mesh, spaces, ws, rule):
+    """Saddle system of a flow control problem (Stokes or Oseen).
+
+    spaces = (z, p, sigma, lam, mu) with layouts 2/2/1 primal and 2/1 dual.
+    The fields are assembled in the weight-absorbing variables
+    z -> rho zhat, p -> rho0 phat, sigma -> rho sigmahat, with the matching
+    multiplier scalings lam -> rho^{-1} lamhat, mu -> rho1^{-1} muhat.  The
+    A-blocks are then plain mass forms and the constraint has bounded,
+    balanced coefficients; the raw variables of the formulation as printed
+    grow like the (overflowing) weights themselves near the horizon.  Where
+    problem.ybar or problem.w is given, the constraint bracket also carries
+    the transport terms [grad p (ybar + w) + (grad p)^T ybar] . lam.
+    """
     zsp, psp, ssp, lsp, msp = spaces
     _require(zsp, 2, "none", "state-like")
     _require(psp, 2, "zero_lateral", "control-like")
-    _require(ssp, 1, "zero_mean_slice", "gradient potential")
+    _require(ssp, 1, "none", "gradient potential")
     _require(lsp, 2, "zero_lateral", "momentum multiplier")
-    _require(msp, 1, "zero_mean_slice", "divergence multiplier")
+    _require(msp, 1, "none", "divergence multiplier")
     for s in spaces:
         if s.mesh is not mesh:
             raise ValueError("all spaces must live on the assembly mesh")
@@ -373,86 +373,76 @@ def _flow_builder(mesh, spaces, ws, nu, rule):
     asm = Assembler(mesh, rule)
     bld = _Builder(mesh, [("z", zsp), ("p", psp), ("sigma", ssp)],
                    [("lam", lsp), ("mu", msp)])
-    return asm, bld, (zsp, psp, ssp, lsp, msp)
-
-
-def _flow_common_terms(bld, batch, mesh, ws, nu, hatted):
-    """A-blocks and the Stokes part of the constraint form, per batch.
-
-    hatted=False assembles the formulation as printed (weighted A-blocks,
-    plain constraint).  hatted=True substitutes the weight-absorbing
-    variables z -> rho zhat, p -> rho0 phat, sigma -> rho sigmahat and the
-    matching multiplier scalings lam -> rho^{-1} lamhat, mu -> rho1^{-1}
-    muhat, which turn the A-blocks into plain mass forms and give the
-    constraint bounded, balanced coefficients; the two assemblies describe
-    the same problem under a bijective change of basis, but only the hatted
-    one is numerically solvable near the horizon, where the raw variables
-    grow like the (overflowing) weights themselves.
-    """
-    om = mesh.omega_flag[batch.tris]
-    X = batch.Xq[:, None, :, :]
-    t = batch.tq[None, :, :]
+    nu = problem.nu
     gops = ("gx", "gy")
-    if not hatted:
-        rinv = ws.inv_weight("-", X, t)
-        r0inv = ws.inv_weight(0, X, t)
+    for batch in asm.batches(*spaces):
+        om = mesh.omega_flag[batch.tris]
+        X = batch.Xq[:, None, :, :]
+        t = batch.tq[None, :, :]
+        chi, gchi, _ = ws.chi(X)
+        tau = ws.T - t
+        sq = np.sqrt(tau)
+        c_time = tau * sq                              # rho^-1 rho0
+        c_pt = -1.5 * sq + chi / sq                    # rho^-1 d_t rho0
+        gchi2 = np.einsum("...i,...i->...", gchi, gchi)
         for c in range(2):
-            bld.add("A", batch, ("z", c, "v"), ("z", c, "v"), rinv * rinv)
-            bld.add("A", batch, ("p", c, "v"), ("p", c, "v"), r0inv * r0inv,
+            bld.add("A", batch, ("z", c, "v"), ("z", c, "v"), 1.0)
+            bld.add("A", batch, ("p", c, "v"), ("p", c, "v"), 1.0,
                     region_mask=om)
-            # [z + p_t - grad sigma] . lam  -  nu grad p : grad lam
+            # zhat . lamhat + rho^-1 d_t(rho0 phat) . lamhat
             bld.add("B", batch, ("lam", c, "v"), ("z", c, "v"), 1.0)
-            bld.add("B", batch, ("lam", c, "v"), ("p", c, "t"), 1.0)
+            bld.add("B", batch, ("lam", c, "v"), ("p", c, "t"), c_time)
+            bld.add("B", batch, ("lam", c, "v"), ("p", c, "v"), c_pt)
+            # - rho^-1 grad(rho sigmahat) . lamhat
             bld.add("B", batch, ("lam", c, "v"), ("sigma", 0, gops[c]), -1.0)
-            bld.add("B", batch, ("lam", c, "gx"), ("p", c, "gx"), -nu)
-            bld.add("B", batch, ("lam", c, "gy"), ("p", c, "gy"), -nu)
-        # (div p) mu
-        bld.add("B", batch, ("mu", 0, "v"), ("p", 0, "gx"), 1.0)
-        bld.add("B", batch, ("mu", 0, "v"), ("p", 1, "gy"), 1.0)
-        return
+            bld.add("B", batch, ("lam", c, "v"), ("sigma", 0, "v"),
+                    -gchi[..., c] / tau)
+            # - nu grad(rho0 phat) : grad(rho^-1 lamhat), expanded
+            bld.add("B", batch, ("lam", c, "gx"), ("p", c, "gx"), -nu * c_time)
+            bld.add("B", batch, ("lam", c, "gy"), ("p", c, "gy"), -nu * c_time)
+            for d in range(2):
+                bld.add("B", batch, ("lam", c, "v"), ("p", c, gops[d]),
+                        nu * sq * gchi[..., d])
+                bld.add("B", batch, ("lam", c, gops[d]), ("p", c, "v"),
+                        -nu * sq * gchi[..., d])
+            bld.add("B", batch, ("lam", c, "v"), ("p", c, "v"),
+                    nu * gchi2 / sq)
+            # divergence rows: rho1^-1 div(rho0 phat) muhat
+            bld.add("B", batch, ("mu", 0, "v"), ("p", c, gops[c]), tau)
+            bld.add("B", batch, ("mu", 0, "v"), ("p", c, "v"), gchi[..., c])
 
-    chi, gchi, _ = ws.chi(X)
-    tau = ws.T - t
-    sq = np.sqrt(tau)
-    c_time = tau * sq                              # rho^-1 rho0
-    c_pt = -1.5 * sq + chi / sq                    # rho^-1 d_t rho0
-    gchi2 = np.einsum("...i,...i->...", gchi, gchi)
+        yb = _batch_values(problem.ybar, batch)
+        wv = _batch_values(problem.w, batch)
+        adv = yb.copy() if yb is not None else None
+        if wv is not None:
+            adv = wv if adv is None else adv + wv
+        if adv is None:
+            continue
+        # grad p (ybar + w) . lam : sum_j adv_j d_j p_i lam_i
+        for i in range(2):
+            for j in range(2):
+                bld.add("B", batch, ("lam", i, "v"), ("p", i, gops[j]),
+                        adv[..., j] * c_time)
+        # weight-derivative part: sqrt(tau) (grad chi . adv) phat.lamhat
+        gdot = np.einsum("...i,...i->...", gchi, adv)
+        for i in range(2):
+            bld.add("B", batch, ("lam", i, "v"), ("p", i, "v"), sq * gdot)
+        if yb is not None:
+            # (grad p)^T ybar . lam : sum_j yb_j d_i p_j lam_i
+            for i in range(2):
+                for j in range(2):
+                    bld.add("B", batch, ("lam", i, "v"), ("p", j, gops[i]),
+                            yb[..., j] * c_time)
+            # sqrt(tau) (phat . ybar) (grad chi . lamhat)
+            for i in range(2):
+                for j in range(2):
+                    bld.add("B", batch, ("lam", i, "v"), ("p", j, "v"),
+                            sq * gchi[..., i] * yb[..., j])
+
+    y0f = _as_spatial_vec(problem.y0)
     for c in range(2):
-        bld.add("A", batch, ("z", c, "v"), ("z", c, "v"), 1.0)
-        bld.add("A", batch, ("p", c, "v"), ("p", c, "v"), 1.0, region_mask=om)
-        # zhat . lamhat + rho^-1 d_t(rho0 phat) . lamhat
-        bld.add("B", batch, ("lam", c, "v"), ("z", c, "v"), 1.0)
-        bld.add("B", batch, ("lam", c, "v"), ("p", c, "t"), c_time)
-        bld.add("B", batch, ("lam", c, "v"), ("p", c, "v"), c_pt)
-        # - rho^-1 grad(rho sigmahat) . lamhat
-        bld.add("B", batch, ("lam", c, "v"), ("sigma", 0, gops[c]), -1.0)
-        bld.add("B", batch, ("lam", c, "v"), ("sigma", 0, "v"),
-                -gchi[..., c] / tau)
-        # - nu grad(rho0 phat) : grad(rho^-1 lamhat), expanded
-        bld.add("B", batch, ("lam", c, "gx"), ("p", c, "gx"), -nu * c_time)
-        bld.add("B", batch, ("lam", c, "gy"), ("p", c, "gy"), -nu * c_time)
-        for d in range(2):
-            bld.add("B", batch, ("lam", c, "v"), ("p", c, gops[d]),
-                    nu * sq * gchi[..., d])
-            bld.add("B", batch, ("lam", c, gops[d]), ("p", c, "v"),
-                    -nu * sq * gchi[..., d])
-        bld.add("B", batch, ("lam", c, "v"), ("p", c, "v"), nu * gchi2 / sq)
-        # divergence rows: rho1^-1 div(rho0 phat) muhat
-        bld.add("B", batch, ("mu", 0, "v"), ("p", c, gops[c]), tau)
-        bld.add("B", batch, ("mu", 0, "v"), ("p", c, "v"), gchi[..., c])
-
-
-def _finish_flow(bld, asm, spaces, y0, problem, ws):
-    zsp, psp, ssp, lsp, msp = spaces
-    y0f = _as_spatial_vec(y0)
-    if problem.hatted:
-        def load(X, c):
-            return ws.rho0_at_start(X) * np.asarray(y0f(X))[..., c]
-    else:
-        def load(X, c):
-            return np.asarray(y0f(X))[..., c]
-    for c in range(2):
-        bld.add_initial_load("p", c, lambda X, c=c: load(X, c))
+        bld.add_initial_load("p", c, lambda X, c=c: ws.rho0_at_start(X)
+                             * np.asarray(y0f(X))[..., c])
     bld.add_mass("Mp", asm, "z", zsp)
     bld.add_mass("Mp", asm, "p", psp)
     bld.add_mass("Mp", asm, "sigma", ssp)
@@ -462,90 +452,22 @@ def _finish_flow(bld, asm, spaces, y0, problem, ws):
 
 
 def assemble_stokes(mesh, spaces, ws: WeightSet, nu, y0,
-                    rule: QuadratureRule = None, hatted=True) -> SaddleSystem:
-    """Saddle system of the final mixed Stokes control formulation.
-
-    spaces = (z, p, sigma, lam, mu) with layouts 2/2/1 primal and 2/1 dual.
-    hatted selects the weight-absorbing variables (see _flow_common_terms);
-    weighted blocks underflow to exactly 0 near the final time either way,
-    producing no non-finite entries.
-    """
-    asm, bld, spcs = _flow_builder(mesh, spaces, ws, nu, rule)
-    for batch in asm.batches(*spcs):
-        _flow_common_terms(bld, batch, mesh, ws, nu, hatted)
-    return _finish_flow(bld, asm, spcs, y0,
-                        ProblemSpec(kind="stokes", nu=nu, y0=y0,
-                                    hatted=hatted), ws)
+                    rule: QuadratureRule = None) -> SaddleSystem:
+    """Saddle system of the final mixed Stokes control formulation: the
+    Oseen system without a background trajectory (see _assemble_flow).
+    Blocks that underflow to exactly 0 near the final time produce no
+    non-finite entries."""
+    return _assemble_flow(ProblemSpec(kind="stokes", nu=nu, y0=y0),
+                          mesh, spaces, ws, rule)
 
 
 def assemble_oseen(mesh, spaces, ws: WeightSet, nu, ybar, w, u0,
-                   rule: QuadratureRule = None, hatted=True) -> SaddleSystem:
+                   rule: QuadratureRule = None) -> SaddleSystem:
     """Saddle system for the Oseen (transport-linearized) control problem.
 
-    Identical to the Stokes system except the constraint bracket carries the
-    transport terms [grad p (ybar + w) + (grad p)^T ybar] . lam; ybar and w
-    are evaluable on the cylinder (callables of (X, t) or batch evaluators
-    with an `on_batch` method).  With ybar = w = 0 the system reduces
-    entrywise to the Stokes one.
+    The Stokes system plus the transport terms of the background trajectory
+    ybar and the transported field w (see _assemble_flow); each is None,
+    a callable of (X, t) or a batch evaluator with an `on_batch` method.
     """
-    asm, bld, spcs = _flow_builder(mesh, spaces, ws, nu, rule)
-
-    def batch_values(fun, batch):
-        if fun is None:
-            return None
-        if hasattr(fun, "on_batch"):
-            return np.asarray(fun.on_batch(batch), dtype=float)
-        X = batch.Xq[:, None, :, :]
-        t = batch.tq[None, :, :]
-        P1, P2 = len(batch.tris), len(batch.slabs)
-        return np.broadcast_to(np.asarray(fun(X, t), dtype=float),
-                               (P1, P2, len(batch.w), 2))
-
-    gops = ("gx", "gy")
-    for batch in asm.batches(*spcs):
-        _flow_common_terms(bld, batch, mesh, ws, nu, hatted)
-        yb = batch_values(ybar, batch)
-        wv = batch_values(w, batch)
-        adv = None
-        if yb is not None:
-            adv = yb.copy()
-        if wv is not None:
-            adv = wv if adv is None else adv + wv
-        if adv is None and yb is None:
-            continue
-        if hatted:
-            X = batch.Xq[:, None, :, :]
-            t = batch.tq[None, :, :]
-            chi, gchi, _ = ws.chi(X)
-            tau = ws.T - t
-            sq = np.sqrt(tau)
-            c_time = tau * sq
-        if adv is not None:
-            # grad p (ybar + w) . lam : sum_j adv_j d_j p_i lam_i
-            for i in range(2):
-                for j in range(2):
-                    coeff = adv[..., j] * (c_time if hatted else 1.0)
-                    bld.add("B", batch, ("lam", i, "v"), ("p", i, gops[j]),
-                            coeff)
-            if hatted:
-                # weight-derivative part: sqrt(tau) (grad chi . adv) phat.lamhat
-                gdot = np.einsum("...i,...i->...", gchi, adv)
-                for i in range(2):
-                    bld.add("B", batch, ("lam", i, "v"), ("p", i, "v"),
-                            sq * gdot)
-        if yb is not None:
-            # (grad p)^T ybar . lam : sum_j yb_j d_i p_j lam_i
-            for i in range(2):
-                for j in range(2):
-                    coeff = yb[..., j] * (c_time if hatted else 1.0)
-                    bld.add("B", batch, ("lam", i, "v"), ("p", j, gops[i]),
-                            coeff)
-            if hatted:
-                # sqrt(tau) (phat . ybar) (grad chi . lamhat)
-                for i in range(2):
-                    for j in range(2):
-                        bld.add("B", batch, ("lam", i, "v"), ("p", j, "v"),
-                                sq * gchi[..., i] * yb[..., j])
-    return _finish_flow(bld, asm, spcs, u0,
-                        ProblemSpec(kind="oseen", nu=nu, ybar=ybar, w=w,
-                                    y0=u0, hatted=hatted), ws)
+    return _assemble_flow(ProblemSpec(kind="oseen", nu=nu, ybar=ybar, w=w,
+                                      y0=u0), mesh, spaces, ws, rule)

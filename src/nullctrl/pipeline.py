@@ -143,9 +143,19 @@ def _spaces_flow(mesh, m, n):
     m_mu = max(m - 1, 1)
     return (build_space(mesh, m, n, 2, "none"),
             build_space(mesh, m, n, 2, "zero_lateral"),
-            build_space(mesh, m, n, 1, "zero_mean_slice"),
+            build_space(mesh, m, n, 1, "none"),
             build_space(mesh, m, n, 2, "zero_lateral"),
-            build_space(mesh, m_mu, n, 1, "zero_mean_slice"))
+            build_space(mesh, m_mu, n, 1, "none"))
+
+
+def _extract(system, x, mesh, ws, spaces):
+    # v = -rho0^{-1} phat, y = rho^{-1} zhat in the weight-absorbing variables
+    zsp, psp = spaces[0], spaces[1]
+    blocks = system.expand(x)
+    control = WeightedField(psp, blocks["p"], ws, weight=0, power=1,
+                            sign=-1.0, region=mesh.omega)
+    state = WeightedField(zsp, blocks["z"], ws, weight="-", power=1)
+    return blocks, control, state
 
 
 def solve_heat_control(cfg) -> ControlSolution:
@@ -157,11 +167,7 @@ def solve_heat_control(cfg) -> ControlSolution:
     y0 = cfg.y0_value
     system = assemble_heat(mesh, (zsp, psp, lsp), ws, cfg.G, y0)
     x, lam, log, extras = _solve_system(system, cfg)
-    blocks = system.expand(x)
-
-    control = WeightedField(psp, blocks["p"], ws, weight=0, power=1,
-                            sign=-1.0, region=mesh.omega)
-    state = WeightedField(zsp, blocks["z"], ws, weight="-", power=1)
+    blocks, control, state = _extract(system, x, mesh, ws, (zsp, psp))
     J = 0.5 * float(x @ (system.A @ x))
 
     hist = hist0 = None
@@ -179,17 +185,6 @@ def solve_heat_control(cfg) -> ControlSolution:
                                    "spaces": (zsp, psp, lsp), **extras})
 
 
-def _flow_extract(system, x, mesh, ws, spaces):
-    # v = -rho0^{-2} p = -rho0^{-1} phat, y = rho^{-2} z = rho^{-1} zhat
-    zsp, psp = spaces[0], spaces[1]
-    blocks = system.expand(x)
-    power = 1 if system.problem.hatted else 2
-    control = WeightedField(psp, blocks["p"], ws, weight=0, power=power,
-                            sign=-1.0, region=mesh.omega)
-    state = WeightedField(zsp, blocks["z"], ws, weight="-", power=power)
-    return blocks, control, state
-
-
 def solve_stokes_control(cfg) -> ControlSolution:
     """Compute, extract and verify the distributed Stokes control."""
     mesh = build_mesh(cfg.nx, cfg.ny, cfg.nt, cfg.L1, cfg.L2, cfg.T, cfg.omega,
@@ -197,9 +192,9 @@ def solve_stokes_control(cfg) -> ControlSolution:
     ws = WeightSet(cfg.L1, cfg.L2, cfg.T, cfg.anchor, cfg.K1, cfg.K2)
     spaces = _spaces_flow(mesh, cfg.m, cfg.n)
     y0 = cfg.y0_vector
-    system = assemble_stokes(mesh, spaces, ws, cfg.nu, y0, hatted=cfg.hatted)
+    system = assemble_stokes(mesh, spaces, ws, cfg.nu, y0)
     x, lam, log, extras = _solve_system(system, cfg)
-    blocks, control, state = _flow_extract(system, x, mesh, ws, spaces)
+    blocks, control, state = _extract(system, x, mesh, ws, spaces)
     J = 0.5 * float(x @ (system.A @ x))
 
     hist = hist0 = None
@@ -241,8 +236,7 @@ def fixed_point_ns(cfg):
 
     rule = QuadratureRule.default(cfg.m, cfg.n)
     asm = Assembler(mesh, rule)
-    upow = 1 if cfg.hatted else 2
-    uweight = lambda X, t: ws.inv_weight("-", X, t) ** (2 * upow)
+    uweight = lambda X, t: ws.inv_weight("-", X, t) ** 2
 
     fp = FixedPointLog()
     w_field = None
@@ -253,7 +247,7 @@ def fixed_point_ns(cfg):
     info = {}   # the last pass's solver diagnostics
     for it in range(1, cfg.outer_max + 1):
         system = assemble_oseen(mesh, spaces, ws, cfg.nu, traj, w_field, u0,
-                                rule=rule, hatted=cfg.hatted)
+                                rule=rule)
         start = None if x is None else (x, lam)
         if cfg.solver_method == "direct":
             # a fresh factorization per pass: refinement against the
@@ -270,7 +264,7 @@ def fixed_point_ns(cfg):
         fp.iters.append(it)
         fp.rel_err.append(rel)
         z_prev = z_new
-        w_field = WeightedField(zsp, z_new, ws, weight="-", power=upow)
+        w_field = WeightedField(zsp, z_new, ws, weight="-", power=1)
         if rel <= cfg.outer_tol:
             fp.converged = True
             break
@@ -279,7 +273,7 @@ def fixed_point_ns(cfg):
             fp.stagnated = True
             break
 
-    blocks, control, state = _flow_extract(system, x, mesh, ws, spaces)
+    blocks, control, state = _extract(system, x, mesh, ws, spaces)
     J = 0.5 * float(x @ (system.A @ x))
 
     hist = hist0 = None

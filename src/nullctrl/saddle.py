@@ -4,7 +4,7 @@ All four solvers (the primal-dual iteration `arrow_hurwicz`, the
 least-squares `lsq_solve`, the direct `direct_solve` and the factorized
 `KktSolver`) work on the same equilibrated system (`equilibrated`): its
 scalings, its scaled A, B, L, and the two conversions of a start into that
-basis and of a solution back to the assembled, projected (x, lam).
+basis and of a solution back to the assembled (x, lam).
 
 The iteration needs matrix-vector products only; nothing is factorized.
 `KktSolver` factorizes the regularized KKT matrix of one system exactly once
@@ -132,9 +132,8 @@ class Equilibrated:
                 np.asarray(start[1], dtype=float) / self.dl)
 
     def from_basis(self, x, lam):
-        """Equilibrated (x_eq, lam_eq) -> the assembled, projected (x, lam)."""
-        return (self.system.project_primal(self.dp * x),
-                self.system.project_dual(self.dl * lam))
+        """Equilibrated (x_eq, lam_eq) -> the assembled (x, lam)."""
+        return self.dp * x, self.dl * lam
 
 
 def equilibrated(system: SaddleSystem, equilibrate=True) -> Equilibrated:
@@ -187,11 +186,10 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
     lam^{k+1} = lam^k + r s B x^{k+1}
 
     Stops when both relative errors (L2(Q_T) mass-matrix norms of the
-    increments over the iterates) fall below tol, or at max_iter.  Fields
-    carrying the zero-mean-per-slice convention are re-projected after every
-    update.  start=(x0, lam0) warm-starts the iteration (used by the outer
-    fixed-point loop); the returned iterate and log always refer to the
-    original assembled scaling.
+    increments over the iterates) fall below tol, or at max_iter.
+    start=(x0, lam0) warm-starts the iteration (used by the outer fixed-point
+    loop); the returned iterate and log always refer to the original
+    assembled scaling.
 
     Each step makes two sparse products: KX = [A; B; M_p] with the new
     primal iterate and KL = [B^T; M_d] with the new dual one (all in the
@@ -199,7 +197,7 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
     B^T lam for the next step and the mass products of the stopping test.
     """
     eq = equilibrated(system, params.equilibrate)
-    dp, dl, L = eq.dp, eq.dl, eq.L
+    L = eq.L
     n, m = system.n_primal, system.n_dual
     KX, KL = _stacked_operators(eq)
 
@@ -208,19 +206,13 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
     else:
         x, lam = eq.to_basis(start)
     log = IterationLog()
-
-    def project(vec, scale, fn):
-        return fn(scale * vec) / scale
-
     kx, kl = KX @ x, KL @ lam
     # divergence is reported by SolverDiverged, not by floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, params.max_iter + 1):
             x_new = x - params.r * (kx[:n] - L + kl[:n])
-            x_new = project(x_new, dp, system.project_primal)
             kx_new = KX @ x_new
             lam_new = lam + params.r * params.s * kx_new[n:n + m]
-            lam_new = project(lam_new, dl, system.project_dual)
             if not (np.all(np.isfinite(x_new))
                     and np.all(np.isfinite(lam_new))):
                 raise SolverDiverged(k, log)

@@ -10,7 +10,7 @@ assembly cannot cancel in the comparison.
 import numpy as np
 import scipy.sparse as sp
 
-from nullctrl.fem import Assembler, QuadratureRule
+from nullctrl.fem import Assembler
 from nullctrl.forms import _Builder
 
 
@@ -165,39 +165,6 @@ def heat_constraint_oracle(mesh, ws, G, z, p, lam, rule):
                  - (rr0_lap * pv + 2.0 * grad_term + rr0 * p_lap(X, t))
                  + Gf(X, t) * rr0 * pv)
         return (z(X, t) - Lstar) * lam(X, t)
-
-    return quad_spacetime(mesh, rule, integrand)
-
-
-def oseen_constraint_oracle(mesh, ws, nu, ybar, w, zv, pv, sigma, lamv, rule):
-    """Direct quadrature of  iint (z - M* p - grad sigma) . lam.
-
-    M* p = -p_t - nu Lap p - (grad p)(ybar + w) - (grad p)^T ybar, expanded
-    with exact polynomial derivatives; with ybar = w = 0 this is the Stokes
-    constraint.  zv, pv, lamv are pairs of Poly2T, sigma a Poly2T.
-    """
-    p_t = [p.dt() for p in pv]
-    p_lap = [p.lap() for p in pv]
-    # jac[i][j] = d_j p_i
-    jac = [[p.dx1(), p.dx2()] for p in pv]
-    s_grad = [sigma.dx1(), sigma.dx2()]
-
-    def integrand(X, t):
-        shape = np.broadcast(X[..., 0], t).shape
-        yb = (np.broadcast_to(np.asarray(ybar(X, t), dtype=float), shape + (2,))
-              if ybar is not None else np.zeros(shape + (2,)))
-        wv = (np.broadcast_to(np.asarray(w(X, t), dtype=float), shape + (2,))
-              if w is not None else np.zeros(shape + (2,)))
-        adv = yb + wv
-        out = 0.0
-        for i in range(2):
-            Ji = [jac[i][j](X, t) for j in range(2)]
-            JTi = [jac[j][i](X, t) for j in range(2)]
-            Mstar_i = (-p_t[i](X, t) - nu * p_lap[i](X, t)
-                       - (Ji[0] * adv[..., 0] + Ji[1] * adv[..., 1])
-                       - (JTi[0] * yb[..., 0] + JTi[1] * yb[..., 1]))
-            out = out + (zv[i](X, t) - Mstar_i - s_grad[i](X, t)) * lamv[i](X, t)
-        return out
 
     return quad_spacetime(mesh, rule, integrand)
 

@@ -76,6 +76,18 @@ def test_unknown_key_rejected():
         cfgmod.apply_setting(cfgmod.from_preset("heat-sec26"), "mesh.bogus", 3)
 
 
+def test_hatted_key_rejected(tmp_path, capsys):
+    # the weight-absorbing flow variables are the only formulation
+    with pytest.raises(ValueError, match="unknown config key"):
+        cfgmod.apply_setting(cfgmod.from_preset("stokes-sec37"),
+                             "solver.hatted", "false")
+    rc = run(["run", "stokes-sec37", "--set", "solver.hatted=false",
+              "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_heat_run_artifacts(tmp_path):
     out = str(tmp_path / "run1")
     rc = run(["run", "heat-sec26", "--out", out] + FAST)

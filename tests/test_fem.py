@@ -5,8 +5,7 @@ from math import factorial
 import pytest
 
 from nullctrl.fem import (QuadratureRule, build_space, interval_quadrature,
-                          l2_norm, tabulate_interval, tabulate_triangle,
-                          triangle_quadrature)
+                          l2_norm, tabulate_triangle, triangle_quadrature)
 from nullctrl.mesh import build_mesh
 
 
@@ -153,12 +152,7 @@ def test_constraint_application_idempotent(unit_mesh):
     assert np.abs(once[~sp.free_mask]).max() == 0.0
 
 
-def test_slice_mean_projection(unit_mesh):
-    sp = build_space(unit_mesh, 2, 2, 1, "zero_mean_slice")
-    rng = np.random.default_rng(2)
-    c = rng.standard_normal(sp.ndof)
-    p = sp.project_slice_mean(c)
-    w = sp.spatial_integral_weights()
-    lv = p.reshape(sp.ns_time, sp.ns_space)
-    assert np.abs(lv @ w).max() < 1e-12
-    assert np.allclose(sp.project_slice_mean(p), p, atol=1e-13)
+def test_unknown_constraint_rejected(unit_mesh):
+    # zero mean per time level is not a constraint of any assembled system
+    with pytest.raises(ValueError, match="unknown constraint"):
+        build_space(unit_mesh, 2, 2, 1, "zero_mean_slice")

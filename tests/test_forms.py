@@ -15,8 +15,7 @@ from nullctrl.mesh import build_mesh
 from nullctrl.weights import WeightSet
 
 from oracles import (ConcatenatingBuilder, Poly2T,
-                     hatted_flow_constraint_oracle,
-                     heat_constraint_oracle, oseen_constraint_oracle,
+                     hatted_flow_constraint_oracle, heat_constraint_oracle,
                      reduced_vector)
 
 
@@ -41,9 +40,9 @@ def heat_spaces(small_mesh):
 def flow_spaces(small_mesh):
     return (build_space(small_mesh, 4, 2, 2, "none"),
             build_space(small_mesh, 4, 2, 2, "zero_lateral"),
-            build_space(small_mesh, 4, 2, 1, "zero_mean_slice"),
+            build_space(small_mesh, 4, 2, 1, "none"),
             build_space(small_mesh, 4, 2, 2, "zero_lateral"),
-            build_space(small_mesh, 4, 2, 1, "zero_mean_slice"))
+            build_space(small_mesh, 4, 2, 1, "none"))
 
 
 def test_heat_constraint_matches_expansion_oracle(ws, small_mesh, heat_spaces):
@@ -95,26 +94,6 @@ def _wfun(X, t):
     return np.stack([0.02 * X[..., 1] ** 2, 0.05 * X[..., 0]], axis=-1)
 
 
-def test_oseen_constraint_matches_expansion_oracle(ws, small_mesh, flow_spaces):
-    """Printed (un-normalized) transport-linearized constraint bracket."""
-    rule = QuadratureRule.default(4, 2)
-    nu = 0.7
-    ybar, wfun = _ybar, _wfun
-    system = assemble_oseen(small_mesh, flow_spaces, ws, nu, ybar, wfun,
-                            (0.1, 0.0), rule, hatted=False)
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        zv, pv, sg, lamv, muv, fields = _poly_flow_inputs(rng, flow_spaces)
-        x = reduced_vector(system, "primal", z=fields["z"], p=fields["p"],
-                           sigma=fields["sigma"])
-        lr = reduced_vector(system, "dual", lam=fields["lam"],
-                            mu=np.zeros_like(fields["mu"]))
-        asm = lr @ (system.B @ x)
-        orc = oseen_constraint_oracle(small_mesh, ws, nu, ybar, wfun,
-                                      zv, pv, sg, lamv, rule)
-        assert asm == pytest.approx(orc, rel=1e-10)
-
-
 def test_hatted_flow_constraint_matches_expansion_oracle(ws, small_mesh,
                                                          flow_spaces):
     """Normalized-variable assembly against the product-rule expansion.
@@ -130,7 +109,7 @@ def test_hatted_flow_constraint_matches_expansion_oracle(ws, small_mesh,
     nu = 0.7
     ybar, wfun = _ybar, _wfun
     system = assemble_oseen(small_mesh, flow_spaces, ws, nu, ybar, wfun,
-                            (0.1, 0.0), rule, hatted=True)
+                            (0.1, 0.0), rule)
     rng = np.random.default_rng(15)
     vals, errs = [], []
     for _ in range(3):
@@ -150,14 +129,12 @@ def test_hatted_flow_constraint_matches_expansion_oracle(ws, small_mesh,
 def test_oseen_with_zero_background_reduces_to_stokes(ws, small_mesh,
                                                       flow_spaces):
     rule = QuadratureRule.default(4, 2)
-    for hatted in (False, True):
-        s1 = assemble_stokes(small_mesh, flow_spaces, ws, 0.7, (0.1, 0.0),
-                             rule, hatted=hatted)
-        s2 = assemble_oseen(small_mesh, flow_spaces, ws, 0.7, None, None,
-                            (0.1, 0.0), rule, hatted=hatted)
-        assert abs(s1.A - s2.A).max() == 0.0
-        assert abs(s1.B - s2.B).max() == 0.0
-        assert np.array_equal(s1.L, s2.L)
+    s1 = assemble_stokes(small_mesh, flow_spaces, ws, 0.7, (0.1, 0.0), rule)
+    s2 = assemble_oseen(small_mesh, flow_spaces, ws, 0.7, None, None,
+                        (0.1, 0.0), rule)
+    assert abs(s1.A - s2.A).max() == 0.0
+    assert abs(s1.B - s2.B).max() == 0.0
+    assert np.array_equal(s1.L, s2.L)
 
 
 def _heat_system(ws, nx=4, nt=4, G=1.0, y0=1000.0):
@@ -233,68 +210,23 @@ def test_stokes_weighted_blocks_all_finite(ws):
     mesh = build_mesh(3, 3, 4, 1.0, 1.0, 1.0, (1 / 3, 2 / 3, 1 / 3, 2 / 3))
     spaces = (build_space(mesh, 2, 2, 2, "none"),
               build_space(mesh, 2, 2, 2, "zero_lateral"),
-              build_space(mesh, 2, 2, 1, "zero_mean_slice"),
+              build_space(mesh, 2, 2, 1, "none"),
               build_space(mesh, 2, 2, 2, "zero_lateral"),
-              build_space(mesh, 2, 2, 1, "zero_mean_slice"))
-    for hatted in (False, True):
-        system = assemble_stokes(mesh, spaces, ws, 1.0, (1000.0, 0.0),
-                                 hatted=hatted)
-        assert np.all(np.isfinite(system.A.data))
-        assert np.all(np.isfinite(system.B.data))
-        assert np.all(np.isfinite(system.L))
-        assert abs(system.A - system.A.T).max() <= 1e-12 * abs(system.A).max()
-
-
-def test_divergence_rows_vanish_on_divergence_free_interpolant(ws):
-    """Printed-form divergence block on a curl-field interpolant.
-
-    p = curl(psi) is divergence-free; its P2 interpolant is not exactly so,
-    and the observed residual is bounded by the interpolation error scale
-    (measured once and frozen with a margin).
-    """
-    mesh = build_mesh(4, 4, 3, 1.0, 1.0, 1.0, (0.25, 0.75, 0.25, 0.75))
-    spaces = (build_space(mesh, 2, 2, 2, "none"),
-              build_space(mesh, 2, 2, 2, "zero_lateral"),
-              build_space(mesh, 2, 2, 1, "zero_mean_slice"),
-              build_space(mesh, 2, 2, 2, "zero_lateral"),
-              build_space(mesh, 2, 2, 1, "zero_mean_slice"))
-    zsp, psp, ssp, lsp, msp = spaces
-    system = assemble_stokes(mesh, spaces, ws, 1.0, (0.0, 0.0), hatted=False)
-
-    def curl_field(X, t):
-        x1, x2 = X[..., 0], X[..., 1]
-        f = (x1 * (1 - x1)) ** 2
-        g = (x2 * (1 - x2)) ** 2
-        df = 2 * x1 * (1 - x1) * (1 - 2 * x1)
-        dg = 2 * x2 * (1 - x2) * (1 - 2 * x2)
-        shape = np.broadcast(x1, t).shape
-        return np.stack([np.broadcast_to(f * dg, shape),
-                         np.broadcast_to(-df * g, shape)], axis=-1)
-
-    pc = psp.interpolate(curl_field)
-    x = reduced_vector(system, "primal", z=np.zeros(zsp.ndof), p=pc,
-                       sigma=np.zeros(ssp.ndof))
-    bx = system.B @ x
-    mublk = system.block("mu", "dual")
-    vals = bx[mublk.offset:mublk.offset + mublk.size]
-    # constant-per-slice test functions: sum the rows of each time level
-    per_level = vals.reshape(msp.ns_time, msp.ns_space).sum(axis=1)
-    scale = float(np.abs(pc).max())
-    # constant-per-slice pairings integrate div over slabs: exactly the
-    # boundary flux of the (boundary-vanishing) interpolant, hence zero
-    assert np.abs(per_level).max() <= 1e-12 * scale
-    # per-row residual is interpolation error; measured 1.25e-3 * scale on
-    # this mesh, frozen with a 4x margin
-    assert np.abs(vals).max() <= 5e-3 * scale
+              build_space(mesh, 2, 2, 1, "none"))
+    system = assemble_stokes(mesh, spaces, ws, 1.0, (1000.0, 0.0))
+    assert np.all(np.isfinite(system.A.data))
+    assert np.all(np.isfinite(system.B.data))
+    assert np.all(np.isfinite(system.L))
+    assert abs(system.A - system.A.T).max() <= 1e-12 * abs(system.A).max()
 
 
 def _p2_flow_spaces(mesh):
     """The pipeline's flow layout: P2 fields, P1 divergence multiplier."""
     return (build_space(mesh, 2, 2, 2, "none"),
             build_space(mesh, 2, 2, 2, "zero_lateral"),
-            build_space(mesh, 2, 2, 1, "zero_mean_slice"),
+            build_space(mesh, 2, 2, 1, "none"),
             build_space(mesh, 2, 2, 2, "zero_lateral"),
-            build_space(mesh, 1, 2, 1, "zero_mean_slice"))
+            build_space(mesh, 1, 2, 1, "none"))
 
 
 def _taylor_green_oseen():
@@ -318,23 +250,20 @@ def _heat_assembly(ws, nx, nt):
     return lambda: assemble_heat(mesh, spaces, ws, 1.0, 1000.0)
 
 
-def _stokes_assembly(ws, hatted):
+def _stokes_assembly(ws):
     mesh = build_mesh(3, 3, 3, 1.0, 1.0, 1.0, (1 / 3, 2 / 3, 1 / 3, 2 / 3))
     spaces = _p2_flow_spaces(mesh)
-    return lambda: assemble_stokes(mesh, spaces, ws, 1.0, (1000.0, 0.0),
-                                   hatted=hatted)
+    return lambda: assemble_stokes(mesh, spaces, ws, 1.0, (1000.0, 0.0))
 
 
 _MATRICES = ("A", "B", "M_primal", "M_dual")
 
 
-@pytest.mark.parametrize("case", ["heat", "stokes-hatted", "stokes-printed",
-                                  "oseen"])
+@pytest.mark.parametrize("case", ["heat", "stokes-hatted", "oseen"])
 def test_assembly_bit_identical_to_concatenating_reference(ws, monkeypatch,
                                                            case):
     assemble = {"heat": lambda: _heat_assembly(ws, 5, 3),
-                "stokes-hatted": lambda: _stokes_assembly(ws, True),
-                "stokes-printed": lambda: _stokes_assembly(ws, False),
+                "stokes-hatted": lambda: _stokes_assembly(ws),
                 "oseen": _taylor_green_oseen}[case]()
     system = assemble()
     monkeypatch.setattr(forms, "_Builder", ConcatenatingBuilder)

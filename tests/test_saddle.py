@@ -135,9 +135,8 @@ def test_divergence_reported():
 
 
 def assembled_systems():
-    """A small heat system and a small Stokes system in the variables as
-    printed (hatted=False, so the zero-mean-slice projection runs); both
-    have non-identity mass matrices."""
+    """A small heat system and a small Stokes system; both have
+    non-identity mass matrices."""
     ws = WeightSet(1.0, 1.0, 1.0, (0.5, 0.5))
     mesh = build_mesh(3, 3, 3, 1.0, 1.0, 1.0, (1 / 3, 2 / 3, 1 / 3, 2 / 3))
     heat = assemble_heat(mesh, (build_space(mesh, 2, 2, 1, "none"),
@@ -147,12 +146,10 @@ def assembled_systems():
                          ws, 1.0, 1000.0)
     stokes = assemble_stokes(mesh, (build_space(mesh, 2, 2, 2, "none"),
                                     build_space(mesh, 2, 2, 2, "zero_lateral"),
-                                    build_space(mesh, 2, 2, 1,
-                                                "zero_mean_slice"),
+                                    build_space(mesh, 2, 2, 1, "none"),
                                     build_space(mesh, 2, 2, 2, "zero_lateral"),
-                                    build_space(mesh, 1, 2, 1,
-                                                "zero_mean_slice")),
-                             ws, 1.0, (1000.0, 0.0), hatted=False)
+                                    build_space(mesh, 1, 2, 1, "none")),
+                             ws, 1.0, (1000.0, 0.0))
     return heat, stokes
 
 
