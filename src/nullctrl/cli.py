@@ -69,13 +69,15 @@ def _summary_lines(cfg, sol, fp, wall):
         lines.append(f"rel_err1_final = {sol.log.rel_err1[-1]:.6e}")
         lines.append(f"rel_err2_final = {sol.log.rel_err2[-1]:.6e}")
         lines.append(f"residual_constraint = {sol.log.residual_constraint:.6e}")
-    ex = sol.extras
-    if "istop" in ex:   # an LSMR solve
-        lines.append(f"lsmr_iterations = {ex['iterations']}")
-        lines.append(f"lsmr_istop = {ex['istop']}")
-        lines.append(f"lsmr_residual = {ex['residual']:.6e}")
-    if "kkt_residual" in ex:
-        lines.append(f"kkt_residual = {ex['kkt_residual']:.6e}")
+    info = sol.info
+    if "istop" in info:   # an LSMR solve
+        lines.append(f"lsmr_iterations = {info['iterations']}")
+        lines.append(f"lsmr_istop = {info['istop']}")
+        lines.append(f"lsmr_residual = {info['residual']:.6e}")
+    if "kkt_residual" in info:
+        lines.append(f"kkt_residual = {info['kkt_residual']:.6e}")
+    if "least_squares" in info:   # heat direct: the singular fallback ran
+        lines.append(f"least_squares = {info['least_squares']}")
     if fp is not None:
         lines.append(f"outer_iterations = {fp.iters[-1]}")
         lines.append(f"outer_converged = {fp.converged}")
@@ -101,26 +103,19 @@ def _summary_lines(cfg, sol, fp, wall):
 
 
 def _vtk_fields(cfg, sol):
-    mesh = sol.extras["mesh"]
-    if cfg.scenario == "heat":
-        zsp, psp, _ = sol.extras["spaces"]
-        blocks = sol.blocks
-        return {
-            "y": lambda X, t: sol.state(X, t),
-            "v": lambda X, t: sol.control(X, t),
-            "p_hat": lambda X, t: psp.eval(blocks["p"], X, t),
-            "z_hat": lambda X, t: zsp.eval(blocks["z"], X, t),
-        }
-    spaces = sol.extras["spaces"]
-    ssp = spaces[2]
+    blocks, spaces = sol.blocks, sol.spaces
     fields = {
-        "y": lambda X, t: sol.state(X, t),
+        "y": lambda X, t: sol.state(X, t),   # Navier-Stokes: the deviation
         "v": lambda X, t: sol.control(X, t),
-        "sigma": lambda X, t: ssp.eval(sol.blocks["sigma"], X, t),
     }
+    if cfg.scenario == "heat":
+        zsp, psp = spaces[:2]
+        fields["p_hat"] = lambda X, t: psp.eval(blocks["p"], X, t)
+        fields["z_hat"] = lambda X, t: zsp.eval(blocks["z"], X, t)
+        return fields
+    fields["sigma"] = lambda X, t: spaces[2].eval(blocks["sigma"], X, t)
     if cfg.scenario == "navier_stokes":
-        traj = sol.extras["trajectory"]
-        fields["y"] = lambda X, t: sol.state(X, t)   # deviation from ybar
+        traj = sol.trajectory
         fields["y_total"] = lambda X, t: (np.asarray(traj(X, t), dtype=float)
                                           + sol.state(X, t))
     return fields
@@ -164,7 +159,7 @@ def run(argv=None) -> int:
             os.path.join(out, "norms_uncontrolled.csv"))
     with open(os.path.join(out, "summary.txt"), "w") as fh:
         fh.write("\n".join(_summary_lines(cfg, sol, fp, wall)) + "\n")
-    write_field_series(out, sol.extras["mesh"], _vtk_fields(cfg, sol))
+    write_field_series(out, sol.mesh, _vtk_fields(cfg, sol))
     print(f"run complete: {out} (J = {sol.J:.6e}, {wall:.1f} s)")
     return 0
 

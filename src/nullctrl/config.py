@@ -85,7 +85,6 @@ class RunConfig:
     s: float = 1.0
     tol: float = 1e-6
     max_iter: int = 30000
-    equilibrate: bool = True
     solver_method: str = "ah"
     outer_tol: float = 1e-4
     outer_max: int = 60
@@ -183,9 +182,8 @@ _SECTION_MAP = {
     "physics.M": "M", "physics.y0_base": "y0_base",
     "physics.y0_scale": "y0_scale",
     "solver.r": "r", "solver.s": "s", "solver.tol": "tol",
-    "solver.max_iter": "max_iter", "solver.equilibrate": "equilibrate",
-    "solver.method": "solver_method", "solver.outer_tol": "outer_tol",
-    "solver.outer_max": "outer_max",
+    "solver.max_iter": "max_iter", "solver.method": "solver_method",
+    "solver.outer_tol": "outer_tol", "solver.outer_max": "outer_max",
     "verify.enabled": "verify", "verify.nx": "verify_nx",
     "verify.ny": "verify_ny", "verify.nt": "verify_nt",
     "output.dir": "output_dir",

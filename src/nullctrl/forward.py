@@ -30,7 +30,7 @@ class Trajectory:
     nu: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "poiseuille", "taylor_green", "custom"):
+        if self.kind not in ("zero", "poiseuille", "taylor_green"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
 
     def __call__(self, x, t):
@@ -49,27 +49,25 @@ def trajectory_eval(traj: Trajectory, x, t):
         u1 = 4.0 * x2 * (1.0 - x2)
         u1 = np.broadcast_to(u1, np.broadcast(x1, t).shape)
         return np.stack([u1, np.zeros_like(u1)], axis=-1)
-    if traj.kind == "taylor_green":
-        decay = np.exp(-8.0 * traj.nu * t)
-        u1 = np.sin(2.0 * x1) * np.cos(2.0 * x2) * decay
-        u2 = -np.cos(2.0 * x1) * np.sin(2.0 * x2) * decay
-        return np.stack(np.broadcast_arrays(u1, u2), axis=-1)
-    raise ValueError("custom trajectories are evaluated by their own callable")
+    # taylor_green, the last kind Trajectory accepts
+    decay = np.exp(-8.0 * traj.nu * t)
+    u1 = np.sin(2.0 * x1) * np.cos(2.0 * x2) * decay
+    u2 = -np.cos(2.0 * x1) * np.sin(2.0 * x2) * decay
+    return np.stack(np.broadcast_arrays(u1, u2), axis=-1)
 
 
-def curl_perturbation(psi_kind, M, x, L1=1.0, L2=1.0):
+def curl_perturbation(psi_kind, M, x):
     """Divergence-free perturbation M * curl(psi) for the flow scenarios.
 
     psi = (x1 x2)^2 [(L1 - x1)(L2 - x2)]^2 vanishes to second order on the
     box boundary, so the field and its normal trace vanish there.  psi_kind
-    picks the box: 'poiseuille' -> (0,5)x(0,1), 'taylor_green' -> (0,pi)^2,
-    'unit' -> (L1, L2) as given.
+    picks the box: 'poiseuille' -> (0,5)x(0,1), 'taylor_green' -> (0,pi)^2.
     """
     if psi_kind == "poiseuille":
         L1, L2 = 5.0, 1.0
     elif psi_kind == "taylor_green":
         L1, L2 = np.pi, np.pi
-    elif psi_kind != "unit":
+    else:
         raise ValueError(f"unknown perturbation kind {psi_kind!r}")
     x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
@@ -232,9 +230,9 @@ class SpatialGrid:
         return qp, qw, X
 
 
-def _assemble(grid, degree, qnpts, kind, coeff=None):
-    """Scalar element assembly: kind in {mass, stiffness, wmass}."""
-    qp, qw, X = grid.quad_points(qnpts)
+def _assemble(grid, degree, qnpts, kind):
+    """Scalar element assembly: kind in {mass, stiffness}."""
+    qp, qw, _ = grid.quad_points(qnpts)
     lam = np.column_stack([1 - qp[:, 0] - qp[:, 1], qp])
     if degree == 2:
         sv = _p2_shape(lam)
@@ -246,9 +244,6 @@ def _assemble(grid, degree, qnpts, kind, coeff=None):
     w = qw[None, :] * grid.detJ[:, None]
     if kind == "mass":
         E = np.einsum("tq,qi,qj->tij", w, sv, sv)
-    elif kind == "wmass":
-        c = coeff(X)
-        E = np.einsum("tq,qi,qj->tij", w * c, sv, sv)
     elif kind == "stiffness":
         g = np.einsum("tkd,qsk->tqsd", grid.Jinv, sg)
         E = np.einsum("tq,tqid,tqjd->tij", w, g, g)
@@ -403,7 +398,7 @@ class _TaylorHood:
 
 
 def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, nonlinear,
-                 T, nt_fwd, omega_box=None, div_warn=1e-3, startup_steps=2):
+                 T, nt_fwd, omega_box=None, startup_steps=2):
     """Velocity/pressure stepping of the (Navier-)Stokes momentum balance.
 
     Dirichlet data on the velocity is taken from the trajectory (no-slip for
@@ -506,6 +501,4 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, nonlinear,
 
     hist = NormHistory(times=times, deviation_norms=np.array(dev_norm),
                        divergence_residual=max_div)
-    if max_div > div_warn:
-        hist.divergence_warning = True
     return hist, y

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import Assembler, QuadratureRule, build_space, l2_norm
-from .forms import assemble_heat, assemble_oseen, assemble_stokes
+from .forms import (SaddleSystem, assemble_heat, assemble_oseen,
+                    assemble_stokes)
 from .forward import (SpatialGrid, Trajectory, curl_perturbation,
                       flow_forward, heat_forward_cn)
 from .mesh import build_mesh
@@ -24,17 +25,23 @@ from .weights import WeightSet
 
 @dataclass
 class ControlSolution:
-    """Solution bundle: raw blocks, extracted fields, logs and diagnostics."""
+    """A solved control problem with its extracted fields and diagnostics."""
 
-    kind: str
-    blocks: dict
-    control: object
-    state: object
+    mesh: object
+    ws: WeightSet
+    spaces: tuple          # heat (z, p, lam); flows (z, p, sigma, lam, mu)
+    system: SaddleSystem
+    x: np.ndarray
+    lam: np.ndarray
+    blocks: dict           # full coefficient vector of each primal field
+    control: WeightedField
+    state: WeightedField
     J: float
-    log: object = None
+    log: object = None     # IterationLog of an AH solve
+    info: dict = field(default_factory=dict)   # LSMR/KktSolver/direct_solve
     history: object = None
     history_uncontrolled: object = None
-    extras: dict = field(default_factory=dict)
+    trajectory: object = None   # Navier-Stokes: the target flow ybar
 
 
 @dataclass
@@ -54,7 +61,7 @@ class FixedPointLog:
 
 
 class WeightedField:
-    """FEM field times an inverse-weight power, restricted to a region.
+    """FEM field times an inverse weight, restricted to a region.
 
     Evaluates pointwise as weight(x,t) * u_h(x,t); with a region box the
     value is exactly 0 outside it (control locality).  `at` binds the field
@@ -62,13 +69,12 @@ class WeightedField:
     assembler's quadrature grid directly, avoiding point location.
     """
 
-    def __init__(self, space, coeffs, ws: WeightSet, weight="-", power=1,
-                 sign=1.0, region=None):
+    def __init__(self, space, coeffs, ws: WeightSet, weight="-", sign=1.0,
+                 region=None):
         self.space = space
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.ws = ws
         self.weight = weight
-        self.power = power
         self.sign = sign
         self.region = region
 
@@ -93,8 +99,7 @@ class WeightedField:
             scale = scale * self._inside(X)
 
         def values(t):
-            w = scale * self.ws.inv_weight_of_chi(self.weight, chi,
-                                                  t) ** self.power
+            w = scale * self.ws.inv_weight_of_chi(self.weight, chi, t)
             out = field(t)
             return out * (w[..., None] if out.ndim > w.ndim else w)
 
@@ -107,7 +112,7 @@ class WeightedField:
     def on_batch(self, batch):
         X = batch.Xq[:, None, :, :]
         t = batch.tq[None, :, :]
-        w = self.sign * self.ws.inv_weight(self.weight, X, t) ** self.power
+        w = self.sign * self.ws.inv_weight(self.weight, X, t)
         vals = np.stack([batch.field(self.space, self.coeffs, c)
                          for c in range(self.space.components)], axis=-1)
         out = vals * w[..., None]
@@ -116,119 +121,112 @@ class WeightedField:
         return out
 
 
+def _setup(cfg, flow):
+    """Mesh, weights and the spaces of the heat (z, p, lam) or the flow
+    (z, p, sigma, lam, mu) saddle system."""
+    mesh = build_mesh(cfg.nx, cfg.ny, cfg.nt, cfg.L1, cfg.L2, cfg.T, cfg.omega,
+                      diagonal=cfg.diagonal)
+    ws = WeightSet(cfg.L1, cfg.L2, cfg.T, cfg.anchor, cfg.K1, cfg.K2)
+
+    def space(m, components, constraint):
+        return build_space(mesh, m, cfg.n, components, constraint)
+
+    if not flow:
+        return mesh, ws, (space(cfg.m, 1, "none"),
+                          space(cfg.m, 1, "zero_lateral"),
+                          space(cfg.m, 1, "zero_lateral_final"))
+    # the divergence multiplier sits one spatial degree below the velocity
+    # fields (stable pairing); equal order leaves the constraint block with
+    # spurious dual modes and a numerically singular system
+    return mesh, ws, (space(cfg.m, 2, "none"), space(cfg.m, 2, "zero_lateral"),
+                      space(cfg.m, 1, "none"), space(cfg.m, 2, "zero_lateral"),
+                      space(max(cfg.m - 1, 1), 1, "none"))
+
+
 def _solve_system(system, cfg, start=None):
+    """(x, lam, AH log or None, diagnostics) by cfg's method from start.
+
+    Every flow system is numerically singular: there `direct` is one fresh
+    `KktSolver` factorization per system (refinement against another
+    system's factorization diverges), while heat keeps the exact oracle.
+    """
     if cfg.solver_method == "direct":
-        x, lam, flagged = direct_solve(system)
-        return x, lam, None, {"least_squares": flagged}
+        if system.problem.kind == "heat":
+            x, lam, flagged = direct_solve(system)
+            return x, lam, None, {"least_squares": flagged}
+        x, lam, rn = KktSolver(system).resolve(start=start)
+        return x, lam, None, {"kkt_residual": rn}
     if cfg.solver_method == "lsq":
         x, lam, info = lsq_solve(system, start=start, tol=cfg.tol,
                                  max_iter=cfg.max_iter)
         return x, lam, None, info
-    params = AHParams(r=cfg.r, s=cfg.s, tol=cfg.tol, max_iter=cfg.max_iter,
-                      equilibrate=cfg.equilibrate)
+    params = AHParams(r=cfg.r, s=cfg.s, tol=cfg.tol, max_iter=cfg.max_iter)
     x, lam, log = arrow_hurwicz(system, params, start=start)
     return x, lam, log, {}
 
 
-def _spaces_heat(mesh, m, n):
-    return (build_space(mesh, m, n, 1, "none"),
-            build_space(mesh, m, n, 1, "zero_lateral"),
-            build_space(mesh, m, n, 1, "zero_lateral_final"))
-
-
-def _spaces_flow(mesh, m, n):
-    # the divergence multiplier sits one spatial degree below the velocity
-    # fields (stable pairing); equal order leaves the constraint block with
-    # spurious dual modes and a numerically singular system
-    m_mu = max(m - 1, 1)
-    return (build_space(mesh, m, n, 2, "none"),
-            build_space(mesh, m, n, 2, "zero_lateral"),
-            build_space(mesh, m, n, 1, "none"),
-            build_space(mesh, m, n, 2, "zero_lateral"),
-            build_space(mesh, m_mu, n, 1, "none"))
-
-
-def _extract(system, x, mesh, ws, spaces):
+def _solution(cfg, mesh, ws, spaces, system, solved, forward,
+              trajectory=None) -> ControlSolution:
+    """Extraction, J and verification of `_solve_system`'s result `solved`;
+    forward(grid, control) returns the scenario's forward norm history."""
+    x, lam, log, info = solved
     # v = -rho0^{-1} phat, y = rho^{-1} zhat in the weight-absorbing variables
-    zsp, psp = spaces[0], spaces[1]
     blocks = system.expand(x)
-    control = WeightedField(psp, blocks["p"], ws, weight=0, power=1,
-                            sign=-1.0, region=mesh.omega)
-    state = WeightedField(zsp, blocks["z"], ws, weight="-", power=1)
-    return blocks, control, state
+    control = WeightedField(spaces[1], blocks["p"], ws, weight=0, sign=-1.0,
+                            region=mesh.omega)
+    state = WeightedField(spaces[0], blocks["z"], ws, weight="-")
+    J = 0.5 * float(x @ (system.A @ x))
+
+    hist = hist0 = None
+    if cfg.verify:
+        grid = SpatialGrid(cfg.verify_nx, cfg.verify_ny, cfg.L1, cfg.L2)
+        hist, hist0 = forward(grid, control), forward(grid, None)
+    return ControlSolution(mesh=mesh, ws=ws, spaces=spaces, system=system,
+                           x=x, lam=lam, blocks=blocks, control=control,
+                           state=state, J=J, log=log, info=info, history=hist,
+                           history_uncontrolled=hist0, trajectory=trajectory)
 
 
 def solve_heat_control(cfg) -> ControlSolution:
     """Compute, extract and verify the distributed heat control."""
-    mesh = build_mesh(cfg.nx, cfg.ny, cfg.nt, cfg.L1, cfg.L2, cfg.T, cfg.omega,
-                      diagonal=cfg.diagonal)
-    ws = WeightSet(cfg.L1, cfg.L2, cfg.T, cfg.anchor, cfg.K1, cfg.K2)
-    zsp, psp, lsp = _spaces_heat(mesh, cfg.m, cfg.n)
+    mesh, ws, spaces = _setup(cfg, flow=False)
     y0 = cfg.y0_value
-    system = assemble_heat(mesh, (zsp, psp, lsp), ws, cfg.G, y0)
-    x, lam, log, extras = _solve_system(system, cfg)
-    blocks, control, state = _extract(system, x, mesh, ws, (zsp, psp))
-    J = 0.5 * float(x @ (system.A @ x))
+    system = assemble_heat(mesh, spaces, ws, cfg.G, y0)
 
-    hist = hist0 = None
-    if cfg.verify:
-        grid = SpatialGrid(cfg.verify_nx, cfg.verify_ny, cfg.L1, cfg.L2)
-        hist, _ = heat_forward_cn(grid, 2, y0, cfg.G, control, cfg.T,
-                                  cfg.verify_nt, omega_box=mesh.omega)
-        hist0, _ = heat_forward_cn(grid, 2, y0, cfg.G, None, cfg.T,
-                                   cfg.verify_nt)
-    return ControlSolution(kind="heat", blocks=blocks, control=control,
-                           state=state, J=J, log=log, history=hist,
-                           history_uncontrolled=hist0,
-                           extras={"system": system, "x": x, "lam": lam,
-                                   "mesh": mesh, "ws": ws,
-                                   "spaces": (zsp, psp, lsp), **extras})
+    def forward(grid, control):
+        return heat_forward_cn(grid, 2, y0, cfg.G, control, cfg.T,
+                               cfg.verify_nt, omega_box=mesh.omega)[0]
+
+    return _solution(cfg, mesh, ws, spaces, system,
+                     _solve_system(system, cfg), forward)
 
 
 def solve_stokes_control(cfg) -> ControlSolution:
     """Compute, extract and verify the distributed Stokes control."""
-    mesh = build_mesh(cfg.nx, cfg.ny, cfg.nt, cfg.L1, cfg.L2, cfg.T, cfg.omega,
-                      diagonal=cfg.diagonal)
-    ws = WeightSet(cfg.L1, cfg.L2, cfg.T, cfg.anchor, cfg.K1, cfg.K2)
-    spaces = _spaces_flow(mesh, cfg.m, cfg.n)
+    mesh, ws, spaces = _setup(cfg, flow=True)
     y0 = cfg.y0_vector
     system = assemble_stokes(mesh, spaces, ws, cfg.nu, y0)
-    x, lam, log, extras = _solve_system(system, cfg)
-    blocks, control, state = _extract(system, x, mesh, ws, spaces)
-    J = 0.5 * float(x @ (system.A @ x))
 
-    hist = hist0 = None
-    if cfg.verify:
-        grid = SpatialGrid(cfg.verify_nx, cfg.verify_ny, cfg.L1, cfg.L2)
-        zero = Trajectory("zero")
-        y0f = (lambda X: np.broadcast_to(np.asarray(y0, dtype=float),
-                                         X.shape[:-1] + (2,)))
-        hist, _ = flow_forward(grid, cfg.nu, y0f, control, zero, False,
-                               cfg.T, cfg.verify_nt, omega_box=mesh.omega)
-        hist0, _ = flow_forward(grid, cfg.nu, y0f, None, zero, False,
-                                cfg.T, cfg.verify_nt)
-    return ControlSolution(kind="stokes", blocks=blocks, control=control,
-                           state=state, J=J, log=log, history=hist,
-                           history_uncontrolled=hist0,
-                           extras={"system": system, "x": x, "lam": lam,
-                                   "mesh": mesh, "ws": ws, "spaces": spaces,
-                                   **extras})
+    def forward(grid, control):   # no trajectory: no-slip, no convection
+        return flow_forward(grid, cfg.nu, y0, control, None, False, cfg.T,
+                            cfg.verify_nt, omega_box=mesh.omega)[0]
+
+    return _solution(cfg, mesh, ws, spaces, system,
+                     _solve_system(system, cfg), forward)
 
 
 def fixed_point_ns(cfg):
     """Fixed-point loop for exact controllability to a flow trajectory.
 
     Each pass assembles the transport-linearized control system around the
-    previous deviation iterate (zero to start), solves it, and replaces the
-    iterate by the extracted deviation state; the loop stops when the
-    relative L2(Q_T) increment drops below the outer tolerance.  Verification
-    runs the full nonlinear forward problem with and without the control.
+    previous deviation iterate (zero to start), solves it from the previous
+    pass's solution, and replaces the iterate by the extracted deviation
+    state; the loop stops when the relative L2(Q_T) increment drops below
+    the outer tolerance.  Verification runs the full nonlinear forward
+    problem with and without the control.  Returns (solution, FixedPointLog).
     """
-    mesh = build_mesh(cfg.nx, cfg.ny, cfg.nt, cfg.L1, cfg.L2, cfg.T, cfg.omega,
-                      diagonal=cfg.diagonal)
-    ws = WeightSet(cfg.L1, cfg.L2, cfg.T, cfg.anchor, cfg.K1, cfg.K2)
-    spaces = _spaces_flow(mesh, cfg.m, cfg.n)
-    zsp, psp = spaces[0], spaces[1]
+    mesh, ws, spaces = _setup(cfg, flow=True)
+    zsp = spaces[0]
     traj = Trajectory(cfg.trajectory, nu=cfg.nu)
 
     def u0(X):
@@ -239,24 +237,13 @@ def fixed_point_ns(cfg):
     uweight = lambda X, t: ws.inv_weight("-", X, t) ** 2
 
     fp = FixedPointLog()
-    w_field = None
-    z_prev = None
-    x = lam = None
-    system = None
-    log = None
-    info = {}   # the last pass's solver diagnostics
+    w_field = z_prev = solved = None
     for it in range(1, cfg.outer_max + 1):
         system = assemble_oseen(mesh, spaces, ws, cfg.nu, traj, w_field, u0,
                                 rule=rule)
-        start = None if x is None else (x, lam)
-        if cfg.solver_method == "direct":
-            # a fresh factorization per pass: refinement against the
-            # previous pass's factorization diverges on the next system
-            x, lam, rn = KktSolver(system).resolve(start=start)
-            info = {"kkt_residual": rn}
-        else:
-            x, lam, log, info = _solve_system(system, cfg, start=start)
-        z_new = system.expand(x)["z"]
+        solved = _solve_system(system, cfg,
+                               start=None if solved is None else solved[:2])
+        z_new = system.expand(solved[0])["z"]
         dz = z_new if z_prev is None else z_new - z_prev
         num = l2_norm(zsp, dz, weight=uweight, assembler=asm)
         den = l2_norm(zsp, z_new, weight=uweight, assembler=asm)
@@ -264,7 +251,7 @@ def fixed_point_ns(cfg):
         fp.iters.append(it)
         fp.rel_err.append(rel)
         z_prev = z_new
-        w_field = WeightedField(zsp, z_new, ws, weight="-", power=1)
+        w_field = WeightedField(zsp, z_new, ws, weight="-")
         if rel <= cfg.outer_tol:
             fp.converged = True
             break
@@ -273,24 +260,12 @@ def fixed_point_ns(cfg):
             fp.stagnated = True
             break
 
-    blocks, control, state = _extract(system, x, mesh, ws, spaces)
-    J = 0.5 * float(x @ (system.A @ x))
+    def y0f(X):
+        return np.asarray(traj(X, 0.0), dtype=float) + u0(X)
 
-    hist = hist0 = None
-    if cfg.verify:
-        grid = SpatialGrid(cfg.verify_nx, cfg.verify_ny, cfg.L1, cfg.L2)
+    def forward(grid, control):
+        return flow_forward(grid, cfg.nu, y0f, control, traj, True, cfg.T,
+                            cfg.verify_nt, omega_box=mesh.omega)[0]
 
-        def y0f(X):
-            return np.asarray(traj(X, 0.0), dtype=float) + u0(X)
-
-        hist, _ = flow_forward(grid, cfg.nu, y0f, control, traj, True,
-                               cfg.T, cfg.verify_nt, omega_box=mesh.omega)
-        hist0, _ = flow_forward(grid, cfg.nu, y0f, None, traj, True,
-                                cfg.T, cfg.verify_nt)
-    sol = ControlSolution(kind="navier_stokes", blocks=blocks,
-                          control=control, state=state, J=J, log=log,
-                          history=hist, history_uncontrolled=hist0,
-                          extras={"system": system, "x": x, "lam": lam,
-                                  "mesh": mesh, "ws": ws, "spaces": spaces,
-                                  "trajectory": traj, "u0": u0, **info})
-    return sol, fp
+    return _solution(cfg, mesh, ws, spaces, system, solved, forward,
+                     trajectory=traj), fp

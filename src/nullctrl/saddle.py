@@ -41,8 +41,8 @@ class SolverDiverged(RuntimeError):
 class AHParams:
     """Step sizes and stopping control for the primal-dual iteration.
 
-    equilibrate renormalizes the discrete bases before iterating (primal
-    basis functions to unit L2 norm, constraint rows to unit 2-norm): a
+    The iteration runs on the equilibrated bases (primal basis functions
+    of unit L2 norm, constraint rows of unit 2-norm, `equilibrated`): a
     diagonal rescaling that leaves every function-space quantity unchanged
     and inverts nothing, but moves the iteration's stable step sizes to an
     O(1), mesh-independent range.  The raw assembled scaling is so stiff
@@ -63,7 +63,6 @@ class AHParams:
     s: float = 1.0
     tol: float = 1e-5
     max_iter: int = 500
-    equilibrate: bool = True
 
     def __post_init__(self):
         if self.r <= 0 or self.s <= 0 or self.tol <= 0 or self.max_iter < 1:
@@ -89,25 +88,6 @@ class IterationLog:
             fh.write("iter,rel_err1,rel_err2\n")
             for k, e1, e2 in self.rows():
                 fh.write(f"{k},{e1:.12e},{e2:.12e}\n")
-
-
-def _equilibration(system):
-    """Diagonal basis renormalization (dp, dl) for the iteration.
-
-    dp makes each primal basis function unit in L2(Q_T); dl then makes each
-    constraint row of B unit in the Euclidean norm, except that rows whose
-    norm is far below the median (near-dependent constraints such as
-    slice-constant divergence pairings) are left small rather than amplified
-    into unreachable dual directions.  Pure rescaling: the underlying
-    Galerkin problem and its solution functions are untouched.
-    """
-    mass_diag = np.maximum(system.M_primal.diagonal(), 1e-300)
-    dp = 1.0 / np.sqrt(mass_diag)
-    Bp = (system.B @ sp.diags(dp)).tocsr()
-    rn = np.sqrt(np.asarray(Bp.multiply(Bp).sum(axis=1)).ravel())
-    med = np.median(rn[rn > 0]) if np.any(rn > 0) else 1.0
-    dl = 1.0 / np.maximum(rn, 0.05 * med)
-    return dp, dl
 
 
 @dataclass
@@ -136,13 +116,22 @@ class Equilibrated:
         return self.dp * x, self.dl * lam
 
 
-def equilibrated(system: SaddleSystem, equilibrate=True) -> Equilibrated:
-    """The system in its equilibrated basis (unit scalings if not
-    equilibrate)."""
-    if equilibrate:
-        dp, dl = _equilibration(system)
-    else:
-        dp, dl = np.ones(system.n_primal), np.ones(system.n_dual)
+def equilibrated(system: SaddleSystem) -> Equilibrated:
+    """The system in its equilibrated basis (a diagonal renormalization).
+
+    dp makes each primal basis function unit in L2(Q_T); dl then makes each
+    constraint row of B unit in the Euclidean norm, except that rows whose
+    norm is far below the median (near-dependent constraints such as
+    slice-constant divergence pairings) are left small rather than amplified
+    into unreachable dual directions.  Pure rescaling: the underlying
+    Galerkin problem and its solution functions are untouched.
+    """
+    mass_diag = np.maximum(system.M_primal.diagonal(), 1e-300)
+    dp = 1.0 / np.sqrt(mass_diag)
+    Bp = (system.B @ sp.diags(dp)).tocsr()
+    rn = np.sqrt(np.asarray(Bp.multiply(Bp).sum(axis=1)).ravel())
+    med = np.median(rn[rn > 0]) if np.any(rn > 0) else 1.0
+    dl = 1.0 / np.maximum(rn, 0.05 * med)
     Dp, Dl = sp.diags(dp), sp.diags(dl)
     return Equilibrated(system, dp, dl, (Dp @ system.A @ Dp).tocsr(),
                         (Dl @ system.B @ Dp).tocsr(), dp * system.L)
@@ -196,7 +185,7 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
     equilibrated basis).  They give B x^{k+1} for the dual update, A x and
     B^T lam for the next step and the mass products of the stopping test.
     """
-    eq = equilibrated(system, params.equilibrate)
+    eq = equilibrated(system)
     L = eq.L
     n, m = system.n_primal, system.n_dual
     KX, KL = _stacked_operators(eq)
@@ -428,14 +417,14 @@ def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000):
 def direct_solve(system: SaddleSystem, max_dim: int = 120_000):
     """Factorize the full symmetric indefinite KKT matrix (oracle/fallback).
 
-    The factorization runs on the equilibrated basis (better pivots); if the
-    matrix is numerically singular -- the discrete pair carries no inf-sup
-    guarantee, so this happens on the flow systems -- the solve falls back to
-    one `KktSolver` factorization of the quasi-definite regularization
-    ([A B^T; B -delta I]) with refinement, and is flagged.  The fallback
-    solves a singular system that has a solution; on one that has none it
-    returns `KktSolver.resolve`'s last iterate, whose residual stays above
-    its tolerance.  Returns (x, lam, flagged).
+    The factorization runs on the equilibrated basis (better pivots).  The
+    pipeline uses it for the heat systems only; the flow systems are always
+    numerically singular and go to `KktSolver` directly.  A numerically
+    singular matrix falls back to one `KktSolver` factorization of the
+    quasi-definite regularization ([A B^T; B -delta I]) with refinement, and
+    is flagged.  The fallback solves a singular system that has a solution;
+    on one that has none it returns `KktSolver.resolve`'s last iterate, whose
+    residual stays above its tolerance.  Returns (x, lam, flagged).
     """
     n, mdim = system.n_primal, system.n_dual
     if n + mdim > max_dim:

@@ -88,22 +88,45 @@ def test_hatted_key_rejected(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
-def test_heat_run_artifacts(tmp_path):
+def test_equilibrate_key_rejected():
+    # the iteration always runs on the equilibrated bases
+    with pytest.raises(ValueError, match="unknown config key"):
+        cfgmod.apply_setting(cfgmod.from_preset("heat-sec26"),
+                             "solver.equilibrate", "false")
+
+
+TINY_FLOW = ["--nx", "3", "--ny", "3", "--nt", "3",
+             "--set", "solver.outer_max=2"]
+
+
+# preset -> (extra arguments, CSV tables beyond the norms, VTK fields)
+ARTIFACTS = {
+    "heat-sec26": ([], {"iterations.csv"}, {"y", "v", "p_hat", "z_hat"}),
+    "stokes-sec37": (TINY_FLOW, set(), {"y", "v", "sigma"}),
+    "ns-taylor-green": (TINY_FLOW, {"outer_iterations.csv"},
+                        {"y", "v", "sigma", "y_total"}),
+}
+
+
+@pytest.mark.parametrize("preset", ARTIFACTS)
+def test_run_artifacts(tmp_path, preset):
+    extra, tables, fields = ARTIFACTS[preset]
     out = str(tmp_path / "run1")
-    rc = run(["run", "heat-sec26", "--out", out] + FAST)
+    rc = run(["run", preset, "--out", out] + FAST + extra)
     assert rc == 0
-    for name in ("config.resolved", "iterations.csv", "norms.csv",
-                 "norms_uncontrolled.csv", "summary.txt"):
-        assert os.path.exists(os.path.join(out, name)), name
-    vtks = [f for f in os.listdir(out) if f.endswith(".vtk")]
-    assert any(f.startswith("field_y_") for f in vtks)
-    assert any(f.startswith("field_v_") for f in vtks)
-    head = open(os.path.join(out, "iterations.csv")).readline().strip()
-    assert head == "iter,rel_err1,rel_err2"
+    files = os.listdir(out)
+    vtks = [f for f in files if f.endswith(".vtk")]
+    assert set(files) - set(vtks) == {
+        "config.resolved", "norms.csv", "norms_uncontrolled.csv",
+        "summary.txt"} | tables
+    assert {f[len("field_"):].rsplit("_", 1)[0] for f in vtks} == fields
     head = open(os.path.join(out, "norms.csv")).readline().strip()
-    assert head == "t,control_norm,state_norm"
-    vtk0 = [f for f in vtks if f.startswith("field_y_")][0]
-    text = open(os.path.join(out, vtk0)).read()
+    assert head == ("t,control_norm,state_norm" if preset == "heat-sec26"
+                    else "t,deviation_norm")
+    if "iterations.csv" in tables:
+        head = open(os.path.join(out, "iterations.csv")).readline().strip()
+        assert head == "iter,rel_err1,rel_err2"
+    text = open(os.path.join(out, vtks[0])).read()
     assert "DATASET UNSTRUCTURED_GRID" in text
     assert "CELL_TYPES" in text
 

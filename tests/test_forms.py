@@ -136,6 +136,25 @@ def test_oseen_with_zero_background_reduces_to_stokes(ws, small_mesh,
     assert abs(s1.B - s2.B).max() == 0.0
     assert np.array_equal(s1.L, s2.L)
 
+    # a background flow and a transported field add only transport terms,
+    # in the lam rows times the p columns of B.  The extra entries change
+    # the order in which the other entries of a lam row sum their
+    # duplicates, so those agree to rounding; the mu rows stay bitwise.
+    s3 = assemble_oseen(small_mesh, flow_spaces, ws, 0.7,
+                        Trajectory("taylor_green", nu=0.7), _wfun,
+                        (0.1, 0.0), rule)
+    for name in ("A", "M_primal", "M_dual"):
+        assert abs(getattr(s1, name) - getattr(s3, name)).max() == 0.0, name
+    assert np.array_equal(s1.L, s3.L)
+    lam, p = s1.block("lam", "dual"), s1.block("p")
+    D = (s3.B - s1.B).tocoo()
+    in_lam = (D.row >= lam.offset) & (D.row < lam.offset + lam.size)
+    in_p = (D.col >= p.offset) & (D.col < p.offset + p.size)
+    assert np.all(D.data[~in_lam] == 0.0)
+    rounding = 1e-15 * abs(s1.B).max()
+    assert np.abs(D.data[in_lam & ~in_p]).max() <= rounding
+    assert np.abs(D.data[in_lam & in_p]).max() > 1e-3 * abs(s1.B).max()
+
 
 def _heat_system(ws, nx=4, nt=4, G=1.0, y0=1000.0):
     mesh = build_mesh(nx, nx, nt, 1.0, 1.0, 1.0, (0.25, 0.5, 0.25, 0.5))

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nullctrl import pipeline
+from nullctrl import pipeline, saddle
 from nullctrl.cli import _summary_lines
 from nullctrl.config import RunConfig, from_preset, validate
 from nullctrl.fem import Assembler, QuadratureRule, build_space, l2_norm
@@ -40,8 +40,10 @@ def test_zero_datum_zero_solution():
 
 
 def test_control_vanishes_outside_region():
-    sol = solve_heat_control(heat_cfg())
-    mesh = sol.extras["mesh"]
+    cfg = heat_cfg()
+    sol = solve_heat_control(cfg)
+    assert "least_squares = False" in _summary_lines(cfg, sol, None, 0.0)
+    mesh = sol.mesh
     rng = np.random.default_rng(0)
     pts = rng.random((200, 2))
     x0, x1, y0, y1 = mesh.omega
@@ -87,9 +89,8 @@ def test_cost_change_of_variables_identity():
     would break the identity.
     """
     sol = solve_heat_control(heat_cfg())
-    ws = sol.extras["ws"]
-    mesh = sol.extras["mesh"]
-    zsp, psp, _ = sol.extras["spaces"]
+    ws, mesh = sol.ws, sol.mesh
+    zsp, psp, _ = sol.spaces
     asm = Assembler(mesh, QuadratureRule.default(2, 2))
     chimax = 1.0 * (np.e ** 2 - 1.0)
     delta = chimax / 300.0          # keeps exp(2 chi / tau) within range
@@ -151,7 +152,7 @@ def test_direct_fixed_point_factorizes_each_pass_once(factorizations):
     sol, fp = fixed_point_ns(cfg)
     assert fp.iters == [1, 2] and not fp.converged
     assert len(factorizations) == 2
-    rn = sol.extras["kkt_residual"]
+    rn = sol.info["kkt_residual"]
     assert np.isfinite(rn) and rn > 0
     assert f"kkt_residual = {rn:.6e}" in _summary_lines(cfg, sol, fp, 0.0)
 
@@ -172,7 +173,7 @@ def test_lsq_fixed_point_keeps_last_pass_diagnostics(monkeypatch):
     sol, fp = fixed_point_ns(cfg)
     assert len(infos) == 2
     last = infos[-1]
-    assert {k: sol.extras[k] for k in last} == last
+    assert sol.info == last
     assert set(last) == {"iterations", "residual", "istop"}
     lines = _summary_lines(cfg, sol, fp, 0.0)
     assert f"lsmr_iterations = {last['iterations']}" in lines
@@ -181,13 +182,24 @@ def test_lsq_fixed_point_keeps_last_pass_diagnostics(monkeypatch):
     assert not any(ln.startswith("kkt_residual") for ln in lines)
 
 
-def test_direct_fallback_factorizes_once(factorizations):
+def test_direct_fallback_factorizes_once(factorizations, monkeypatch,
+                                         capfd):
     # the small Stokes system is numerically singular, and refinement
-    # cannot meet its tolerance on it: one regularized factorization still
-    # serves the whole solve
+    # cannot meet its tolerance on it: one regularized factorization serves
+    # the whole solve, with no attempt at the exact (singular) one
+    exact = []
+    spsolve = saddle.spla.spsolve
+
+    def counted(*args, **kwargs):
+        exact.append(1)
+        return spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(saddle.spla, "spsolve", counted)
     sol = solve_stokes_control(stokes_cfg(nx=3, ny=3, nt=3))
-    assert sol.extras["least_squares"]
     assert len(factorizations) == 1
+    assert exact == []
+    assert capfd.readouterr() == ("", "")
+    assert sol.info["kkt_residual"] > 1e-9
 
 
 def test_bound_evaluator_matches_scattered_points():
@@ -214,14 +226,14 @@ def test_bound_evaluator_matches_scattered_points():
         for deg in (1, 2):
             sp_ = build_space(mesh, deg, 2, comps, "none")
             c = rng.standard_normal(sp_.ndof)
-            fields.append(WeightedField(sp_, c, ws, weight=0, power=comps,
-                                        sign=-1.0, region=mesh.omega))
-            fields.append(WeightedField(sp_, c, ws, weight="-", power=comps))
+            fields.append(WeightedField(sp_, c, ws, weight=0, sign=-1.0,
+                                        region=mesh.omega))
+            fields.append(WeightedField(sp_, c, ws, weight="-"))
 
     def reference(f, t):
         tt = np.broadcast_to(t, len(P))
         vals = f.space.eval(f.coeffs, P, tt)
-        w = f.sign * ws.inv_weight(f.weight, P, tt) ** f.power
+        w = f.sign * ws.inv_weight(f.weight, P, tt)
         if f.region is not None:
             w = w * inside
         return vals * (w[:, None] if vals.ndim == 2 else w)

@@ -70,13 +70,11 @@ def test_toy_direct_solution():
 def test_toy_iteration_matches_direct():
     system = toy_system()
     xd, ld, _ = direct_solve(system)
-    for equil in (False, True):
-        x, lam, log = arrow_hurwicz(
-            system, AHParams(r=0.3, s=1.0, tol=1e-12, max_iter=20000,
-                             equilibrate=equil))
-        assert np.allclose(x, xd, atol=1e-8)
-        assert np.allclose(lam, ld, atol=1e-8)
-        assert log.converged
+    x, lam, log = arrow_hurwicz(
+        system, AHParams(r=0.3, s=1.0, tol=1e-12, max_iter=20000))
+    assert np.allclose(x, xd, atol=1e-8)
+    assert np.allclose(lam, ld, atol=1e-8)
+    assert log.converged
 
 
 def test_zero_load_converges_immediately():
@@ -124,12 +122,12 @@ def test_converged_constraint_residual_scale():
 
 
 def test_divergence_reported():
-    system = toy_system()
+    system = toy_system()   # equilibrated: A_eq = 2 I, so r = 500 diverges
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(SolverDiverged) as err:
             arrow_hurwicz(system, AHParams(r=500.0, s=10.0, tol=1e-12,
-                                           max_iter=500, equilibrate=False))
+                                           max_iter=500))
     assert err.value.iteration >= 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
