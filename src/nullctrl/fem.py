@@ -376,18 +376,12 @@ class Batch:
         t = self.tq[None, :, :]
         return np.asarray(fun(X, t), dtype=float)
 
-    def field(self, space, coeffs, comp=0, op="v"):
+    def field(self, space, coeffs, comp=0):
         """Values of a FEM field of this mesh on the batch grid (P1, P2, Q)."""
-        val, grad, dt = self.tables(space)
+        val = self.tables(space)[0]
         D = self.dofs(space) + comp * space.ndof_scalar
         cc = np.asarray(coeffs, dtype=float)[D]              # (P1, P2, ldof)
-        if op == "v":
-            return np.einsum("abl,ql->abq", cc, val)
-        if op == "t":
-            return np.einsum("abl,ql->abq", cc, dt)
-        if op == "g":
-            return np.einsum("abl,qld->abqd", cc, grad)
-        raise ValueError(op)
+        return np.einsum("abl,ql->abq", cc, val)
 
 
 class Assembler:

@@ -36,7 +36,6 @@ class FieldBlock:
     space: TensorFemSpace
     offset: int        # offset into the reduced vector
     size: int          # number of free DOFs
-    full_offset: int   # offset into the stacked full vector
 
     def expand(self, reduced):
         """Full coefficient vector of this field from the reduced vector."""
@@ -50,7 +49,7 @@ class ProblemSpec:
     """What is being controlled; carried on the assembled system."""
 
     kind: str                      # heat | stokes | oseen
-    G: object = None               # heat potential, callable or scalar
+    G: float = None                # heat potential, a constant
     nu: float = None               # viscosity for flow kinds
     ybar: object = None            # background trajectory (oseen)
     w: object = None               # transported field (oseen fixed point)
@@ -194,10 +193,12 @@ class _Builder:
         """The target's terms as one CSR matrix, reduced to the free DOFs.
 
         The COO arrays are sized once and each term is copied into its slice
-        and dropped, in the order the terms were added: that order fixes the
-        order in which scipy sums duplicate entries, hence the matrix bits.
-        The index arrays have the dtype scipy converts to, so the conversion
-        copies nothing.
+        and dropped, in the order the terms were added.  Before summing
+        duplicates, scipy's `tocsr`/`sum_duplicates` sorts each row's column
+        indices with an unstable sort: the same sequence of terms gives the
+        same bits, but adding or reordering terms can change the rounding of
+        other entries in the same row.  The index arrays have the dtype scipy
+        converts to, so the conversion copies nothing.
         """
         terms = self._terms.pop(target)
         if not terms:
@@ -242,14 +243,12 @@ class _Builder:
         off = 0
         for name in self.primal_names:
             spc = self.primal_spaces[name]
-            primal.append(FieldBlock(name, spc, off, len(spc.free_idx),
-                                     self.full_off[name]))
+            primal.append(FieldBlock(name, spc, off, len(spc.free_idx)))
             off += len(spc.free_idx)
         off = 0
         for name in self.dual_names:
             spc = self.dual_spaces[name]
-            dual.append(FieldBlock(name, spc, off, len(spc.free_idx),
-                                   self.full_off[name]))
+            dual.append(FieldBlock(name, spc, off, len(spc.free_idx)))
             off += len(spc.free_idx)
         return SaddleSystem(A=A, B=B, L=L, primal=primal, dual=dual,
                             M_primal=Mp, M_dual=Md, mesh=self.mesh,
@@ -299,15 +298,13 @@ def assemble_heat(mesh, spaces, ws: WeightSet, G, y0,
                                           max(s.n for s in spaces))
     asm = Assembler(mesh, rule)
     bld = _Builder(mesh, [("z", zsp), ("p", psp)], [("lam", lsp)])
-    Gfun = G if callable(G) else (lambda X, t, g=float(G): np.full(np.broadcast(X[..., 0], t).shape, g))
+    G = float(G)
 
     for batch in asm.batches(zsp, psp, lsp):
         om = mesh.omega_flag[batch.tris]
         X = batch.Xq[:, None, :, :]
         t = batch.tq[None, :, :]
         c_mass, c_grad, c_time = ws.hatted_coeff_arrays(X, t)
-        gval = np.broadcast_to(np.asarray(Gfun(X, t), dtype=float),
-                               c_mass.shape)
         # A: plain mass on z, control-region mass on p
         bld.add("A", batch, ("z", 0, "v"), ("z", 0, "v"), 1.0)
         bld.add("A", batch, ("p", 0, "v"), ("p", 0, "v"), 1.0, region_mask=om)
@@ -316,7 +313,7 @@ def assemble_heat(mesh, spaces, ws: WeightSet, G, y0,
         bld.add("B", batch, ("lam", 0, "v"), ("p", 0, "t"), c_time)
         bld.add("B", batch, ("lam", 0, "gx"), ("p", 0, "gx"), -c_time)
         bld.add("B", batch, ("lam", 0, "gy"), ("p", 0, "gy"), -c_time)
-        bld.add("B", batch, ("lam", 0, "v"), ("p", 0, "v"), -c_time * gval)
+        bld.add("B", batch, ("lam", 0, "v"), ("p", 0, "v"), -c_time * G)
         bld.add("B", batch, ("lam", 0, "v"), ("p", 0, "gx"), c_grad[..., 0])
         bld.add("B", batch, ("lam", 0, "v"), ("p", 0, "gy"), c_grad[..., 1])
         bld.add("B", batch, ("lam", 0, "v"), ("p", 0, "v"), c_mass)

@@ -1,11 +1,11 @@
 """Independent forward-in-time solvers used only to verify computed controls.
 
 These deliberately re-implement their own spatial finite elements (hand-coded
-P1/P2 triangles on a structured grid) and use classical time stepping, so
-that agreement with the space-time control solver is evidence rather than
-tautology.  The only shared interface is the control field: a solver picks
-its own quadrature points X, calls control.at(X) once, and gets back a
-function t -> pointwise control values at X.
+P2 triangles, and P1 pressure, on a structured grid) and use classical time
+stepping, so that agreement with the space-time control solver is evidence
+rather than tautology.  The only shared interface is the control field: a
+solver picks its own quadrature points X, calls control.at(X) once, and gets
+back a function t -> pointwise control values at X.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ import scipy.sparse.linalg as spla
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Reference flow: zero, plane channel (poiseuille), or decaying vortex
+    """Reference flow: plane channel (poiseuille) or decaying vortex
     (taylor_green); nu enters the vortex decay rate exp(-8 nu t)."""
 
-    kind: str = "zero"
+    kind: str
     nu: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "poiseuille", "taylor_green"):
+        if self.kind not in ("poiseuille", "taylor_green"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
 
     def __call__(self, x, t):
@@ -42,9 +42,6 @@ def trajectory_eval(traj: Trajectory, x, t):
     x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
     t = np.asarray(t, dtype=float)
-    if traj.kind == "zero":
-        shape = np.broadcast(x1, t).shape
-        return np.zeros(shape + (2,))
     if traj.kind == "poiseuille":
         u1 = 4.0 * x2 * (1.0 - x2)
         u1 = np.broadcast_to(u1, np.broadcast(x1, t).shape)
@@ -102,8 +99,10 @@ class NormHistory:
                     fh.write(f"{t:.12e},{c:.12e},{s:.12e}\n")
 
 
+
+
 # ---------------------------------------------------------------------------
-# structured spatial grid with hand-coded P1 / P2 Lagrange triangles
+# structured spatial grid with hand-coded P2 Lagrange triangles
 # ---------------------------------------------------------------------------
 
 def _p2_shape(lam):
@@ -123,16 +122,6 @@ def _p2_shape_grad(lam):
     d2 = np.stack([1 - 4 * l0, z, 4 * l2 - 1, -4 * l1, 4 * l1, 4 * (l0 - l2)],
                   axis=-1)
     return np.stack([d1, d2], axis=-1)   # (..., 6, 2)
-
-
-def _p1_shape(lam):
-    return np.asarray(lam)
-
-
-def _p1_shape_grad(lam):
-    n = np.shape(lam)[0] if np.ndim(lam) > 1 else 1
-    g = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    return np.broadcast_to(g, (n, 3, 2))
 
 
 def _tri_gauss(npts):
@@ -178,10 +167,9 @@ class SpatialGrid:
         self.tri_corners = np.array(tri)          # (ntri, 3, 2) integer coords
         self.ntri = len(tri)
         verts = self.tri_corners * np.array([self.hx, self.hy])
-        self.verts = verts.astype(float)          # (ntri, 3, 2) physical
+        self.verts = verts                        # (ntri, 3, 2) physical
         J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
                      axis=-1)
-        self.J = J
         self.detJ = np.abs(np.linalg.det(J))
         self.Jinv = np.linalg.inv(J)
 
@@ -230,66 +218,98 @@ class SpatialGrid:
         return qp, qw, X
 
 
-def _assemble(grid, degree, qnpts, kind):
-    """Scalar element assembly: kind in {mass, stiffness}."""
-    qp, qw, _ = grid.quad_points(qnpts)
-    lam = np.column_stack([1 - qp[:, 0] - qp[:, 1], qp])
-    if degree == 2:
-        sv = _p2_shape(lam)
-        sg = _p2_shape_grad(lam)
-    else:
-        sv = _p1_shape(lam)
-        sg = _p1_shape_grad(lam)
-    conn = grid.conn(degree)
-    w = qw[None, :] * grid.detJ[:, None]
-    if kind == "mass":
-        E = np.einsum("tq,qi,qj->tij", w, sv, sv)
-    elif kind == "stiffness":
-        g = np.einsum("tkd,qsk->tqsd", grid.Jinv, sg)
-        E = np.einsum("tq,tqid,tqjd->tij", w, g, g)
-    else:
-        raise ValueError(kind)
-    rows = np.broadcast_to(conn[:, :, None], E.shape).ravel()
-    cols = np.broadcast_to(conn[:, None, :], E.shape).ravel()
-    n = conn.max() + 1
-    return sp.coo_matrix((E.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+# ---------------------------------------------------------------------------
+# shared core: element table, assembly, control binding, step schedule; the
+# solvers differ only in the PDE operator, Dirichlet data and recorded norm
+# ---------------------------------------------------------------------------
+
+def _matrix(rconn, cconn, E):
+    """CSR matrix summing the element blocks E (ntri, i, j) into the rows
+    rconn (ntri, i) and columns cconn (ntri, j)."""
+    rows = np.broadcast_to(rconn[:, :, None], E.shape).ravel()
+    cols = np.broadcast_to(cconn[:, None, :], E.shape).ravel()
+    shape = (rconn.max() + 1, cconn.max() + 1)
+    return sp.coo_matrix((E.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+class _Elements:
+    """P2 element table of the grid for one Gauss rule of npts points.
+
+    X are the physical quadrature points (ntri, Q, 2), w the weights times
+    |det J| (ntri, Q), lam the barycentric coordinates of the rule's points
+    (Q, 3), v the P2 values (Q, 6), g the physical P2 gradients
+    (ntri, Q, 6, 2); M and K are the P2 mass and stiffness matrices.
+    """
+
+    def __init__(self, grid, npts):
+        self.grid = grid
+        qp, qw, self.X = grid.quad_points(npts)
+        self.lam = np.column_stack([1 - qp[:, 0] - qp[:, 1], qp])
+        self.v = _p2_shape(self.lam)
+        self.g = np.einsum("tkd,qsk->tqsd", grid.Jinv,
+                           _p2_shape_grad(self.lam))
+        self.w = qw[None, :] * grid.detJ[:, None]
+        self.conn = grid.conn(2)
+        self.nodes = grid.nodes(2)
+        self.bdry = grid.boundary_nodes(2)
+        self.interior = np.setdiff1d(np.arange(len(self.nodes)), self.bdry)
+        self.M = _matrix(self.conn, self.conn,
+                         np.einsum("tq,qi,qj->tij", self.w, self.v, self.v))
+        self.K = _matrix(self.conn, self.conn,
+                         np.einsum("tq,tqid,tqjd->tij", self.w, self.g, self.g))
+
+    def bind(self, control, box):
+        """(w, conn, v_at) on the triangles in box: their weights and
+        connectivity, and control.at bound once to their quadrature points."""
+        keep = self.grid.tris_in(box)
+        return self.w[keep], self.conn[keep], control.at(self.X[keep])
+
+
+_STARTUP_STEPS = 2
+
+
+def _steps(T, nt_fwd):
+    """Time levels and, per step, (theta, load time, new time).
+
+    The first _STARTUP_STEPS steps use theta = 1 with the load at the new
+    time, damping the checkerboard transient excited by boundary-incompatible
+    initial data; the rest use theta = 1/2 with the load at the midpoint, so
+    the scheme stays second order.
+    """
+    times = np.linspace(0.0, T, nt_fwd + 1)
+    steps = [(1.0, t1, t1) if k < _STARTUP_STEPS else (0.5, 0.5 * (t0 + t1), t1)
+             for k, (t0, t1) in enumerate(zip(times[:-1], times[1:]))]
+    return times, steps
+
+
+def _nodal(y0, nodes, shape):
+    """Initial nodal values from a callable of the node coordinates or a
+    constant (a scalar, or one value per velocity component)."""
+    y = np.empty(shape)
+    y[...] = y0(nodes) if callable(y0) else np.asarray(y0, dtype=float)
+    return y
 
 
 # ---------------------------------------------------------------------------
 # Crank-Nicolson heat solver
 # ---------------------------------------------------------------------------
 
-def heat_forward_cn(grid: SpatialGrid, degree, y0, G, control, T, nt_fwd,
-                    omega_box=None, startup_steps=2):
+def heat_forward_cn(grid: SpatialGrid, y0, G, control, T, nt_fwd,
+                    omega_box=None):
     """theta = 1/2 stepping of the controlled reaction-diffusion problem.
 
-    y_t - Lap y + G y = v 1_omega with homogeneous Dirichlet data; y0 and G
-    may be scalars or callables; control is None or a field whose
-    control.at(X) returns t -> values at the points X, supported in the
-    control region.  The first startup_steps use theta = 1, damping the
-    checkerboard transient excited by boundary-incompatible initial data
-    (the scheme stays second order).
+    y_t - Lap y + G y = v 1_omega with homogeneous Dirichlet data; y0 is a
+    scalar or a callable of the node coordinates and G a constant; control
+    is None or a field whose control.at(X) returns t -> values at the points
+    X, supported in the control region.  Steps follow `_steps`.
     Returns the norm history and the final coefficient vector.
     """
-    deg = int(degree)
-    qnpts = 6
-    M = _assemble(grid, deg, qnpts, "mass")
-    K = _assemble(grid, deg, qnpts, "stiffness")
-    if callable(G):
-        raise NotImplementedError("time-independent potentials only")
-    S = K + float(G) * M
-
-    nodes = grid.nodes(deg)
-    n = len(nodes)
-    bdry = grid.boundary_nodes(deg)
-    interior = np.setdiff1d(np.arange(n), bdry)
-
-    y = np.zeros(n)
-    if callable(y0):
-        y[:] = y0(nodes)
-    else:
-        y[:] = float(y0)
-    y[bdry] = 0.0
+    el = _Elements(grid, 6)
+    M, interior = el.M, el.interior
+    S = el.K + float(G) * M
+    n = len(el.nodes)
+    y = _nodal(y0, el.nodes, n)
+    y[el.bdry] = 0.0
 
     dt = T / nt_fwd
     solves = {}
@@ -299,18 +319,12 @@ def heat_forward_cn(grid: SpatialGrid, degree, y0, G, control, T, nt_fwd,
                          (M / dt - (1.0 - theta) * S).tocsr())
 
     if control is not None:
-        qp, qw, X = grid.quad_points(qnpts)
-        keep = grid.tris_in(omega_box)
-        lam = np.column_stack([1 - qp[:, 0] - qp[:, 1], qp])
-        sv = _p2_shape(lam) if deg == 2 else _p1_shape(lam)
-        conn = grid.conn(deg)[keep]
-        w = qw[None, :] * grid.detJ[keep, None]
-        v_at = control.at(X[keep])
+        w, conn, v_at = el.bind(control, omega_box)
 
     def control_load(t):
         out = np.zeros(n)
         if control is not None:
-            np.add.at(out, conn, np.einsum("tq,qi->ti", w * v_at(t), sv))
+            np.add.at(out, conn, np.einsum("tq,qi->ti", w * v_at(t), el.v))
         return out
 
     def control_norm(t):
@@ -319,19 +333,16 @@ def heat_forward_cn(grid: SpatialGrid, degree, y0, G, control, T, nt_fwd,
         v = v_at(t)
         return float(np.sqrt(max((w * v * v).sum(), 0.0)))
 
-    times = np.linspace(0.0, T, nt_fwd + 1)
+    times, steps = _steps(T, nt_fwd)
     state_norms = [float(np.sqrt(max(y @ (M @ y), 0.0)))]
     control_norms = [control_norm(0.0)]
-    for k in range(nt_fwd):
-        theta = 1.0 if k < startup_steps else 0.5
+    for theta, t_load, t_new in steps:
         solve, rhs_op = solves[theta]
-        tm = times[k + 1] if theta == 1.0 else 0.5 * (times[k] + times[k + 1])
-        b = (rhs_op @ y)[interior] + control_load(tm)[interior]
-        y_new = np.zeros(n)
-        y_new[interior] = solve(b)
-        y = y_new
+        b = (rhs_op @ y)[interior] + control_load(t_load)[interior]
+        y = np.zeros(n)
+        y[interior] = solve(b)
         state_norms.append(float(np.sqrt(max(y @ (M @ y), 0.0))))
-        control_norms.append(control_norm(times[k + 1]))
+        control_norms.append(control_norm(t_new))
     hist = NormHistory(times=times, control_norms=np.array(control_norms),
                        state_norms=np.array(state_norms))
     return hist, y
@@ -341,162 +352,123 @@ def heat_forward_cn(grid: SpatialGrid, degree, y0, G, control, T, nt_fwd,
 # incompressible flow solver (Taylor-Hood, semi-implicit convection)
 # ---------------------------------------------------------------------------
 
-class _TaylorHood:
-    """P2 velocity / P1 pressure operators on the grid, with a zero-mean
-    pressure constraint row."""
+class _TaylorHood(_Elements):
+    """P2 velocity / P1 pressure operators on the grid: the P2 table on the
+    7-point rule plus the divergence blocks, split into interior columns
+    Dint (both components side by side) and boundary columns Db[c], and the
+    zero-mean pressure constraint row."""
 
     def __init__(self, grid):
-        self.grid = grid
-        self.qp, self.qw, self.X = grid.quad_points(7)
-        lam = np.column_stack([1 - self.qp[:, 0] - self.qp[:, 1], self.qp])
-        self.v2 = _p2_shape(lam)
-        self.g2 = np.einsum("tkd,qsk->tqsd", grid.Jinv, _p2_shape_grad(lam))
-        self.v1 = _p1_shape(lam)
-        self.conn2 = grid.conn(2)
-        self.conn1 = grid.conn(1)
-        self.n2 = self.conn2.max() + 1
-        self.n1 = self.conn1.max() + 1
-        self.w = self.qw[None, :] * grid.detJ[:, None]
-
-        self.M = self._mat2(np.einsum("tq,qi,qj->tij", self.w, self.v2, self.v2))
-        self.K = self._mat2(np.einsum("tq,tqid,tqjd->tij", self.w, self.g2, self.g2))
-        # div coupling: rows pressure, cols velocity component c
-        self.D = [self._mat12(np.einsum("tq,qi,tqjc->tij", self.w, self.v1,
-                                        self.g2[..., c:c + 1]).squeeze())
-                  for c in range(2)]
-        # pressure mean row
-        self.pmean = np.zeros(self.n1)
-        np.add.at(self.pmean, self.conn1,
-                  np.einsum("tq,qi->ti", self.w, self.v1))
-
-    def _mat2(self, E):
-        rows = np.broadcast_to(self.conn2[:, :, None], E.shape).ravel()
-        cols = np.broadcast_to(self.conn2[:, None, :], E.shape).ravel()
-        return sp.coo_matrix((E.ravel(), (rows, cols)),
-                             shape=(self.n2, self.n2)).tocsr()
-
-    def _mat12(self, E):
-        rows = np.broadcast_to(self.conn1[:, :, None], E.shape).ravel()
-        cols = np.broadcast_to(self.conn2[:, None, :], E.shape).ravel()
-        return sp.coo_matrix((E.ravel(), (rows, cols)),
-                             shape=(self.n1, self.n2)).tocsr()
+        super().__init__(grid, 7)
+        conn1 = grid.conn(1)
+        # rows pressure, cols velocity component c; the P1 values are lam
+        D = [_matrix(conn1, self.conn,
+                     np.einsum("tq,qi,tqjc->tij", self.w, self.lam,
+                               self.g[..., c:c + 1]).squeeze())
+             for c in range(2)]
+        self.Dint = sp.hstack([D[0][:, self.interior],
+                               D[1][:, self.interior]]).tocsr()
+        self.Db = [Dc[:, self.bdry] for Dc in D]
+        self.pmean = np.zeros(conn1.max() + 1)
+        np.add.at(self.pmean, conn1, np.einsum("tq,qi->ti", self.w, self.lam))
 
     def convection(self, adv):
         """Matrix of (adv . grad) u . v for a P2 vector field adv (n2, 2)."""
-        a = np.einsum("tic,qi->tqc", adv[self.conn2], self.v2)
+        a = np.einsum("tic,qi->tqc", adv[self.conn], self.v)
         E = np.einsum("tq,tqjc,qi->tij",
-                      self.w, np.einsum("tqc,tqjc->tqjc", a, self.g2), self.v2)
-        return self._mat2(E)
+                      self.w, np.einsum("tqc,tqjc->tqjc", a, self.g), self.v)
+        return _matrix(self.conn, self.conn, E)
 
     def divergence_residual(self, u):
         """|div u|_L2 relative to |grad u|_L2."""
-        gu = np.einsum("tic,tqid->tqcd", u[self.conn2], self.g2)
+        gu = np.einsum("tic,tqid->tqcd", u[self.conn], self.g)
         div = gu[..., 0, 0] + gu[..., 1, 1]
         nrm = np.einsum("tq,tqcd,tqcd->", self.w, gu, gu)
         dd = np.einsum("tq,tq,tq->", self.w, div, div)
         return float(np.sqrt(max(dd, 0.0) / max(nrm, 1e-300)))
 
+    def norm(self, u):
+        """L2 norm of a P2 vector field (n2, 2)."""
+        return float(np.sqrt(sum(u[:, c] @ (self.M @ u[:, c])
+                                 for c in range(2))))
 
-def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, nonlinear,
-                 T, nt_fwd, omega_box=None, startup_steps=2):
+
+def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
+                 omega_box=None):
     """Velocity/pressure stepping of the (Navier-)Stokes momentum balance.
 
-    Dirichlet data on the velocity is taken from the trajectory (no-slip for
-    the zero trajectory); the convecting field is extrapolated from previous
-    steps, viscous and pressure terms are treated by the midpoint rule, and
-    the divergence constraint is enforced at the new time level with a
-    zero-mean pressure.  Returns the history of ||y - ybar|| and the final
+    trajectory=None is the Stokes problem with no-slip walls: no convection,
+    and one cached factorization per theta.  Otherwise the velocity's
+    Dirichlet data come from the trajectory, the convecting field is
+    extrapolated from the previous steps and every step factorizes.  Viscous
+    and pressure terms follow `_steps`' theta-scheme, and the divergence
+    constraint is enforced at the new time level with a zero-mean pressure.
+    Returns the history of ||y - ybar|| (ybar = 0 for Stokes) and the final
     velocity coefficients.
     """
     th = _TaylorHood(grid)
-    nodes = grid.nodes(2)
-    n2 = th.n2
-    bdry = grid.boundary_nodes(2)
-    interior = np.setdiff1d(np.arange(n2), bdry)
-    ni = len(interior)
+    nodes, bdry, interior = th.nodes, th.bdry, th.interior
+    n, ni = len(nodes), len(interior)
 
-    traj = trajectory if trajectory is not None else Trajectory("zero")
+    def wall(t):
+        """Reference flow at the nodes; its boundary values are the data."""
+        if trajectory is None:
+            return np.zeros((n, 2))
+        return np.asarray(trajectory(nodes, t), dtype=float)
 
-    def traj_nodes(t):
-        return np.asarray(traj(nodes, t), dtype=float)
-
-    y = np.asarray(y0(nodes), dtype=float) if callable(y0) else \
-        np.broadcast_to(np.asarray(y0, dtype=float), (n2, 2)).copy()
-    y = np.array(y)
-    y[bdry] = traj_nodes(0.0)[bdry]
+    ybar = wall(0.0)
+    y = _nodal(y0, nodes, (n, 2))
+    y[bdry] = ybar[bdry]
 
     if control is not None:
-        keep = grid.tris_in(omega_box)
-        v_at = control.at(th.X[keep])
-        w, conn = th.w[keep], th.conn2[keep]
+        w, conn, v_at = th.bind(control, omega_box)
 
     def control_load(t):
-        out = np.zeros((n2, 2))
+        out = np.zeros((n, 2))
         if control is not None:
             v = np.asarray(v_at(t), dtype=float)
-            np.add.at(out, conn, np.einsum("tq,tqc,qi->tic", w, v, th.v2))
+            np.add.at(out, conn, np.einsum("tq,tqc,qi->tic", w, v, th.v))
         return out
 
     dt = T / nt_fwd
-    times = np.linspace(0.0, T, nt_fwd + 1)
-
-    Mi = th.M
-    dev0 = y - traj_nodes(0.0)
-    dev_norm = [float(np.sqrt(sum(dev0[:, c] @ (Mi @ dev0[:, c])
-                                  for c in range(2))))]
+    times, steps = _steps(T, nt_fwd)
+    dev_norm = [th.norm(y - ybar)]
     max_div = 0.0
-    y_prev = y.copy()
+    y_prev = y
     factor_cache = {}
-    for k in range(nt_fwd):
-        t0, t1 = times[k], times[k + 1]
-        # convecting velocity: extrapolated state for nonlinear runs, the
-        # trajectory alone for linearized runs, none for plain Stokes
-        if nonlinear:
-            adv = 1.5 * y - 0.5 * y_prev if k > 0 else y
-            C = th.convection(adv)
-        elif traj.kind != "zero":
-            C = th.convection(np.asarray(traj(nodes, 0.5 * (t0 + t1)),
-                                         dtype=float))
-        else:
-            C = None
-        Sop = nu * th.K if C is None else nu * th.K + C
-
-        theta = 1.0 if k < startup_steps else 0.5
-        tload = t1 if theta == 1.0 else 0.5 * (t0 + t1)
+    for k, (theta, t_load, t_new) in enumerate(steps):
+        Sop = nu * th.K
+        if trajectory is not None:
+            Sop = Sop + th.convection(1.5 * y - 0.5 * y_prev if k > 0 else y)
         A11 = (th.M / dt + theta * Sop).tocsr()
-        rhs_full = (th.M / dt - (1.0 - theta) * Sop) @ y + control_load(tload)
-
-        gb = traj_nodes(t1)
-        # block system on interior velocity dofs + full pressure + mean row
-        Aii = sp.bmat([[A11[interior][:, interior], None],
-                       [None, A11[interior][:, interior]]], format="csr")
-        Dint = sp.hstack([th.D[0][:, interior], th.D[1][:, interior]]).tocsr()
-        rhs_v = np.concatenate([rhs_full[interior, 0], rhs_full[interior, 1]])
-        # move known boundary values (at t1) to the right-hand side
-        for c in range(2):
-            rhs_seg = rhs_v[c * ni:(c + 1) * ni]
-            rhs_seg -= (A11[interior][:, bdry] @ gb[bdry, c])
-        rhs_p = -(th.D[0][:, bdry] @ gb[bdry, 0]
-                  + th.D[1][:, bdry] @ gb[bdry, 1])
-        rhs = np.concatenate([rhs_v, rhs_p, [0.0]])
-        if C is None and theta in factor_cache:
-            solve = factor_cache[theta]
-        else:
-            KKT = sp.bmat([[Aii, Dint.T, None],
-                           [Dint, None, th.pmean[:, None]],
+        Ai = A11[interior]
+        Aib = Ai[:, bdry]
+        rhs_full = (th.M / dt - (1.0 - theta) * Sop) @ y + control_load(t_load)
+        # block system on interior velocity dofs + full pressure + mean row,
+        # with the known boundary values at t_new moved to the right side
+        ybar = wall(t_new)
+        gb = ybar[bdry]
+        rhs = np.concatenate([rhs_full[interior, 0] - Aib @ gb[:, 0],
+                              rhs_full[interior, 1] - Aib @ gb[:, 1],
+                              -(th.Db[0] @ gb[:, 0] + th.Db[1] @ gb[:, 1]),
+                              [0.0]])
+        solve = factor_cache.get(theta) if trajectory is None else None
+        if solve is None:
+            Aii = Ai[:, interior]
+            KKT = sp.bmat([[sp.bmat([[Aii, None], [None, Aii]], format="csr"),
+                            th.Dint.T, None],
+                           [th.Dint, None, th.pmean[:, None]],
                            [None, th.pmean[None, :], None]], format="csc")
             solve = spla.factorized(KKT)
-            if C is None:
+            if trajectory is None:
                 factor_cache[theta] = solve
         sol = solve(rhs)
         y_prev = y
-        y = np.empty((n2, 2))
-        y[bdry] = gb[bdry]
+        y = np.empty((n, 2))
+        y[bdry] = gb
         y[interior, 0] = sol[:ni]
         y[interior, 1] = sol[ni:2 * ni]
-        dev = y - traj_nodes(t1)
-        dev_norm.append(float(np.sqrt(sum(dev[:, c] @ (Mi @ dev[:, c])
-                                          for c in range(2)))))
+        dev_norm.append(th.norm(y - ybar))
         max_div = max(max_div, th.divergence_residual(y))
 
     hist = NormHistory(times=times, deviation_norms=np.array(dev_norm),

@@ -30,8 +30,6 @@ class SpaceTimeMesh:
     triangles: np.ndarray                       # (ntri, 3) vertex indices
     time_nodes: np.ndarray                      # (nt+1,)
     omega_flag: np.ndarray                      # (ntri,) bool
-    edges: np.ndarray                           # (nedge, 2) vertex indices
-    boundary_edge_flags: np.ndarray             # (nedge,) bool
     diagonal: str = "same"
     xgrid: np.ndarray = field(repr=False, default=None)
     ygrid: np.ndarray = field(repr=False, default=None)
@@ -128,31 +126,12 @@ def build_mesh(nx, ny, nt, L1, L2, T, omega, diagonal="same") -> SpaceTimeMesh:
             omega_flag[2 * cell] = inside
             omega_flag[2 * cell + 1] = inside
 
-    pairs = np.sort(np.concatenate([triangles[:, [0, 1]],
-                                    triangles[:, [1, 2]],
-                                    triangles[:, [0, 2]]]), axis=1)
-    edges = np.unique(pairs, axis=0)
-    on_bdry = ((vertices[:, 0] == 0.0) | (vertices[:, 0] == L1)
-               | (vertices[:, 1] == 0.0) | (vertices[:, 1] == L2))
-    # a structured-grid edge lies on the boundary iff both ends do and it is
-    # axis-aligned (diagonals never connect two boundary vertices of the
-    # same side)
-    dv = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-    axis_aligned = (dv[:, 0] == 0.0) | (dv[:, 1] == 0.0)
-    boundary_edge_flags = on_bdry[edges[:, 0]] & on_bdry[edges[:, 1]] & axis_aligned
-    same_side = ((vertices[edges[:, 0], 0] == vertices[edges[:, 1], 0])
-                 & np.isin(vertices[edges[:, 0], 0], (0.0, L1))
-                 | (vertices[edges[:, 0], 1] == vertices[edges[:, 1], 1])
-                 & np.isin(vertices[edges[:, 0], 1], (0.0, L2)))
-    boundary_edge_flags &= same_side
-
     time_nodes = np.linspace(0.0, T, nt + 1)
     return SpaceTimeMesh(L1=L1, L2=L2, T=T, nx=nx, ny=ny, nt=nt,
                          omega=(float(xgrid[i0]), float(xgrid[i1]),
                                 float(ygrid[j0]), float(ygrid[j1])),
                          vertices=vertices, triangles=triangles,
                          time_nodes=time_nodes, omega_flag=omega_flag,
-                         edges=edges, boundary_edge_flags=boundary_edge_flags,
                          diagonal=diagonal, xgrid=xgrid, ygrid=ygrid)
 
 

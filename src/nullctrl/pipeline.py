@@ -194,7 +194,7 @@ def solve_heat_control(cfg) -> ControlSolution:
     system = assemble_heat(mesh, spaces, ws, cfg.G, y0)
 
     def forward(grid, control):
-        return heat_forward_cn(grid, 2, y0, cfg.G, control, cfg.T,
+        return heat_forward_cn(grid, y0, cfg.G, control, cfg.T,
                                cfg.verify_nt, omega_box=mesh.omega)[0]
 
     return _solution(cfg, mesh, ws, spaces, system,
@@ -208,7 +208,7 @@ def solve_stokes_control(cfg) -> ControlSolution:
     system = assemble_stokes(mesh, spaces, ws, cfg.nu, y0)
 
     def forward(grid, control):   # no trajectory: no-slip, no convection
-        return flow_forward(grid, cfg.nu, y0, control, None, False, cfg.T,
+        return flow_forward(grid, cfg.nu, y0, control, None, cfg.T,
                             cfg.verify_nt, omega_box=mesh.omega)[0]
 
     return _solution(cfg, mesh, ws, spaces, system,
@@ -264,7 +264,7 @@ def fixed_point_ns(cfg):
         return np.asarray(traj(X, 0.0), dtype=float) + u0(X)
 
     def forward(grid, control):
-        return flow_forward(grid, cfg.nu, y0f, control, traj, True, cfg.T,
+        return flow_forward(grid, cfg.nu, y0f, control, traj, cfg.T,
                             cfg.verify_nt, omega_box=mesh.omega)[0]
 
     return _solution(cfg, mesh, ws, spaces, system, solved, forward,

@@ -138,13 +138,7 @@ def equilibrated(system: SaddleSystem) -> Equilibrated:
 
 
 def _eq_mass(M, d):
-    """Mass matrix of the norm test in the equilibrated basis, D M D.
-
-    A missing or empty mass matrix means the Euclidean norm of the
-    unscaled vector, i.e. M = I.
-    """
-    if M is None or M.shape[0] == 0:
-        return sp.diags(d * d, format="csr")
+    """Mass matrix of the norm test in the equilibrated basis, D M D."""
     return (sp.diags(d) @ M @ sp.diags(d)).tocsr()
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nullctrl import forward
 from nullctrl.forward import (SpatialGrid, Trajectory, curl_perturbation,
                               flow_forward, heat_forward_cn, trajectory_eval)
 
@@ -15,25 +16,25 @@ def sin_mode(X):
 
 def test_heat_decay_against_separated_solution():
     grid = SpatialGrid(32, 32, 1.0, 1.0)
-    hist, _ = heat_forward_cn(grid, 2, sin_mode, 0.0, None, 0.1, 200)
+    hist, _ = heat_forward_cn(grid, sin_mode, 0.0, None, 0.1, 200)
     exact = np.exp(-2.0 * np.pi ** 2 * 0.1) * hist.state_norms[0]
     assert hist.state_norms[-1] == pytest.approx(exact, rel=0.01)
 
 
 def test_heat_second_order_in_time():
     grid = SpatialGrid(32, 32, 1.0, 1.0)
-    base, _ = heat_forward_cn(grid, 2, sin_mode, 0.0, None, 0.1, 3200)
+    base, _ = heat_forward_cn(grid, sin_mode, 0.0, None, 0.1, 3200)
     ref = base.state_norms[-1]          # resolved-in-time reference
     errs = []
     for nt in (25, 50):
-        h, _ = heat_forward_cn(grid, 2, sin_mode, 0.0, None, 0.1, nt)
+        h, _ = heat_forward_cn(grid, sin_mode, 0.0, None, 0.1, nt)
         errs.append(abs(h.state_norms[-1] - ref))
     assert 3.0 <= errs[0] / errs[1] <= 5.0
 
 
 def test_heat_zero_data_stays_zero():
     grid = SpatialGrid(8, 8, 1.0, 1.0)
-    hist, y = heat_forward_cn(grid, 2, 0.0, 0.0, None, 0.5, 20)
+    hist, y = heat_forward_cn(grid, 0.0, 0.0, None, 0.5, 20)
     assert np.abs(y).max() == 0.0
     assert hist.state_norms.max() == 0.0
 
@@ -42,7 +43,7 @@ def test_heat_incompatible_data_boundary_recovered():
     # constant-1000 data with homogeneous Dirichlet walls: the discrete state
     # honors the boundary for every t > 0 and decays under G = 1
     grid = SpatialGrid(16, 16, 1.0, 1.0)
-    hist, y = heat_forward_cn(grid, 2, 1000.0, 1.0, None, 0.5, 50)
+    hist, y = heat_forward_cn(grid, 1000.0, 1.0, None, 0.5, 50)
     bdry = grid.boundary_nodes(2)
     assert np.abs(y[bdry]).max() == 0.0
     assert np.all(np.isfinite(hist.state_norms))
@@ -50,7 +51,8 @@ def test_heat_incompatible_data_boundary_recovered():
 
 
 class ConstantControl:
-    """Control equal to c at every point it is bound to; counts bindings."""
+    """Control equal to c at every point it is bound to, a scalar or one
+    value per velocity component; counts bindings."""
 
     def __init__(self, c):
         self.c = c
@@ -58,7 +60,7 @@ class ConstantControl:
 
     def at(self, X):
         self.bindings += 1
-        return lambda t: np.full(X.shape[:-1], self.c)
+        return lambda t: np.full(X.shape[:-1] + np.shape(self.c), self.c)
 
 
 def test_heat_controlled_branch():
@@ -70,7 +72,7 @@ def test_heat_controlled_branch():
     runs = []
     for c in (-3.0, -6.0):
         control = ConstantControl(c)
-        hist, y = heat_forward_cn(grid, 2, 0.0, 1.0, control, 0.5, 20,
+        hist, y = heat_forward_cn(grid, 0.0, 1.0, control, 0.5, 20,
                                   omega_box=box)
         assert control.bindings == 1
         assert np.allclose(hist.control_norms, abs(c) * np.sqrt(area),
@@ -79,6 +81,64 @@ def test_heat_controlled_branch():
         runs.append(y)
     assert np.allclose(runs[1], 2.0 * runs[0], rtol=1e-12,
                        atol=1e-14 * np.abs(runs[1]).max())
+
+
+def test_stokes_controlled_branch():
+    # no trajectory: no-slip walls and zero data, so the final velocity is
+    # linear in the control
+    grid = SpatialGrid(6, 6, 1.0, 1.0)
+    box = (1 / 3, 2 / 3, 1 / 3, 2 / 3)
+    runs = []
+    for c in ((1.0, -2.0), (2.0, -4.0)):
+        control = ConstantControl(c)
+        hist, y = flow_forward(grid, 1.0, (0.0, 0.0), control, None, 0.3, 6,
+                               omega_box=box)
+        assert control.bindings == 1
+        assert hist.deviation_norms[0] == 0.0
+        assert hist.deviation_norms[-1] > 0.0
+        runs.append(y)
+    assert np.allclose(runs[1], 2.0 * runs[0], rtol=1e-12,
+                       atol=1e-14 * np.abs(runs[1]).max())
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts the forward solvers' sparse LU factorizations."""
+    calls = []
+    real = forward.spla.factorized
+
+    def counted(A):
+        calls.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(forward.spla, "factorized", counted)
+    return calls
+
+
+def test_heat_factorizes_once_per_theta(factorizations):
+    grid = SpatialGrid(4, 4, 1.0, 1.0)
+    heat_forward_cn(grid, sin_mode, 1.0, None, 0.1, 7)
+    assert len(factorizations) == 2
+
+
+@pytest.mark.parametrize("nt_fwd", [3, 7])
+def test_stokes_reuses_factorization_per_theta(factorizations, nt_fwd):
+    grid = SpatialGrid(4, 4, 1.0, 1.0)
+    flow_forward(grid, 1.0, (0.0, 0.0), None, None, 0.1, nt_fwd)
+    assert len(factorizations) == 2
+
+
+def test_navier_stokes_factorizes_every_step(factorizations):
+    grid = SpatialGrid(4, 4, np.pi, np.pi)
+    traj = Trajectory("taylor_green")
+    flow_forward(grid, 1.0, lambda X: trajectory_eval(traj, X, 0.0), None,
+                 traj, 0.1, 5)
+    assert len(factorizations) == 5
+
+
+def test_zero_trajectory_kind_rejected():
+    with pytest.raises(ValueError):
+        Trajectory("zero")
 
 
 def test_trajectory_closed_forms():
@@ -119,8 +179,7 @@ def test_curl_perturbation_properties():
 
 def test_flow_zero_data_stays_zero():
     grid = SpatialGrid(6, 6, 1.0, 1.0)
-    hist, y = flow_forward(grid, 1.0, (0.0, 0.0), None, Trajectory("zero"),
-                           False, 0.3, 6)
+    hist, y = flow_forward(grid, 1.0, (0.0, 0.0), None, None, 0.3, 6)
     assert np.abs(y).max() <= 1e-14
     assert hist.deviation_norms.max() <= 1e-14
 
@@ -131,7 +190,7 @@ def test_poiseuille_steady_state_exact():
     grid = SpatialGrid(15, 6, 5.0, 1.0)
     traj = Trajectory("poiseuille")
     hist, _ = flow_forward(grid, 1.0, lambda X: trajectory_eval(traj, X, 0.0),
-                           None, traj, True, 0.5, 25)
+                           None, traj, 0.5, 25)
     assert hist.deviation_norms.max() <= 1e-10
 
 
@@ -139,7 +198,7 @@ def test_taylor_green_tracks_exact_decay():
     grid = SpatialGrid(16, 16, np.pi, np.pi)
     traj = Trajectory("taylor_green", nu=1.0)
     hist, _ = flow_forward(grid, 1.0, lambda X: trajectory_eval(traj, X, 0.0),
-                           None, traj, True, 0.5, 50)
+                           None, traj, 0.5, 50)
     norm0 = np.pi / np.sqrt(2.0) * np.sqrt(2.0)   # ||TG(0)|| on (0,pi)^2
     rel = hist.deviation_norms[-1] / (np.exp(-4.0) * norm0)
     assert rel <= 0.05
@@ -152,7 +211,7 @@ def test_flow_divergence_residual_reported():
     grid = SpatialGrid(12, 12, np.pi, np.pi)
     traj = Trajectory("taylor_green", nu=1.0)
     hist, _ = flow_forward(grid, 1.0, lambda X: trajectory_eval(traj, X, 0.0),
-                           None, traj, True, 0.2, 10)
+                           None, traj, 0.2, 10)
     assert hist.divergence_residual > 0.0
     assert np.isfinite(hist.divergence_residual)
 

@@ -63,20 +63,7 @@ def test_deterministic_rebuild():
     assert np.array_equal(a.triangles, b.triangles)
     assert np.array_equal(a.time_nodes, b.time_nodes)
     assert np.array_equal(a.omega_flag, b.omega_flag)
-    assert np.array_equal(a.edges, b.edges)
-    assert np.array_equal(a.boundary_edge_flags, b.boundary_edge_flags)
     assert a.omega == b.omega
-
-
-def test_boundary_edge_flags():
-    mesh = build_mesh(3, 3, 1, 1.0, 1.0, 1.0, (0.0, 1.0, 0.0, 1.0))
-    on_b = ((mesh.vertices[:, 0] == 0) | (mesh.vertices[:, 0] == 1)
-            | (mesh.vertices[:, 1] == 0) | (mesh.vertices[:, 1] == 1))
-    for (a, b), flag in zip(mesh.edges, mesh.boundary_edge_flags):
-        if flag:
-            assert on_b[a] and on_b[b]
-    # 3 edges per side, 4 sides
-    assert int(mesh.boundary_edge_flags.sum()) == 12
 
 
 def test_locate_centroid_maps_to_own_cell():
