@@ -171,6 +171,8 @@ def validate(cfg: RunConfig) -> RunConfig:
 
 
 _TUPLE_KEYS = {"omega": 4, "anchor": 2}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 _SECTION_MAP = {
     "mesh.nx": "nx", "mesh.ny": "ny", "mesh.nt": "nt",
     "mesh.diagonal": "diagonal",
@@ -197,7 +199,11 @@ def _coerce(name, raw, current):
             raise ValueError(f"{name} needs {_TUPLE_KEYS[name]} numbers")
         return tuple(parts)
     if isinstance(current, bool):
-        return str(raw).strip().lower() in ("1", "true", "yes", "on")
+        word = str(raw).strip().lower()
+        if word not in _BOOL_WORDS:
+            raise ValueError(f"{name} needs one of {', '.join(_BOOL_WORDS)}, "
+                             f"got {raw!r}")
+        return _BOOL_WORDS[word]
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -224,17 +230,21 @@ def from_preset(name: str) -> RunConfig:
 def from_file(path: str) -> RunConfig:
     """Flat key-value text: 'section.key = value', '#' comments allowed.
 
-    A 'preset = name' line seeds the remaining keys.
+    A 'preset = name' line seeds the remaining keys; it must be the first
+    setting, since it would silently replace the ones before it.
     """
     cfg = RunConfig()
     with open(path) as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
     lines = [ln for ln in lines if ln]
-    for ln in lines:
+    for k, ln in enumerate(lines):
         if "=" not in ln:
             raise ValueError(f"bad config line: {ln!r}")
         key, raw = (part.strip() for part in ln.split("=", 1))
         if key == "preset":
+            if k > 0:
+                raise ValueError("'preset' must be the first setting of "
+                                 "a config file")
             cfg = from_preset(raw)
             continue
         cfg = apply_setting(cfg, key, raw)

@@ -260,51 +260,10 @@ class TensorFemSpace:
         out[~self.free_mask] = 0.0
         return out
 
-    def eval(self, coeffs, x, t, grad=False):
-        """Point evaluation of the FEM function at scattered (x, t).
-
-        Returns values (N,) or (N, 2); with grad=True also spatial gradients
-        (N, 2) or (N, 2, 2) (last axis = derivative direction).
-        """
-        coeffs = np.asarray(coeffs, dtype=float)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        _, tri, slab, bary, tloc = locate(self.mesh, x, t)
-        tri = np.atleast_1d(tri)
-        slab = np.atleast_1d(slab)
-        bary = np.atleast_2d(bary)
-        tloc = np.atleast_1d(tloc)
-
-        ref = bary[:, 1:3]                                   # (xi, eta)
-        sval, sgrad_ref = tabulate_triangle(self.m, ref)     # (N, nn_s[, 2])
-        tval, _ = tabulate_interval(self.n, tloc)            # (N, nn_t)
-
-        levels = slab[:, None] * self.n + np.arange(self.nn_t)[None, :]
-        sdofs = self.space_conn[tri]                         # (N, nn_s)
-        gdofs = levels[:, :, None] * self.ns_space + sdofs[:, None, :]
-
-        verts = self.mesh.tri_vertices(tri)                  # (N, 3, 2)
-        J = np.stack([verts[:, 1] - verts[:, 0],
-                      verts[:, 2] - verts[:, 0]], axis=-1)   # (N, 2, 2)
-        Jinv = np.linalg.inv(J)
-        sgrad = np.einsum("nkd,npk->npd", Jinv, sgrad_ref)   # physical
-
-        def one(comp_coeffs):
-            cc = comp_coeffs[gdofs]                          # (N, nn_t, nn_s)
-            val = np.einsum("nts,nt,ns->n", cc, tval, sval)
-            if not grad:
-                return val, None
-            g = np.einsum("nts,nt,nsd->nd", cc, tval, sgrad)
-            return val, g
-
-        if self.components == 1:
-            v, g = one(coeffs)
-            return (v, g) if grad else v
-        vs, gs = zip(*(one(coeffs[c * self.ndof_scalar:(c + 1) * self.ndof_scalar])
-                       for c in range(2)))
-        vals = np.stack(vs, axis=-1)
-        if not grad:
-            return vals
-        return vals, np.stack(gs, axis=1)                    # (N, comp, dir)
+    def eval(self, coeffs, x, t):
+        """Values of the FEM function at the points x (..., 2) and the
+        time(s) t; one call of the bound evaluator `at`."""
+        return self.at(coeffs, x)(t)
 
     def at(self, coeffs, x):
         """Evaluator t -> values of the FEM function at the fixed points x.
@@ -318,7 +277,7 @@ class TensorFemSpace:
         x = np.asarray(x, dtype=float)
         pts_shape = x.shape[:-1]
         shape = pts_shape + ((2,) if self.components == 2 else ())
-        _, tri, _, bary, _ = locate(self.mesh, x.reshape(-1, 2), 0.0)
+        tri, bary = locate(self.mesh, x.reshape(-1, 2))
         sval, _ = tabulate_triangle(self.m, bary[:, 1:3])   # (N, nn_s)
         sdofs = self.space_conn[tri][:, None, :]            # (N, 1, nn_s)
         levels = np.asarray(coeffs, dtype=float).reshape(
@@ -468,28 +427,19 @@ class Assembler:
                             _tables=tables)
 
 
-def l2_norm(space, coeffs, weight=None, region=None, assembler=None):
-    """L2(Q_T) norm of a FEM function, optionally weighted and restricted.
+def l2_norm(space, coeffs, weight=None, assembler=None):
+    """L2(Q_T) norm of a FEM function, optionally weighted.
 
-    weight is a pointwise callable w(X, t); region='omega' restricts the
-    integral to control-region cells.
+    weight is a pointwise callable w(X, t).
     """
     asm = assembler or Assembler(space.mesh, QuadratureRule.default(space.m, space.n))
     total = 0.0
     for batch in asm.batches(space):
-        mask = None
-        if region == "omega":
-            mask = space.mesh.omega_flag[batch.tris]
-            if not mask.any():
-                continue
         acc = 0.0
         for c in range(space.components):
             v = batch.field(space, coeffs, comp=c)
             acc = acc + v * v
         if weight is not None:
             acc = acc * batch.coeff(weight)
-        cell = np.einsum("abq,q->ab", acc, batch.w)
-        if mask is not None:
-            cell = cell[mask]
-        total += float(cell.sum())
+        total += float(np.einsum("abq,q->ab", acc, batch.w).sum())
     return np.sqrt(max(total, 0.0))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import Assembler, QuadratureRule, TensorFemSpace, tabulate_triangle, triangle_quadrature
+from .fem import Assembler, QuadratureRule, TensorFemSpace, tabulate_triangle
 from .mesh import SpaceTimeMesh
 from .weights import WeightSet
 
@@ -166,20 +166,14 @@ class _Builder:
               + self.full_off[rname])
         self._terms[target].append((E, Dt, Dr))
 
-    def add_initial_load(self, name, comp, fun):
-        """L contribution int_Omega fun(x) phi(x, 0) dx on the named field."""
+    def add_initial_load(self, asm, name, comp, fun):
+        """L contribution int_Omega fun(x) phi(x, 0) dx on the named field,
+        on the assembler's spatial quadrature points."""
         spc = self.primal_spaces[name]
-        qp, qw = triangle_quadrature(2 * spc.m + 2)
-        vals, _ = tabulate_triangle(spc.m, qp)
-        mesh = self.mesh
-        verts = mesh.vertices[mesh.triangles]
-        J = np.stack([verts[:, 1] - verts[:, 0],
-                      verts[:, 2] - verts[:, 0]], axis=-1)
-        X = (verts[:, None, 0, :] + qp[None, :, 0, None] * J[:, None, :, 0]
-             + qp[None, :, 1, None] * J[:, None, :, 1])
-        det = np.abs(np.linalg.det(J))
-        f = np.asarray(fun(X), dtype=float)
-        contrib = np.einsum("tq,qi,t->ti", f * qw[None, :], vals, det)
+        vals, _ = tabulate_triangle(spc.m, asm.rule.tri_points)
+        f = np.asarray(fun(asm.Xq_space), dtype=float)
+        contrib = np.einsum("tq,qi,t->ti", f * asm.rule.tri_weights[None, :],
+                            vals, asm.detJ)
         tgt = self.L_full[self.full_off[name] + comp * spc.ndof_scalar:]
         np.add.at(tgt, spc.space_conn, contrib)   # time level 0 only
 
@@ -319,7 +313,7 @@ def assemble_heat(mesh, spaces, ws: WeightSet, G, y0,
         bld.add("B", batch, ("lam", 0, "v"), ("p", 0, "v"), c_mass)
 
     y0f = _as_spatial(y0)
-    bld.add_initial_load("p", 0, lambda X: ws.rho0_at_start(X) * y0f(X))
+    bld.add_initial_load(asm, "p", 0, lambda X: ws.rho0_at_start(X) * y0f(X))
     bld.add_mass("Mp", asm, "z", zsp)
     bld.add_mass("Mp", asm, "p", psp)
     bld.add_mass("Md", asm, "lam", lsp)
@@ -438,7 +432,7 @@ def _assemble_flow(problem, mesh, spaces, ws, rule):
 
     y0f = _as_spatial_vec(problem.y0)
     for c in range(2):
-        bld.add_initial_load("p", c, lambda X, c=c: ws.rho0_at_start(X)
+        bld.add_initial_load(asm, "p", c, lambda X, c=c: ws.rho0_at_start(X)
                              * np.asarray(y0f(X))[..., c])
     bld.add_mass("Mp", asm, "z", zsp)
     bld.add_mass("Mp", asm, "p", psp)

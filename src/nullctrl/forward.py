@@ -173,11 +173,10 @@ class SpatialGrid:
         self.detJ = np.abs(np.linalg.det(J))
         self.Jinv = np.linalg.inv(J)
 
-    def nodes(self, degree):
-        """Global node coordinates (N, 2) on the degree-refined grid."""
-        nfx, nfy = degree * self.nx + 1, degree * self.ny + 1
-        xs = np.linspace(0, self.L1, nfx)
-        ys = np.linspace(0, self.L2, nfy)
+    def nodes(self):
+        """Global P2 node coordinates (N, 2) on the twice-refined grid."""
+        xs = np.linspace(0, self.L1, 2 * self.nx + 1)
+        ys = np.linspace(0, self.L2, 2 * self.ny + 1)
         X, Y = np.meshgrid(xs, ys, indexing="xy")
         return np.column_stack([X.ravel(), Y.ravel()])
 
@@ -194,8 +193,9 @@ class SpatialGrid:
             fine = np.concatenate([c, mids], axis=1)
         return fine[..., 1] * nfx + fine[..., 0]
 
-    def boundary_nodes(self, degree):
-        nfx, nfy = degree * self.nx + 1, degree * self.ny + 1
+    def boundary_nodes(self):
+        """Indices of the P2 nodes on the boundary of the rectangle."""
+        nfx, nfy = 2 * self.nx + 1, 2 * self.ny + 1
         fi = np.arange(nfx * nfy) % nfx
         fj = np.arange(nfx * nfy) // nfx
         return np.flatnonzero((fi == 0) | (fi == nfx - 1)
@@ -250,8 +250,8 @@ class _Elements:
                            _p2_shape_grad(self.lam))
         self.w = qw[None, :] * grid.detJ[:, None]
         self.conn = grid.conn(2)
-        self.nodes = grid.nodes(2)
-        self.bdry = grid.boundary_nodes(2)
+        self.nodes = grid.nodes()
+        self.bdry = grid.boundary_nodes()
         self.interior = np.setdiff1d(np.arange(len(self.nodes)), self.bdry)
         self.M = _matrix(self.conn, self.conn,
                          np.einsum("tq,qi,qj->tij", self.w, self.v, self.v))
@@ -431,37 +431,42 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
         return out
 
     dt = T / nt_fwd
+
+    def operators(theta, Sop):
+        """(M/dt - (1-theta) Sop, the interior rows' boundary columns of
+        M/dt + theta Sop, and the factorized KKT matrix of the step: interior
+        velocity dofs of both components, full pressure, mean row)."""
+        Ai = (th.M / dt + theta * Sop).tocsr()[interior]
+        Aii = Ai[:, interior]
+        KKT = sp.bmat([[sp.bmat([[Aii, None], [None, Aii]], format="csr"),
+                        th.Dint.T, None],
+                       [th.Dint, None, th.pmean[:, None]],
+                       [None, th.pmean[None, :], None]], format="csc")
+        return (th.M / dt - (1.0 - theta) * Sop, Ai[:, bdry],
+                spla.factorized(KKT))
+
     times, steps = _steps(T, nt_fwd)
     dev_norm = [th.norm(y - ybar)]
     max_div = 0.0
     y_prev = y
-    factor_cache = {}
+    Sop = nu * th.K
+    per_theta = {}
     for k, (theta, t_load, t_new) in enumerate(steps):
-        Sop = nu * th.K
-        if trajectory is not None:
-            Sop = Sop + th.convection(1.5 * y - 0.5 * y_prev if k > 0 else y)
-        A11 = (th.M / dt + theta * Sop).tocsr()
-        Ai = A11[interior]
-        Aib = Ai[:, bdry]
-        rhs_full = (th.M / dt - (1.0 - theta) * Sop) @ y + control_load(t_load)
-        # block system on interior velocity dofs + full pressure + mean row,
-        # with the known boundary values at t_new moved to the right side
+        if trajectory is None:
+            if theta not in per_theta:
+                per_theta[theta] = operators(theta, Sop)
+            rhs_op, Aib, solve = per_theta[theta]
+        else:
+            adv = 1.5 * y - 0.5 * y_prev if k > 0 else y
+            rhs_op, Aib, solve = operators(theta, Sop + th.convection(adv))
+        rhs_full = rhs_op @ y + control_load(t_load)
+        # known boundary values at t_new move to the right side
         ybar = wall(t_new)
         gb = ybar[bdry]
         rhs = np.concatenate([rhs_full[interior, 0] - Aib @ gb[:, 0],
                               rhs_full[interior, 1] - Aib @ gb[:, 1],
                               -(th.Db[0] @ gb[:, 0] + th.Db[1] @ gb[:, 1]),
                               [0.0]])
-        solve = factor_cache.get(theta) if trajectory is None else None
-        if solve is None:
-            Aii = Ai[:, interior]
-            KKT = sp.bmat([[sp.bmat([[Aii, None], [None, Aii]], format="csr"),
-                            th.Dint.T, None],
-                           [th.Dint, None, th.pmean[:, None]],
-                           [None, th.pmean[None, :], None]], format="csc")
-            solve = spla.factorized(KKT)
-            if trajectory is None:
-                factor_cache[theta] = solve
         sol = solve(rhs)
         y_prev = y
         y = np.empty((n, 2))

@@ -39,10 +39,6 @@ class SpaceTimeMesh:
         return self.triangles.shape[0]
 
     @property
-    def nprism(self) -> int:
-        return self.ntri * self.nt
-
-    @property
     def hx(self) -> float:
         return self.L1 / self.nx
 
@@ -53,15 +49,6 @@ class SpaceTimeMesh:
     @property
     def ht(self) -> float:
         return self.T / self.nt
-
-    @property
-    def prisms(self) -> np.ndarray:
-        """(nprism, 2) array of (triangle index, slab index), slab-major."""
-        slabs, tris = np.divmod(np.arange(self.nprism), self.ntri)
-        return np.column_stack([tris, slabs])
-
-    def tri_vertices(self, tri) -> np.ndarray:
-        return self.vertices[self.triangles[tri]]
 
 
 def _grid_index(value, grid, name):
@@ -151,26 +138,16 @@ def locate_time(mesh: SpaceTimeMesh, t):
     return slab, (t - mesh.time_nodes[slab]) / mesh.ht
 
 
-def locate(mesh: SpaceTimeMesh, x, t):
-    """Containing prism of the point(s) (x, t) with local coordinates.
-
-    Returns (prism, tri, slab, bary, tloc): barycentric coordinates (…, 3) in
-    the triangle and affine coordinate in [0, 1] within the slab.  Points on
-    cell interfaces resolve to the lowest-index containing cell (earlier slab,
-    earlier square, lower triangle of a square).
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x)
-    tt = np.broadcast_to(t, pts.shape[:-1]).ravel()
-
+def locate(mesh: SpaceTimeMesh, x):
+    """Containing triangle of the points x (N, 2) and their barycentric
+    coordinates (N, 3) in it; points on cell interfaces resolve to the
+    lowest-index containing triangle (earlier square, lower triangle of a
+    square)."""
+    pts = np.asarray(x, dtype=float)
     eps = _ALIGN_TOL
     if (np.any(pts[:, 0] < -eps * mesh.L1) or np.any(pts[:, 0] > mesh.L1 * (1 + eps))
             or np.any(pts[:, 1] < -eps * mesh.L2) or np.any(pts[:, 1] > mesh.L2 * (1 + eps))):
-        raise ValueError("point outside the space-time cylinder")
-    slab, tloc = locate_time(mesh, tt)
-
+        raise ValueError("point outside the domain")
     i = _interval_index(mesh.xgrid, pts[:, 0])
     j = _interval_index(mesh.ygrid, pts[:, 1])
 
@@ -195,8 +172,4 @@ def locate(mesh: SpaceTimeMesh, x, t):
     bary[up2] = np.column_stack([1.0 - eta[up2], xi[up2] + eta[up2] - 1.0,
                                  1.0 - xi[up2]])
     tri[:] = 2 * (j * mesh.nx + i) + np.where(lower | low2, 0, 1)
-
-    prism = slab * mesh.ntri + tri
-    if scalar:
-        return int(prism[0]), int(tri[0]), int(slab[0]), bary[0], float(tloc[0])
-    return prism, tri, slab, bary, tloc
+    return tri, bary

@@ -136,8 +136,9 @@ def _setup(cfg, flow):
                           space(cfg.m, 1, "zero_lateral"),
                           space(cfg.m, 1, "zero_lateral_final"))
     # the divergence multiplier sits one spatial degree below the velocity
-    # fields (stable pairing); equal order leaves the constraint block with
-    # spurious dual modes and a numerically singular system
+    # fields; that does not make the flow system nonsingular: with sigma at
+    # the velocity degree the KKT matrix keeps a primal kernel, mostly in
+    # sigma (105 vectors on Stokes 3x3x3)
     return mesh, ws, (space(cfg.m, 2, "none"), space(cfg.m, 2, "zero_lateral"),
                       space(cfg.m, 1, "none"), space(cfg.m, 2, "zero_lateral"),
                       space(max(cfg.m - 1, 1), 1, "none"))

@@ -85,20 +85,23 @@ class WeightSet:
         u1, _, _, u2, _, _ = self._factors(np.float64(a), np.float64(b))
         return float(u1 * u2)
 
-    def chi0(self, x):
-        """Bump profile value; in [0, 1] on the closed rectangle."""
-        x = np.asarray(x, dtype=float)
-        u1, _, _, u2, _, _ = self._factors(x[..., 0], x[..., 1])
-        return u1 * u2 / self._denominator()
-
-    def chi0_derivs(self, x):
-        """Closed-form gradient (…, 2) and Laplacian of the bump profile."""
+    def _profile(self, x):
+        """Bump profile value, gradient (..., 2) and Laplacian at x."""
         x = np.asarray(x, dtype=float)
         u1, du1, d2u1, u2, du2, d2u2 = self._factors(x[..., 0], x[..., 1])
         den = self._denominator()
+        val = u1 * u2 / den
         grad = np.stack([du1 * u2, u1 * du2], axis=-1) / den
         lap = (d2u1 * u2 + u1 * d2u2) / den
-        return grad, lap
+        return val, grad, lap
+
+    def chi0(self, x):
+        """Bump profile value; in [0, 1] on the closed rectangle."""
+        return self._profile(x)[0]
+
+    def chi0_derivs(self, x):
+        """Closed-form gradient (…, 2) and Laplacian of the bump profile."""
+        return self._profile(x)[1:]
 
     def chi(self, x):
         """Spatial weight exponent: value, gradient (…, 2) and Laplacian.
@@ -106,12 +109,7 @@ class WeightSet:
         chi = K1 (e^{K2} - e^{chi0}) is positive as long as K2 exceeds the
         bump maximum (=1); decreasing in chi0, so smallest at the anchor.
         """
-        x = np.asarray(x, dtype=float)
-        u1, du1, d2u1, u2, du2, d2u2 = self._factors(x[..., 0], x[..., 1])
-        den = self._denominator()
-        c0 = u1 * u2 / den
-        g0 = np.stack([du1 * u2, u1 * du2], axis=-1) / den
-        l0 = (d2u1 * u2 + u1 * d2u2) / den
+        c0, g0, l0 = self._profile(x)
         e0 = np.exp(c0)
         val = self.K1 * (np.exp(self.K2) - e0)
         grad = -self.K1 * e0[..., None] * g0

@@ -31,6 +31,11 @@ FAST = ["--nx", "5", "--ny", "5", "--nt", "4", "--max-iter", "200",
         "--set", "verify.nt=20", "--set", "solver.tol=1e-4"]
 
 
+def read(*path):
+    with open(os.path.join(*path)) as fh:
+        return fh.read()
+
+
 def test_every_preset_validates():
     for name in cfgmod.PRESETS:
         cfg = cfgmod.validate(cfgmod.from_preset(name))
@@ -54,6 +59,32 @@ def test_config_file_round_trip(tmp_path):
     cfg = cfgmod.from_file(str(path))
     assert cfg.nx == 4 and cfg.ny == 4 and cfg.max_iter == 7
     assert cfg.scenario == "heat"
+
+
+def test_preset_after_other_settings_rejected(tmp_path, capsys):
+    # a later preset line would silently replace mesh.nx
+    path = tmp_path / "run.cfg"
+    path.write_text("mesh.nx = 4\npreset = heat-sec26\n")
+    with pytest.raises(ValueError, match="first setting"):
+        cfgmod.from_file(str(path))
+    rc = run(["run", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_misspelled_boolean_rejected(tmp_path, capsys):
+    for word in ("1", "TRUE", "yes", "on", "True"):
+        assert cfgmod.apply_setting(cfgmod.RunConfig(verify=False),
+                                    "verify.enabled", word).verify is True
+    for word in ("0", "False", "no", "Off", False):
+        assert cfgmod.apply_setting(cfgmod.RunConfig(), "verify.enabled",
+                                    word).verify is False
+    rc = run(["run", "heat-sec26", "--set", "verify.enabled=flase",
+              "--out", str(tmp_path / "out")] + FAST)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_omega_snapping():
@@ -120,13 +151,13 @@ def test_run_artifacts(tmp_path, preset):
         "config.resolved", "norms.csv", "norms_uncontrolled.csv",
         "summary.txt"} | tables
     assert {f[len("field_"):].rsplit("_", 1)[0] for f in vtks} == fields
-    head = open(os.path.join(out, "norms.csv")).readline().strip()
+    head = read(out, "norms.csv").splitlines()[0]
     assert head == ("t,control_norm,state_norm" if preset == "heat-sec26"
                     else "t,deviation_norm")
     if "iterations.csv" in tables:
-        head = open(os.path.join(out, "iterations.csv")).readline().strip()
+        head = read(out, "iterations.csv").splitlines()[0]
         assert head == "iter,rel_err1,rel_err2"
-    text = open(os.path.join(out, vtks[0])).read()
+    text = read(out, vtks[0])
     assert "DATASET UNSTRUCTURED_GRID" in text
     assert "CELL_TYPES" in text
 
@@ -135,7 +166,7 @@ def test_zero_scale_run_reports_zero_cost(tmp_path):
     out = str(tmp_path / "run0")
     rc = run(["run", "heat-sec26", "--out", out, "--y0-scale", "0"] + FAST)
     assert rc == 0
-    summary = open(os.path.join(out, "summary.txt")).read()
+    summary = read(out, "summary.txt")
     j = [ln for ln in summary.splitlines() if ln.startswith("J =")][0]
     assert float(j.split("=")[1]) == 0.0
 
@@ -148,9 +179,7 @@ def test_repeat_runs_bitwise_identical(tmp_path):
         assert rc == 0
         outs.append(out)
     for name in ("iterations.csv", "norms.csv", "norms_uncontrolled.csv"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
-        assert a == b, name
+        assert read(outs[0], name) == read(outs[1], name), name
 
 
 def test_failing_solve_prints_traceback(tmp_path, monkeypatch, capsys):

@@ -83,24 +83,42 @@ def test_default_rule_degrees():
     assert rule.t_points_final.max() < 1.0   # never samples the horizon
 
 
-def test_polynomial_interpolation_exact(unit_mesh):
+def _poly(m, n, comps):
+    """A degree-(m, n) polynomial field: comps == 1 gives the scalar first
+    component, comps == 2 the vector (..., 2)."""
+    def f(X, t):
+        x, y = X[..., 0], X[..., 1]
+        u1 = x ** m * t ** n + (1.0 - y) ** m
+        if comps == 1:
+            return u1
+        u2 = x ** (m - 1) * y * (1.0 - t) ** n + t
+        return np.stack([u1, u2], axis=-1)
+    return f
+
+
+def test_polynomial_interpolation_exact():
+    """The point evaluator reproduces degree-(m, n) polynomials on both
+    triangulation patterns (every barycentric branch of `locate`), at mesh
+    vertices, axis-aligned and diagonal edge midpoints and scattered points,
+    at t = 0, slab interfaces and t = T, with one time per point."""
     rng = np.random.default_rng(0)
-    for m, n in ((1, 1), (2, 2), (3, 2)):
-        sp = build_space(unit_mesh, m, n, 1, "none")
-        coeffs = sp.interpolate(lambda X, t: X[..., 0] ** m * t ** n)
-        pts = rng.random((20, 2))
-        ts = rng.random(20)
-        vals = sp.eval(coeffs, pts, ts)
-        assert np.allclose(vals, pts[:, 0] ** m * ts ** n, atol=1e-12)
-
-
-def test_gradient_evaluation(unit_mesh):
-    sp = build_space(unit_mesh, 2, 2, 1, "none")
-    coeffs = sp.interpolate(lambda X, t: X[..., 0] ** 2 + 3 * X[..., 1] * t)
-    pts = np.array([[0.3, 0.4], [0.62, 0.18]])
-    vals, grads = sp.eval(coeffs, pts, 0.5, grad=True)
-    assert np.allclose(grads[:, 0], 2 * pts[:, 0], atol=1e-12)
-    assert np.allclose(grads[:, 1], 1.5, atol=1e-12)
+    g = np.linspace(0.0, 1.0, 9)        # vertices and midpoints for h = 1/4
+    nodes = np.array([(x, y) for x in g for y in g])
+    pts = np.concatenate([nodes, rng.random((20, 2))])
+    levels = np.linspace(0.0, 1.0, 5)   # slab interfaces, 0 and T included
+    per_point = np.concatenate([rng.choice(levels, len(nodes)),
+                                rng.random(20)])
+    for diagonal in ("same", "alternate"):
+        mesh = build_mesh(4, 4, 4, 1.0, 1.0, 1.0, (0.25, 0.75, 0.25, 0.75),
+                          diagonal=diagonal)
+        for m, n, comps in ((1, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 2)):
+            sp = build_space(mesh, m, n, comps, "none")
+            f = _poly(m, n, comps)
+            coeffs = sp.interpolate(f)
+            for t in (0.0, 1.0, per_point):
+                want = f(pts, np.broadcast_to(t, len(pts)))
+                np.testing.assert_allclose(sp.eval(coeffs, pts, t), want,
+                                           rtol=0, atol=1e-12)
 
 
 def test_l2_norm_constants(unit_mesh):
@@ -125,7 +143,7 @@ def test_weighted_norm_against_refined_quadrature(unit_mesh):
     gx, wx = gauss01(8)
     acc = 0.0
     for tri in range(mesh.ntri):
-        v = mesh.tri_vertices(tri)
+        v = mesh.vertices[mesh.triangles[tri]]
         J = np.stack([v[1] - v[0], v[2] - v[0]], axis=-1)
         U, V = np.meshgrid(gx, gx, indexing="ij")
         X = (v[0][None, :] + U.ravel()[:, None] * J[:, 0][None, :]

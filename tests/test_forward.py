@@ -44,7 +44,7 @@ def test_heat_incompatible_data_boundary_recovered():
     # honors the boundary for every t > 0 and decays under G = 1
     grid = SpatialGrid(16, 16, 1.0, 1.0)
     hist, y = heat_forward_cn(grid, 1000.0, 1.0, None, 0.5, 50)
-    bdry = grid.boundary_nodes(2)
+    bdry = grid.boundary_nodes()
     assert np.abs(y[bdry]).max() == 0.0
     assert np.all(np.isfinite(hist.state_norms))
     assert hist.state_norms[-1] < 1e-2 * hist.state_norms[0]

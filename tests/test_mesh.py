@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nullctrl.mesh import build_mesh, locate
+from nullctrl.mesh import build_mesh, locate, locate_time
 from nullctrl.fem import build_space
 
 
@@ -18,14 +18,12 @@ def tri_areas(mesh):
 def test_single_cell_full_control_region():
     mesh = build_mesh(1, 1, 1, 1.0, 1.0, 1.0, (0.0, 1.0, 0.0, 1.0))
     assert mesh.ntri == 2
-    assert mesh.nprism == 2
     assert mesh.omega_flag.all()
 
 
 def test_counts_8x8x16():
     mesh = build_mesh(8, 8, 16, 1.0, 1.0, 1.0, (0.25, 0.75, 0.25, 0.75))
     assert mesh.ntri == 128
-    assert mesh.nprism == 2048
 
 
 def test_sec26_control_region_cover():
@@ -67,31 +65,28 @@ def test_deterministic_rebuild():
 
 
 def test_locate_centroid_maps_to_own_cell():
-    mesh = build_mesh(5, 4, 3, 1.0, 1.0, 1.0, (0.2, 0.6, 0.25, 0.75))
-    for tri in (0, 7, 25, 39):
-        c = mesh.tri_vertices(tri).mean(axis=0)
-        for slab in (0, 2):
-            tmid = 0.5 * (mesh.time_nodes[slab] + mesh.time_nodes[slab + 1])
-            prism, tri_f, slab_f, bary, tloc = locate(mesh, c, tmid)
-            assert tri_f == tri
-            assert slab_f == slab
-            assert bary.min() > 0
-            assert bary.sum() == pytest.approx(1.0)
+    for diagonal in ("same", "alternate"):
+        mesh = build_mesh(5, 4, 3, 1.0, 1.0, 1.0, (0.2, 0.6, 0.25, 0.75),
+                          diagonal=diagonal)
+        tri, bary = locate(mesh, mesh.vertices[mesh.triangles].mean(axis=1))
+        assert np.array_equal(tri, np.arange(mesh.ntri))
+        assert np.allclose(bary, 1.0 / 3.0, rtol=0, atol=1e-12)
 
 
 def test_locate_slab_interface_resolves_to_earlier_slab():
     mesh = build_mesh(2, 2, 4, 1.0, 1.0, 1.0, (0.0, 1.0, 0.0, 1.0))
-    _, _, slab, _, tloc = locate(mesh, np.array([0.3, 0.3]), 0.5)
-    assert slab == 1            # interface t = 0.5 belongs to slab [0.25, 0.5]
-    assert tloc == pytest.approx(1.0)
+    slab, tloc = locate_time(mesh, np.array([0.5, 0.6]))
+    assert slab.tolist() == [1, 2]  # interface t = 0.5 belongs to [0.25, 0.5]
+    assert tloc[0] == pytest.approx(1.0)
+    assert tloc[1] == pytest.approx(0.4)
 
 
 def test_locate_rejects_outside_points():
     mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0, (0.0, 1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
-        locate(mesh, np.array([1.2, 0.3]), 0.5)
+        locate(mesh, np.array([[1.2, 0.3]]))
     with pytest.raises(ValueError):
-        locate(mesh, np.array([0.2, 0.3]), 1.5)
+        locate_time(mesh, np.array([1.5]))
 
 
 def test_interpolation_round_trip_through_locate():
@@ -105,10 +100,3 @@ def test_interpolation_round_trip_through_locate():
     vals = space.eval(coeffs, XS[spn], tf[lv])
     assert np.allclose(vals, coeffs[idx], rtol=0, atol=1e-12)
 
-
-def test_prism_listing():
-    mesh = build_mesh(2, 2, 3, 1.0, 1.0, 1.0, (0.0, 1.0, 0.0, 1.0))
-    pr = mesh.prisms
-    assert pr.shape == (24, 2)
-    assert np.array_equal(pr[:8, 1], np.zeros(8, dtype=int))
-    assert np.array_equal(pr[:8, 0], np.arange(8))
