@@ -68,6 +68,7 @@ def _summary_lines(cfg, sol, fp, wall):
         lines.append(f"solver_converged = {sol.log.converged}")
         lines.append(f"rel_err1_final = {sol.log.rel_err1[-1]:.6e}")
         lines.append(f"rel_err2_final = {sol.log.rel_err2[-1]:.6e}")
+        lines.append(f"residual_primal = {sol.log.residual_primal:.6e}")
         lines.append(f"residual_constraint = {sol.log.residual_constraint:.6e}")
     info = sol.info
     if "istop" in info:   # an LSMR solve
@@ -104,10 +105,8 @@ def _summary_lines(cfg, sol, fp, wall):
 
 def _vtk_fields(cfg, sol):
     blocks, spaces = sol.blocks, sol.spaces
-    fields = {
-        "y": lambda X, t: sol.state(X, t),   # Navier-Stokes: the deviation
-        "v": lambda X, t: sol.control(X, t),
-    }
+    fields = {"y": sol.state,   # Navier-Stokes: the deviation
+              "v": sol.control}
     if cfg.scenario == "heat":
         zsp, psp = spaces[:2]
         fields["p_hat"] = lambda X, t: psp.eval(blocks["p"], X, t)

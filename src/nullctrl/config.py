@@ -15,20 +15,21 @@ import numpy as np
 
 SCENARIOS = ("heat", "stokes", "navier_stokes")
 SOLVER_METHODS = ("ah", "direct", "lsq")
+Y0_BASE = 1000.0   # heat and Stokes initial amplitude at y0_scale 1
 
 PRESETS = {
     "heat-sec26": dict(
         scenario="heat", L1=1.0, L2=1.0, T=1.0,
         omega=(0.2, 0.6, 0.2, 0.6), nx=10, ny=10, nt=16,
         m=2, n=2, K1=1.0, K2=2.0, anchor=(0.5, 0.5),
-        G=1.0, y0_scale=1.0, y0_base=1000.0,
+        G=1.0, y0_scale=1.0,
         r=0.5, s=1.0, tol=1e-6, max_iter=30000,
     ),
     "stokes-sec37": dict(
         scenario="stokes", L1=1.0, L2=1.0, T=1.0,
         omega=(0.2, 0.6, 0.2, 0.6), nx=10, ny=10, nt=10,
         m=2, n=2, K1=1.0, K2=2.0, anchor=(0.5, 0.5),
-        nu=1.0, y0_scale=1.0, y0_base=1000.0,
+        nu=1.0, y0_scale=1.0,
         r=0.5, s=1.0, tol=1e-6, max_iter=30000,
         solver_method="lsq",
     ),
@@ -78,7 +79,6 @@ class RunConfig:
     nu: float = 1.0
     trajectory: str = "taylor_green"
     M: float = 0.1
-    y0_base: float = 1000.0
     y0_scale: float = 1.0
     # solver
     r: float = 0.5
@@ -98,11 +98,11 @@ class RunConfig:
 
     @property
     def y0_value(self) -> float:
-        return self.y0_base * self.y0_scale
+        return Y0_BASE * self.y0_scale
 
     @property
     def y0_vector(self):
-        return (self.y0_base * self.y0_scale, 0.0)
+        return (Y0_BASE * self.y0_scale, 0.0)
 
     def resolved_text(self) -> str:
         lines = []
@@ -181,8 +181,7 @@ _SECTION_MAP = {
     "geometry.omega": "omega",
     "weights.K1": "K1", "weights.K2": "K2", "weights.anchor": "anchor",
     "physics.G": "G", "physics.nu": "nu", "physics.trajectory": "trajectory",
-    "physics.M": "M", "physics.y0_base": "y0_base",
-    "physics.y0_scale": "y0_scale",
+    "physics.M": "M", "physics.y0_scale": "y0_scale",
     "solver.r": "r", "solver.s": "s", "solver.tol": "tol",
     "solver.max_iter": "max_iter", "solver.method": "solver_method",
     "solver.outer_tol": "outer_tol", "solver.outer_max": "outer_max",

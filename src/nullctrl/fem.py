@@ -271,7 +271,9 @@ class TensorFemSpace:
         x has shape (..., 2); the point location, spatial basis values and
         DOF indices are computed once, so a call costs one time-basis
         tabulation and one small contraction.  t is one time or an array
-        of times broadcastable to x.shape[:-1].  Values have shape
+        of times broadcastable to x.shape[:-1]; axes of t in front of
+        those evaluate one row at a time (a column of K times gives K rows
+        of point values).  Values have shape t's leading axes plus
         x.shape[:-1], plus a trailing 2 for vector spaces.
         """
         x = np.asarray(x, dtype=float)
@@ -284,7 +286,10 @@ class TensorFemSpace:
             self.components, self.ns_time, self.ns_space)
 
         def values(t):
-            tt = np.broadcast_to(np.asarray(t, dtype=float), pts_shape)
+            t = np.asarray(t, dtype=float)
+            if t.ndim > len(pts_shape):
+                return np.stack([values(row) for row in t])
+            tt = np.broadcast_to(t, pts_shape)
             slab, tloc = locate_time(self.mesh, tt.ravel())
             tval, _ = tabulate_interval(self.n, tloc)       # (N, nn_t)
             lv = slab[:, None, None] * self.n + np.arange(self.nn_t)[:, None]

@@ -24,7 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import Assembler, QuadratureRule, TensorFemSpace, tabulate_triangle
-from .mesh import SpaceTimeMesh
 from .weights import WeightSet
 
 
@@ -45,22 +44,6 @@ class FieldBlock:
 
 
 @dataclass
-class ProblemSpec:
-    """What is being controlled; carried on the assembled system."""
-
-    kind: str                      # heat | stokes | oseen
-    G: float = None                # heat potential, a constant
-    nu: float = None               # viscosity for flow kinds
-    ybar: object = None            # background trajectory (oseen)
-    w: object = None               # transported field (oseen fixed point)
-    y0: object = None              # initial datum
-
-    def __post_init__(self):
-        if self.kind in ("stokes", "oseen") and not (self.nu and self.nu > 0):
-            raise ValueError("flow problems need positive viscosity")
-
-
-@dataclass
 class SaddleSystem:
     """Sparse block system with field layouts and norm mass matrices."""
 
@@ -71,8 +54,6 @@ class SaddleSystem:
     dual: list
     M_primal: sp.csr_matrix
     M_dual: sp.csr_matrix
-    mesh: SpaceTimeMesh
-    problem: ProblemSpec
 
     @property
     def n_primal(self):
@@ -98,25 +79,23 @@ _ELEMENT = "abq,qi,qj->abij"   # sum_q w_q c_q Op_i Op_j per prism
 
 class _Builder:
     """Collects bilinear terms as element values and DOF maps, then builds
-    full-size COO blocks from them and reduces those to the free DOFs."""
+    full-size COO blocks from them and reduces those to the free DOFs.
 
-    def __init__(self, mesh, primal_spaces, dual_spaces):
-        self.mesh = mesh
-        self.primal_names = [n for n, _ in primal_spaces]
-        self.primal_spaces = dict(primal_spaces)
-        self.dual_names = [n for n, _ in dual_spaces]
-        self.dual_spaces = dict(dual_spaces)
-        self.full_off = {}
-        off = 0
-        for name, spc in primal_spaces:
-            self.full_off[name] = off
-            off += spc.ndof
-        self.n_full_primal = off
-        off = 0
-        for name, spc in dual_spaces:
-            self.full_off[name] = off
-            off += spc.ndof
-        self.n_full_dual = off
+    primal and dual are the system's (name, space) pairs in table order.
+    """
+
+    def __init__(self, asm, primal, dual):
+        self.asm = asm
+        self.primal, self.dual = primal, dual
+        self.spaces = dict(primal + dual)
+        self.full_off, sizes = {}, []
+        for fields in (primal, dual):
+            off = 0
+            for name, spc in fields:
+                self.full_off[name] = off
+                off += spc.ndof
+            sizes.append(off)
+        self.n_full_primal, self.n_full_dual = sizes
         self._terms = {"A": [], "B": [], "Mp": [], "Md": []}
         self.L_full = np.zeros(self.n_full_primal)
         self._paths = {}   # einsum contraction path per operand shapes
@@ -142,8 +121,7 @@ class _Builder:
         """
         tname, tcomp, topn = test
         rname, rcomp, ropn = trial
-        spaces = {**self.primal_spaces, **self.dual_spaces}
-        tspace, rspace = spaces[tname], spaces[rname]
+        tspace, rspace = self.spaces[tname], self.spaces[rname]
         Ti = self._op(batch.tables(tspace), topn)
         Tj = self._op(batch.tables(rspace), ropn)
         P1, P2 = len(batch.tris), len(batch.slabs)
@@ -166,22 +144,16 @@ class _Builder:
               + self.full_off[rname])
         self._terms[target].append((E, Dt, Dr))
 
-    def add_initial_load(self, asm, name, comp, fun):
+    def add_initial_load(self, name, comp, fun):
         """L contribution int_Omega fun(x) phi(x, 0) dx on the named field,
         on the assembler's spatial quadrature points."""
-        spc = self.primal_spaces[name]
+        asm, spc = self.asm, dict(self.primal)[name]
         vals, _ = tabulate_triangle(spc.m, asm.rule.tri_points)
         f = np.asarray(fun(asm.Xq_space), dtype=float)
         contrib = np.einsum("tq,qi,t->ti", f * asm.rule.tri_weights[None, :],
                             vals, asm.detJ)
         tgt = self.L_full[self.full_off[name] + comp * spc.ndof_scalar:]
         np.add.at(tgt, spc.space_conn, contrib)   # time level 0 only
-
-    def _free_indices(self, names, spaces):
-        idx = []
-        for name in names:
-            idx.append(self.full_off[name] + spaces[name].free_idx)
-        return np.concatenate(idx) if idx else np.empty(0, dtype=int)
 
     def _matrix(self, target, shape, rows_idx, cols_idx):
         """The target's terms as one CSR matrix, reduced to the free DOFs.
@@ -219,82 +191,80 @@ class _Builder:
         M.sum_duplicates()
         return M
 
-    def finish(self, problem) -> SaddleSystem:
-        pfree = self._free_indices(self.primal_names, self.primal_spaces)
-        dfree = self._free_indices(self.dual_names, self.dual_spaces)
-
-        A = self._matrix("A", (self.n_full_primal, self.n_full_primal),
-                         pfree, pfree)
-        B = self._matrix("B", (self.n_full_dual, self.n_full_primal),
-                         dfree, pfree)
-        Mp = self._matrix("Mp", (self.n_full_primal, self.n_full_primal),
-                          pfree, pfree)
-        Md = self._matrix("Md", (self.n_full_dual, self.n_full_dual),
-                          dfree, dfree)
-        L = self.L_full[pfree]
-
-        primal, dual = [], []
-        off = 0
-        for name in self.primal_names:
-            spc = self.primal_spaces[name]
-            primal.append(FieldBlock(name, spc, off, len(spc.free_idx)))
-            off += len(spc.free_idx)
-        off = 0
-        for name in self.dual_names:
-            spc = self.dual_spaces[name]
-            dual.append(FieldBlock(name, spc, off, len(spc.free_idx)))
-            off += len(spc.free_idx)
-        return SaddleSystem(A=A, B=B, L=L, primal=primal, dual=dual,
-                            M_primal=Mp, M_dual=Md, mesh=self.mesh,
-                            problem=problem)
-
-    def add_mass(self, target, asm, name, space):
-        for batch in asm.batches(space):
-            for c in range(space.components):
-                self.add(target, batch, (name, c, "v"), (name, c, "v"), 1.0)
+    def finish(self) -> SaddleSystem:
+        """The system, after adding the L2 mass of every primal field to Mp
+        and of every dual field to Md."""
+        layouts, free = [], []
+        for target, fields in (("Mp", self.primal), ("Md", self.dual)):
+            layout, idx, off = [], [], 0
+            for name, spc in fields:
+                for batch in self.asm.batches(spc):
+                    for c in range(spc.components):
+                        self.add(target, batch, (name, c, "v"),
+                                 (name, c, "v"), 1.0)
+                layout.append(FieldBlock(name, spc, off, len(spc.free_idx)))
+                off += len(spc.free_idx)
+                idx.append(self.full_off[name] + spc.free_idx)
+            layouts.append(layout)
+            free.append(np.concatenate(idx))
+        n_p, n_d = self.n_full_primal, self.n_full_dual
+        pfree, dfree = free
+        A = self._matrix("A", (n_p, n_p), pfree, pfree)
+        B = self._matrix("B", (n_d, n_p), dfree, pfree)
+        Mp = self._matrix("Mp", (n_p, n_p), pfree, pfree)
+        Md = self._matrix("Md", (n_d, n_d), dfree, dfree)
+        return SaddleSystem(A=A, B=B, L=self.L_full[pfree],
+                            primal=layouts[0], dual=layouts[1],
+                            M_primal=Mp, M_dual=Md)
 
 
-def _require(space, components, constraint, what):
-    if space.components != components or space.constraint != constraint:
-        raise ValueError(f"{what} space must have components={components}, "
-                         f"constraint={constraint!r}")
+# (name, components, constraint) of each primal field, then of each dual
+# field; the assembly takes one space per row, in this order
+HEAT_FIELDS = ((("z", 1, "none"), ("p", 1, "zero_lateral")),
+               (("lam", 1, "zero_lateral_final"),))
+FLOW_FIELDS = ((("z", 2, "none"), ("p", 2, "zero_lateral"),
+                ("sigma", 1, "none")),
+               (("lam", 2, "zero_lateral"), ("mu", 1, "none")))
 
 
-def _as_spatial(fun):
-    if np.isscalar(fun):
-        v = float(fun)
-        return lambda X: np.full(X.shape[:-1], v)
-    return fun
+def _builder(mesh, spaces, fields, rule):
+    """The builder of the system laid out by `fields` (a table above) on
+    `spaces`, after checking each space against its row."""
+    primal, dual = fields
+    named = []
+    for (name, components, constraint), space in zip(primal + dual, spaces,
+                                                     strict=True):
+        if space.components != components or space.constraint != constraint:
+            raise ValueError(f"{name} space must have components="
+                             f"{components}, constraint={constraint!r}")
+        if space.mesh is not mesh:
+            raise ValueError("all spaces must live on the assembly mesh")
+        named.append((name, space))
+    rule = rule or QuadratureRule.default(max(s.m for s in spaces),
+                                          max(s.n for s in spaces))
+    return _Builder(Assembler(mesh, rule), named[:len(primal)],
+                    named[len(primal):])
 
 
-def _as_spatial_vec(fun):
-    if isinstance(fun, (tuple, list, np.ndarray)) and np.shape(fun) == (2,):
-        v = np.asarray(fun, dtype=float)
-        return lambda X: np.broadcast_to(v, X.shape[:-1] + (2,))
-    return fun
+def _as_spatial(value):
+    """A constant scalar or 2-vector as a function of the points X (..., 2);
+    a callable passes through."""
+    if callable(value):
+        return value
+    v = np.asarray(value, dtype=float)
+    return lambda X: np.broadcast_to(v, X.shape[:-1] + v.shape)
 
 
 def assemble_heat(mesh, spaces, ws: WeightSet, G, y0,
                   rule: QuadratureRule = None) -> SaddleSystem:
     """Saddle system of the normalized heat control formulation.
 
-    spaces = (state-like, control-like, multiplier): unconstrained,
-    zero_lateral, zero_lateral_final scalar spaces on the same mesh.
+    spaces = one space per row of HEAT_FIELDS (z, p, lam), on the mesh.
     """
-    zsp, psp, lsp = spaces
-    _require(zsp, 1, "none", "state-like")
-    _require(psp, 1, "zero_lateral", "control-like")
-    _require(lsp, 1, "zero_lateral_final", "multiplier")
-    for s in spaces:
-        if s.mesh is not mesh:
-            raise ValueError("all spaces must live on the assembly mesh")
-    rule = rule or QuadratureRule.default(max(s.m for s in spaces),
-                                          max(s.n for s in spaces))
-    asm = Assembler(mesh, rule)
-    bld = _Builder(mesh, [("z", zsp), ("p", psp)], [("lam", lsp)])
+    bld = _builder(mesh, spaces, HEAT_FIELDS, rule)
     G = float(G)
 
-    for batch in asm.batches(zsp, psp, lsp):
+    for batch in bld.asm.batches(*spaces):
         om = mesh.omega_flag[batch.tris]
         X = batch.Xq[:, None, :, :]
         t = batch.tq[None, :, :]
@@ -313,11 +283,8 @@ def assemble_heat(mesh, spaces, ws: WeightSet, G, y0,
         bld.add("B", batch, ("lam", 0, "v"), ("p", 0, "v"), c_mass)
 
     y0f = _as_spatial(y0)
-    bld.add_initial_load(asm, "p", 0, lambda X: ws.rho0_at_start(X) * y0f(X))
-    bld.add_mass("Mp", asm, "z", zsp)
-    bld.add_mass("Mp", asm, "p", psp)
-    bld.add_mass("Md", asm, "lam", lsp)
-    return bld.finish(ProblemSpec(kind="heat", G=G, y0=y0))
+    bld.add_initial_load("p", 0, lambda X: ws.rho0_at_start(X) * y0f(X))
+    return bld.finish()
 
 
 def _batch_values(fun, batch):
@@ -337,36 +304,24 @@ def _batch_values(fun, batch):
                            (P1, P2, len(batch.w), 2))
 
 
-def _assemble_flow(problem, mesh, spaces, ws, rule):
+def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule):
     """Saddle system of a flow control problem (Stokes or Oseen).
 
-    spaces = (z, p, sigma, lam, mu) with layouts 2/2/1 primal and 2/1 dual.
+    spaces = one space per row of FLOW_FIELDS (z, p, sigma, lam, mu).
     The fields are assembled in the weight-absorbing variables
     z -> rho zhat, p -> rho0 phat, sigma -> rho sigmahat, with the matching
     multiplier scalings lam -> rho^{-1} lamhat, mu -> rho1^{-1} muhat.  The
     A-blocks are then plain mass forms and the constraint has bounded,
     balanced coefficients; the raw variables of the formulation as printed
     grow like the (overflowing) weights themselves near the horizon.  Where
-    problem.ybar or problem.w is given, the constraint bracket also carries
-    the transport terms [grad p (ybar + w) + (grad p)^T ybar] . lam.
+    ybar or w is given, the constraint bracket also carries the transport
+    terms [grad p (ybar + w) + (grad p)^T ybar] . lam.
     """
-    zsp, psp, ssp, lsp, msp = spaces
-    _require(zsp, 2, "none", "state-like")
-    _require(psp, 2, "zero_lateral", "control-like")
-    _require(ssp, 1, "none", "gradient potential")
-    _require(lsp, 2, "zero_lateral", "momentum multiplier")
-    _require(msp, 1, "none", "divergence multiplier")
-    for s in spaces:
-        if s.mesh is not mesh:
-            raise ValueError("all spaces must live on the assembly mesh")
-    rule = rule or QuadratureRule.default(max(s.m for s in spaces),
-                                          max(s.n for s in spaces))
-    asm = Assembler(mesh, rule)
-    bld = _Builder(mesh, [("z", zsp), ("p", psp), ("sigma", ssp)],
-                   [("lam", lsp), ("mu", msp)])
-    nu = problem.nu
+    if not nu > 0:
+        raise ValueError("flow problems need positive viscosity")
+    bld = _builder(mesh, spaces, FLOW_FIELDS, rule)
     gops = ("gx", "gy")
-    for batch in asm.batches(*spaces):
+    for batch in bld.asm.batches(*spaces):
         om = mesh.omega_flag[batch.tris]
         X = batch.Xq[:, None, :, :]
         t = batch.tq[None, :, :]
@@ -402,8 +357,8 @@ def _assemble_flow(problem, mesh, spaces, ws, rule):
             bld.add("B", batch, ("mu", 0, "v"), ("p", c, gops[c]), tau)
             bld.add("B", batch, ("mu", 0, "v"), ("p", c, "v"), gchi[..., c])
 
-        yb = _batch_values(problem.ybar, batch)
-        wv = _batch_values(problem.w, batch)
+        yb = _batch_values(ybar, batch)
+        wv = _batch_values(w, batch)
         adv = yb.copy() if yb is not None else None
         if wv is not None:
             adv = wv if adv is None else adv + wv
@@ -430,16 +385,11 @@ def _assemble_flow(problem, mesh, spaces, ws, rule):
                     bld.add("B", batch, ("lam", i, "v"), ("p", j, "v"),
                             sq * gchi[..., i] * yb[..., j])
 
-    y0f = _as_spatial_vec(problem.y0)
+    y0f = _as_spatial(y0)
     for c in range(2):
-        bld.add_initial_load(asm, "p", c, lambda X, c=c: ws.rho0_at_start(X)
+        bld.add_initial_load("p", c, lambda X, c=c: ws.rho0_at_start(X)
                              * np.asarray(y0f(X))[..., c])
-    bld.add_mass("Mp", asm, "z", zsp)
-    bld.add_mass("Mp", asm, "p", psp)
-    bld.add_mass("Mp", asm, "sigma", ssp)
-    bld.add_mass("Md", asm, "lam", lsp)
-    bld.add_mass("Md", asm, "mu", msp)
-    return bld.finish(problem)
+    return bld.finish()
 
 
 def assemble_stokes(mesh, spaces, ws: WeightSet, nu, y0,
@@ -448,8 +398,7 @@ def assemble_stokes(mesh, spaces, ws: WeightSet, nu, y0,
     Oseen system without a background trajectory (see _assemble_flow).
     Blocks that underflow to exactly 0 near the final time produce no
     non-finite entries."""
-    return _assemble_flow(ProblemSpec(kind="stokes", nu=nu, y0=y0),
-                          mesh, spaces, ws, rule)
+    return _assemble_flow(mesh, spaces, ws, nu, y0, None, None, rule)
 
 
 def assemble_oseen(mesh, spaces, ws: WeightSet, nu, ybar, w, u0,
@@ -460,5 +409,4 @@ def assemble_oseen(mesh, spaces, ws: WeightSet, nu, ybar, w, u0,
     ybar and the transported field w (see _assemble_flow); each is None,
     a callable of (X, t) or a batch evaluator with an `on_batch` method.
     """
-    return _assemble_flow(ProblemSpec(kind="oseen", nu=nu, ybar=ybar, w=w,
-                                      y0=u0), mesh, spaces, ws, rule)
+    return _assemble_flow(mesh, spaces, ws, nu, u0, ybar, w, rule)

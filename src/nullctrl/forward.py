@@ -34,23 +34,20 @@ class Trajectory:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
 
     def __call__(self, x, t):
-        return trajectory_eval(self, x, t)
-
-
-def trajectory_eval(traj: Trajectory, x, t):
-    """Velocity of the reference flow at (x, t); divergence-free closed forms."""
-    x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    t = np.asarray(t, dtype=float)
-    if traj.kind == "poiseuille":
-        u1 = 4.0 * x2 * (1.0 - x2)
-        u1 = np.broadcast_to(u1, np.broadcast(x1, t).shape)
-        return np.stack([u1, np.zeros_like(u1)], axis=-1)
-    # taylor_green, the last kind Trajectory accepts
-    decay = np.exp(-8.0 * traj.nu * t)
-    u1 = np.sin(2.0 * x1) * np.cos(2.0 * x2) * decay
-    u2 = -np.cos(2.0 * x1) * np.sin(2.0 * x2) * decay
-    return np.stack(np.broadcast_arrays(u1, u2), axis=-1)
+        """Velocity of the reference flow at (x, t); divergence-free closed
+        forms."""
+        x = np.asarray(x, dtype=float)
+        x1, x2 = x[..., 0], x[..., 1]
+        t = np.asarray(t, dtype=float)
+        if self.kind == "poiseuille":
+            u1 = 4.0 * x2 * (1.0 - x2)
+            u1 = np.broadcast_to(u1, np.broadcast(x1, t).shape)
+            return np.stack([u1, np.zeros_like(u1)], axis=-1)
+        # taylor_green, the last kind Trajectory accepts
+        decay = np.exp(-8.0 * self.nu * t)
+        u1 = np.sin(2.0 * x1) * np.cos(2.0 * x2) * decay
+        u2 = -np.cos(2.0 * x1) * np.sin(2.0 * x2) * decay
+        return np.stack(np.broadcast_arrays(u1, u2), axis=-1)
 
 
 def curl_perturbation(psi_kind, M, x):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import Assembler, QuadratureRule, build_space, l2_norm
-from .forms import (SaddleSystem, assemble_heat, assemble_oseen,
-                    assemble_stokes)
+from .forms import (FLOW_FIELDS, HEAT_FIELDS, SaddleSystem, assemble_heat,
+                    assemble_oseen, assemble_stokes)
 from .forward import (SpatialGrid, Trajectory, curl_perturbation,
                       flow_forward, heat_forward_cn)
 from .mesh import build_mesh
@@ -89,7 +89,8 @@ class WeightedField:
         Point location, spatial basis, DOF indices, the weight exponent
         chi(X) and the region mask are computed once; a call costs the time
         basis, one small contraction and exp(-chi/(T-t)).  t is one time or
-        an array of times broadcastable to X.shape[:-1].
+        an array of times broadcastable to X.shape[:-1], with leading axes
+        as in `TensorFemSpace.at`.
         """
         X = np.asarray(X, dtype=float)
         field = self.space.at(self.coeffs, X)
@@ -123,25 +124,19 @@ class WeightedField:
 
 def _setup(cfg, flow):
     """Mesh, weights and the spaces of the heat (z, p, lam) or the flow
-    (z, p, sigma, lam, mu) saddle system."""
+    (z, p, sigma, lam, mu) saddle system, one per row of its field table."""
     mesh = build_mesh(cfg.nx, cfg.ny, cfg.nt, cfg.L1, cfg.L2, cfg.T, cfg.omega,
                       diagonal=cfg.diagonal)
     ws = WeightSet(cfg.L1, cfg.L2, cfg.T, cfg.anchor, cfg.K1, cfg.K2)
-
-    def space(m, components, constraint):
-        return build_space(mesh, m, cfg.n, components, constraint)
-
-    if not flow:
-        return mesh, ws, (space(cfg.m, 1, "none"),
-                          space(cfg.m, 1, "zero_lateral"),
-                          space(cfg.m, 1, "zero_lateral_final"))
+    primal, dual = FLOW_FIELDS if flow else HEAT_FIELDS
     # the divergence multiplier sits one spatial degree below the velocity
     # fields; that does not make the flow system nonsingular: with sigma at
     # the velocity degree the KKT matrix keeps a primal kernel, mostly in
     # sigma (105 vectors on Stokes 3x3x3)
-    return mesh, ws, (space(cfg.m, 2, "none"), space(cfg.m, 2, "zero_lateral"),
-                      space(cfg.m, 1, "none"), space(cfg.m, 2, "zero_lateral"),
-                      space(max(cfg.m - 1, 1), 1, "none"))
+    return mesh, ws, tuple(
+        build_space(mesh, max(cfg.m - 1, 1) if name == "mu" else cfg.m,
+                    cfg.n, components, constraint)
+        for name, components, constraint in primal + dual)
 
 
 def _solve_system(system, cfg, start=None):
@@ -152,7 +147,7 @@ def _solve_system(system, cfg, start=None):
     system's factorization diverges), while heat keeps the exact oracle.
     """
     if cfg.solver_method == "direct":
-        if system.problem.kind == "heat":
+        if cfg.scenario == "heat":
             x, lam, flagged = direct_solve(system)
             return x, lam, None, {"least_squares": flagged}
         x, lam, rn = KktSolver(system).resolve(start=start)
@@ -233,15 +228,13 @@ def fixed_point_ns(cfg):
     def u0(X):
         return curl_perturbation(cfg.trajectory, cfg.M, X)
 
-    rule = QuadratureRule.default(cfg.m, cfg.n)
-    asm = Assembler(mesh, rule)
+    asm = Assembler(mesh, QuadratureRule.default(cfg.m, cfg.n))
     uweight = lambda X, t: ws.inv_weight("-", X, t) ** 2
 
     fp = FixedPointLog()
     w_field = z_prev = solved = None
     for it in range(1, cfg.outer_max + 1):
-        system = assemble_oseen(mesh, spaces, ws, cfg.nu, traj, w_field, u0,
-                                rule=rule)
+        system = assemble_oseen(mesh, spaces, ws, cfg.nu, traj, w_field, u0)
         solved = _solve_system(system, cfg,
                                start=None if solved is None else solved[:2])
         z_new = system.expand(solved[0])["z"]

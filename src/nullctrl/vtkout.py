@@ -47,11 +47,13 @@ def write_vtk_snapshot(path, mesh, point_fields):
 def write_field_series(outdir, mesh, fields):
     """Write field_<name>_<k>.vtk at every mesh time node.
 
-    fields maps names to callables f(X, t) evaluated at the spatial vertices.
+    fields maps names to callables f(X, t) of the spatial vertices X; each
+    is called once, with the column of time nodes as t, and returns one row
+    of vertex values per time node.
     """
-    X = mesh.vertices
-    for k, t in enumerate(mesh.time_nodes):
-        for name, fn in fields.items():
-            vals = np.asarray(fn(X, float(t)), dtype=float)
+    X, times = mesh.vertices, mesh.time_nodes[:, None]
+    for name, fn in fields.items():
+        series = np.asarray(fn(X, times), dtype=float)
+        for k, vals in enumerate(series):
             path = os.path.join(outdir, f"field_{name}_{k}.vtk")
             write_vtk_snapshot(path, mesh, {name: vals})

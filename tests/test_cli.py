@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from nullctrl import cli
+from nullctrl import cli, fem
 from nullctrl import config as cfgmod
 from nullctrl.cli import _load_config, _parser, run
+from nullctrl.mesh import locate
 from nullctrl.saddle import SolverDiverged
 
 
@@ -107,16 +108,19 @@ def test_unknown_key_rejected():
         cfgmod.apply_setting(cfgmod.from_preset("heat-sec26"), "mesh.bogus", 3)
 
 
-def test_hatted_key_rejected(tmp_path, capsys):
-    # the weight-absorbing flow variables are the only formulation
-    with pytest.raises(ValueError, match="unknown config key"):
-        cfgmod.apply_setting(cfgmod.from_preset("stokes-sec37"),
-                             "solver.hatted", "false")
-    rc = run(["run", "stokes-sec37", "--set", "solver.hatted=false",
-              "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: config:")
-    assert not os.path.exists(tmp_path / "out")
+def test_removed_keys_rejected(tmp_path, capsys):
+    # the weight-absorbing flow variables are the only formulation, and the
+    # initial datum's base amplitude is a constant
+    for preset, key, value in (("stokes-sec37", "solver.hatted", "false"),
+                               ("heat-sec26", "physics.y0_base", "1000")):
+        with pytest.raises(ValueError, match="unknown config key"):
+            cfgmod.apply_setting(cfgmod.from_preset(preset), key, value)
+        out = tmp_path / key
+        rc = run(["run", preset, "--set", f"{key}={value}", "--out",
+                  str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: config:")
+        assert not os.path.exists(out)
 
 
 def test_equilibrate_key_rejected():
@@ -160,6 +164,25 @@ def test_run_artifacts(tmp_path, preset):
     text = read(out, vtks[0])
     assert "DATASET UNSTRUCTURED_GRID" in text
     assert "CELL_TYPES" in text
+
+
+def test_vtk_fields_locate_vertices_once(tmp_path, monkeypatch):
+    # each written field locates the mesh vertices once, not at every time node
+    calls = []
+
+    def counting_locate(mesh, x):
+        calls.append(len(x))
+        return locate(mesh, x)
+
+    monkeypatch.setattr(fem, "locate", counting_locate)
+    out = str(tmp_path / "vtk")
+    rc = run(["run", "heat-sec26", "--nx", "3", "--ny", "3", "--nt", "2",
+              "--method", "direct", "--no-verify", "--out", out])
+    assert rc == 0
+    names = {f[len("field_"):].rsplit("_", 1)[0]
+             for f in os.listdir(out) if f.endswith(".vtk")}
+    assert names == {"y", "v", "p_hat", "z_hat"}
+    assert calls == [16] * len(names)   # 4x4 vertices
 
 
 def test_zero_scale_run_reports_zero_cost(tmp_path):

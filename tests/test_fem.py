@@ -100,7 +100,8 @@ def test_polynomial_interpolation_exact():
     """The point evaluator reproduces degree-(m, n) polynomials on both
     triangulation patterns (every barycentric branch of `locate`), at mesh
     vertices, axis-aligned and diagonal edge midpoints and scattered points,
-    at t = 0, slab interfaces and t = T, with one time per point."""
+    at t = 0, slab interfaces and t = T, with one time per point and with
+    a column of times."""
     rng = np.random.default_rng(0)
     g = np.linspace(0.0, 1.0, 9)        # vertices and midpoints for h = 1/4
     nodes = np.array([(x, y) for x in g for y in g])
@@ -119,6 +120,10 @@ def test_polynomial_interpolation_exact():
                 want = f(pts, np.broadcast_to(t, len(pts)))
                 np.testing.assert_allclose(sp.eval(coeffs, pts, t), want,
                                            rtol=0, atol=1e-12)
+            # a column of times gives one row of point values per time
+            want = np.stack([f(pts, np.full(len(pts), t)) for t in levels])
+            np.testing.assert_allclose(sp.eval(coeffs, pts, levels[:, None]),
+                                       want, rtol=0, atol=1e-12)
 
 
 def test_l2_norm_constants(unit_mesh):

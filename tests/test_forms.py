@@ -239,6 +239,34 @@ def test_stokes_weighted_blocks_all_finite(ws):
     assert abs(system.A - system.A.T).max() <= 1e-12 * abs(system.A).max()
 
 
+@pytest.mark.parametrize("case", ["constraint", "components", "mesh",
+                                  "stokes-nu", "oseen-nu"])
+def test_assembly_rejects_mismatched_input(ws, small_mesh, heat_spaces,
+                                           flow_spaces, case):
+    z, p, lam = heat_spaces
+    other = build_mesh(2, 2, 2, 1.0, 1.0, 1.0, (0.0, 1.0, 0.0, 1.0))
+    calls = {
+        # p without its lateral constraint; sigma with two components
+        "constraint": lambda: assemble_heat(small_mesh, (z, z, lam), ws,
+                                            1.0, 1.0),
+        "components": lambda: assemble_stokes(
+            small_mesh, flow_spaces[:2] + flow_spaces[:1] + flow_spaces[3:],
+            ws, 1.0, (1.0, 0.0)),
+        "mesh": lambda: assemble_heat(
+            small_mesh, (z, p, build_space(other, 4, 2, 1,
+                                           "zero_lateral_final")),
+            ws, 1.0, 1.0),
+        "stokes-nu": lambda: assemble_stokes(small_mesh, flow_spaces, ws,
+                                             0.0, (1.0, 0.0)),
+        "oseen-nu": lambda: assemble_oseen(small_mesh, flow_spaces, ws, -1.0,
+                                           None, None, (1.0, 0.0)),
+    }
+    match = {"mesh": "assembly mesh", "stokes-nu": "viscosity",
+             "oseen-nu": "viscosity"}.get(case, "space must have")
+    with pytest.raises(ValueError, match=match):
+        calls[case]()
+
+
 def _p2_flow_spaces(mesh):
     """The pipeline's flow layout: P2 fields, P1 divergence multiplier."""
     return (build_space(mesh, 2, 2, 2, "none"),

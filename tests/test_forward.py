@@ -5,7 +5,7 @@ import pytest
 
 from nullctrl import forward
 from nullctrl.forward import (SpatialGrid, Trajectory, curl_perturbation,
-                              flow_forward, heat_forward_cn, trajectory_eval)
+                              flow_forward, heat_forward_cn)
 
 from oracles import fd_divergence
 
@@ -131,7 +131,7 @@ def test_stokes_reuses_factorization_per_theta(factorizations, nt_fwd):
 def test_navier_stokes_factorizes_every_step(factorizations):
     grid = SpatialGrid(4, 4, np.pi, np.pi)
     traj = Trajectory("taylor_green")
-    flow_forward(grid, 1.0, lambda X: trajectory_eval(traj, X, 0.0), None,
+    flow_forward(grid, 1.0, lambda X: traj(X, 0.0), None,
                  traj, 0.1, 5)
     assert len(factorizations) == 5
 
@@ -143,13 +143,13 @@ def test_zero_trajectory_kind_rejected():
 
 def test_trajectory_closed_forms():
     p = Trajectory("poiseuille")
-    assert np.allclose(trajectory_eval(p, np.array([2.0, 0.5]), 0.7), [1.0, 0.0])
-    assert np.allclose(trajectory_eval(p, np.array([2.0, 0.0]), 0.0), [0.0, 0.0])
+    assert np.allclose(p(np.array([2.0, 0.5]), 0.7), [1.0, 0.0])
+    assert np.allclose(p(np.array([2.0, 0.0]), 0.0), [0.0, 0.0])
     tg = Trajectory("taylor_green")
-    v = trajectory_eval(tg, np.array([np.pi / 4, 0.0]), 0.0)
+    v = tg(np.array([np.pi / 4, 0.0]), 0.0)
     assert np.allclose(v, [1.0, 0.0], atol=1e-14)
-    v1 = trajectory_eval(tg, np.array([1.0, 2.0]), 0.25)
-    assert np.allclose(v1, trajectory_eval(tg, np.array([1.0, 2.0]), 0.0)
+    v1 = tg(np.array([1.0, 2.0]), 0.25)
+    assert np.allclose(v1, tg(np.array([1.0, 2.0]), 0.0)
                        * np.exp(-2.0), atol=1e-12)
 
 
@@ -158,7 +158,7 @@ def test_taylor_green_divergence_free():
     rng = np.random.default_rng(2)
     pts = rng.random((100, 2)) * np.pi
     for k in range(100):
-        d = fd_divergence(lambda x: trajectory_eval(tg, x, 0.3), pts[k])
+        d = fd_divergence(lambda x: tg(x, 0.3), pts[k])
         assert abs(d) <= 1e-6
 
 
@@ -189,7 +189,7 @@ def test_poiseuille_steady_state_exact():
     # stays on it to solver roundoff
     grid = SpatialGrid(15, 6, 5.0, 1.0)
     traj = Trajectory("poiseuille")
-    hist, _ = flow_forward(grid, 1.0, lambda X: trajectory_eval(traj, X, 0.0),
+    hist, _ = flow_forward(grid, 1.0, lambda X: traj(X, 0.0),
                            None, traj, 0.5, 25)
     assert hist.deviation_norms.max() <= 1e-10
 
@@ -197,7 +197,7 @@ def test_poiseuille_steady_state_exact():
 def test_taylor_green_tracks_exact_decay():
     grid = SpatialGrid(16, 16, np.pi, np.pi)
     traj = Trajectory("taylor_green", nu=1.0)
-    hist, _ = flow_forward(grid, 1.0, lambda X: trajectory_eval(traj, X, 0.0),
+    hist, _ = flow_forward(grid, 1.0, lambda X: traj(X, 0.0),
                            None, traj, 0.5, 50)
     norm0 = np.pi / np.sqrt(2.0) * np.sqrt(2.0)   # ||TG(0)|| on (0,pi)^2
     rel = hist.deviation_norms[-1] / (np.exp(-4.0) * norm0)
@@ -210,7 +210,7 @@ def test_taylor_green_tracks_exact_decay():
 def test_flow_divergence_residual_reported():
     grid = SpatialGrid(12, 12, np.pi, np.pi)
     traj = Trajectory("taylor_green", nu=1.0)
-    hist, _ = flow_forward(grid, 1.0, lambda X: trajectory_eval(traj, X, 0.0),
+    hist, _ = flow_forward(grid, 1.0, lambda X: traj(X, 0.0),
                            None, traj, 0.2, 10)
     assert hist.divergence_residual > 0.0
     assert np.isfinite(hist.divergence_residual)

@@ -71,3 +71,31 @@ def test_no_unread_private_helpers():
               if (dead := [d for d in private_definitions(tree)
                            if d[1] not in read])}
     assert unread == {}
+
+
+def unread_parameters(tree):
+    """(line, function, parameter) of each parameter of a function or
+    lambda that its body never reads; self and cls are exempt."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        found += [(node.lineno, name, p.arg) for p in params
+                  if p.arg not in ("self", "cls") and p.arg not in read]
+    return found
+
+
+def test_no_unread_parameters():
+    files = sorted((ROOT / "src" / "nullctrl").glob("*.py"))
+    assert len(files) > 2
+    unread = {path.name: found for path in files
+              if (found := unread_parameters(ast.parse(path.read_text())))}
+    assert unread == {}

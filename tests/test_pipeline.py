@@ -18,7 +18,7 @@ from nullctrl.weights import WeightSet
 def heat_cfg(**over):
     base = dict(scenario="heat", L1=1.0, L2=1.0, T=1.0,
                 omega=(0.25, 0.75, 0.25, 0.75), nx=4, ny=4, nt=4, m=2, n=2,
-                G=1.0, y0_base=1000.0, solver_method="direct", verify=False)
+                G=1.0, solver_method="direct", verify=False)
     base.update(over)
     return validate(RunConfig(**base))
 
@@ -26,7 +26,7 @@ def heat_cfg(**over):
 def stokes_cfg(**over):
     base = dict(scenario="stokes", L1=1.0, L2=1.0, T=1.0,
                 omega=(0.25, 0.75, 0.25, 0.75), nx=4, ny=4, nt=4, m=2, n=2,
-                nu=1.0, y0_base=1000.0, solver_method="direct", verify=False)
+                nu=1.0, solver_method="direct", verify=False)
     base.update(over)
     return validate(RunConfig(**base))
 
@@ -211,7 +211,8 @@ def test_bound_evaluator_matches_scattered_points():
     """WeightedField.at(P)(t) agrees with TensorFemSpace.eval times the
     inverse weight, on mesh vertices, element edges (axis-aligned and
     diagonal), the control-region boundary and the domain boundary, at
-    t = 0, slab nodes, slab interiors and T, and for per-point times.
+    t = 0, slab nodes, slab interiors and T, for per-point times and for
+    a column of times.
     This checks the weight, sign and region; the field values themselves
     are checked in closed form by test_polynomial_interpolation_exact."""
     mesh = build_mesh(4, 4, 4, 1.0, 1.0, 1.0, (0.25, 0.75, 0.25, 0.75))
@@ -254,3 +255,7 @@ def test_bound_evaluator_matches_scattered_points():
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
+        # a column of times evaluates the same rows bit for bit
+        column = np.array(times[:-1])[:, None]
+        assert np.array_equal(bound(column),
+                              np.stack([bound(t) for t in times[:-1]]))

@@ -11,8 +11,7 @@ import scipy.sparse.linalg as spla
 
 from nullctrl import saddle
 from nullctrl.fem import build_space
-from nullctrl.forms import (ProblemSpec, SaddleSystem, assemble_heat,
-                            assemble_stokes)
+from nullctrl.forms import SaddleSystem, assemble_heat, assemble_stokes
 from nullctrl.mesh import build_mesh
 from nullctrl.saddle import (AHParams, IterationLog, KktSolver,
                              SolverDiverged, arrow_hurwicz, direct_solve,
@@ -27,8 +26,7 @@ def toy_system():
     L = np.array([2.0, 2.0])
     return SaddleSystem(A=A, B=B, L=L, primal=[], dual=[],
                         M_primal=sp.identity(2, format="csr"),
-                        M_dual=sp.identity(1, format="csr"),
-                        mesh=None, problem=ProblemSpec(kind="heat"))
+                        M_dual=sp.identity(1, format="csr"))
 
 
 def random_system(rng, n=40, m=10):
@@ -38,8 +36,7 @@ def random_system(rng, n=40, m=10):
     L = rng.standard_normal(n)
     return SaddleSystem(A=A, B=B, L=L, primal=[], dual=[],
                         M_primal=sp.identity(n, format="csr"),
-                        M_dual=sp.identity(m, format="csr"),
-                        mesh=None, problem=ProblemSpec(kind="heat"))
+                        M_dual=sp.identity(m, format="csr"))
 
 
 def stable_step(system):
@@ -304,8 +301,7 @@ def test_singular_system_flagged_least_squares(factorizations):
     system = SaddleSystem(A=A, B=B, L=np.array([1.0, 2.0, 3.0]),
                           primal=[], dual=[],
                           M_primal=sp.identity(3, format="csr"),
-                          M_dual=sp.identity(2, format="csr"),
-                          mesh=None, problem=ProblemSpec(kind="heat"))
+                          M_dual=sp.identity(2, format="csr"))
     with pytest.warns(spla.MatrixRankWarning):   # the exact attempt
         x, lam, flagged = direct_solve(system)
     assert len(factorizations) == 1   # the regularized fallback, once
