@@ -70,6 +70,8 @@ def _summary_lines(cfg, sol, fp, wall):
         lines.append(f"rel_err2_final = {sol.log.rel_err2[-1]:.6e}")
         lines.append(f"residual_primal = {sol.log.residual_primal:.6e}")
         lines.append(f"residual_constraint = {sol.log.residual_constraint:.6e}")
+    # |L| in the assembled basis, the scale of residual_primal
+    lines.append(f"load_norm = {np.linalg.norm(sol.system.L):.6e}")
     info = sol.info
     if "istop" in info:   # an LSMR solve
         lines.append(f"lsmr_iterations = {info['iterations']}")

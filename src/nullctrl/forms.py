@@ -76,10 +76,23 @@ class SaddleSystem:
 
 _ELEMENT = "abq,qi,qj->abij"   # sum_q w_q c_q Op_i Op_j per prism
 
+# a target is converted to CSR in this many row blocks of about equal entries
+_ROW_BLOCKS = 8
+
+
+def _row_cuts(counts, nblocks):
+    """Bounds of at most nblocks consecutive row ranges with about equal
+    entries each, from the entry count of every row; each range holds at
+    least one row."""
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    cuts = np.searchsorted(starts,
+                           np.arange(1, nblocks) * starts[-1] / nblocks)
+    return np.unique(np.concatenate([[0], cuts, [len(counts)]]))
+
 
 class _Builder:
-    """Collects bilinear terms as element values and DOF maps, then builds
-    full-size COO blocks from them and reduces those to the free DOFs.
+    """Collects bilinear terms as element values and DOF maps, then converts
+    each target to a CSR matrix over the free DOFs, one row block at a time.
 
     primal and dual are the system's (name, space) pairs in table order.
     """
@@ -156,52 +169,90 @@ class _Builder:
         np.add.at(tgt, spc.space_conn, contrib)   # time level 0 only
 
     def _matrix(self, target, shape, rows_idx, cols_idx):
-        """The target's terms as one CSR matrix, reduced to the free DOFs.
+        """The target's terms as one CSR matrix, reduced to the free DOFs
+        rows_idx and cols_idx (both ascending).
 
-        The COO arrays are sized once and each term is copied into its slice
-        and dropped, in the order the terms were added.  Before summing
-        duplicates, scipy's `tocsr`/`sum_duplicates` sorts each row's column
-        indices with an unstable sort: the same sequence of terms gives the
-        same bits, but adding or reordering terms can change the rounding of
-        other entries in the same row.  The index arrays have the dtype scipy
-        converts to, so the conversion copies nothing.
+        The matrix is converted one block of consecutive free rows at a time
+        (`_row_cuts`), so COO triplets never exist for more than one block.
+        A block takes the entries of its rows, term by term in the order the
+        terms were added and in (prism, i, j) order within a term, into
+        arrays sized once for the block; consecutive terms with the same
+        test DOFs share their row order and index arrays.  scipy's `tocsr`
+        keeps each row's entries in that order, then sorts each row's column
+        indices, with an unstable sort, before summing duplicates.  So a row
+        sees the same sequence of entries whatever the cuts, and the bits do
+        not depend on them; but adding or reordering terms can change the
+        rounding of other entries in the same row.
         """
         terms = self._terms.pop(target)
-        if not terms:
-            return sp.csr_matrix((len(rows_idx), len(cols_idx)))
+        n_rows = len(rows_idx)
+        if not terms or not n_rows:
+            return sp.csr_matrix((n_rows, len(cols_idx)))
         total = sum(E.size for E, _, _ in terms)
         idx = (np.int32 if max(max(shape), total) <= np.iinfo(np.int32).max
                else np.int64)
-        data = np.empty(total)
-        rows = np.empty(total, dtype=idx)
-        cols = np.empty(total, dtype=idx)
-        start = 0
-        for k, (E, Dt, Dr) in enumerate(terms):
-            terms[k] = None
-            seg = slice(start, start + E.size)
-            data[seg].reshape(E.shape)[...] = E
-            rows[seg].reshape(E.shape)[...] = Dt[..., None]
-            cols[seg].reshape(E.shape)[...] = Dr[:, :, None, :]
-            start += E.size
-        del E
-        M = sp.coo_matrix((data, (rows, cols)), shape=shape)
-        del data, rows, cols
-        M = M.tocsr()
-        M = M[rows_idx][:, cols_idx]
-        M.sum_duplicates()
-        return M
+        groups = []   # (test DOFs, element values, trial DOFs) of each run
+        for E, Dt, Dr in terms:
+            if (groups and groups[-1][1][0].shape == E.shape
+                    and np.array_equal(groups[-1][0], Dt)):
+                groups[-1][1].append(E)
+                groups[-1][2].append(Dr)
+            else:
+                groups.append((Dt, [E], [Dr]))
+        terms.clear()
+        reduced = np.full(shape[0], -1, dtype=idx)   # -1 on fixed rows
+        reduced[rows_idx] = np.arange(n_rows)
+        counts = np.zeros(n_rows, dtype=np.int64)
+        for k, (Dt, Es, Drs) in enumerate(groups):
+            rq = reduced[Dt].ravel()
+            counts += (np.bincount(rq[rq >= 0], minlength=n_rows)
+                       * (len(Es) * Es[0].shape[3]))
+            groups[k] = (rq, Es, Drs)
+        bounds = _row_cuts(counts, _ROW_BLOCKS)
+        sizes = np.diff(np.concatenate([[0], np.cumsum(counts)])[bounds])
+        for k, (rq, Es, Drs) in enumerate(groups):
+            # each test row's block + 1 (0 on fixed rows); the stable sort
+            # keeps every block's rows in their (prism, i) order
+            block = np.searchsorted(bounds, rq, side="right")
+            order = np.argsort(block, kind="stable").astype(idx)
+            ends = np.cumsum(np.bincount(block, minlength=len(bounds)))
+            ni, nj = Es[0].shape[2:]
+            for t, E in enumerate(Es):   # as rows of nj values, for `take`
+                Es[t] = np.ascontiguousarray(E).reshape(-1, nj)
+            Dr = np.stack(Drs).astype(idx).reshape(len(Es), -1, nj)
+            groups[k] = (Es, Dr, order, rq[order], order // ni, ends.tolist())
+        blocks = []
+        for j, (q0, q1) in enumerate(zip(bounds[:-1], bounds[1:])):
+            data = np.empty(sizes[j])
+            rows = np.empty(sizes[j], dtype=idx)
+            cols = np.empty(sizes[j], dtype=idx)
+            start = 0
+            for Es, Dr, order, rq, prism, ends in groups:
+                lo, hi = ends[j], ends[j + 1]
+                part = (len(Es), hi - lo, Dr.shape[2])
+                seg = slice(start, start + part[0] * part[1] * part[2])
+                values = data[seg].reshape(part)
+                for t, E in enumerate(Es):
+                    E.take(order[lo:hi], axis=0, out=values[t])
+                Dr.take(prism[lo:hi], axis=1, out=cols[seg].reshape(part))
+                np.subtract(rq[lo:hi, None], q0, out=rows[seg].reshape(part))
+                start = seg.stop
+            M = sp.coo_matrix((data, (rows, cols)), shape=(q1 - q0, shape[1]))
+            del data, rows, cols
+            M = M.tocsr()[:, cols_idx]
+            M.sum_duplicates()
+            blocks.append(M)
+        groups.clear()   # the element values, before the blocks are stacked
+        return sp.vstack(blocks, format="csr")
 
     def finish(self) -> SaddleSystem:
-        """The system, after adding the L2 mass of every primal field to Mp
-        and of every dual field to Md."""
+        """The system.  A and B are converted first; then the L2 mass of
+        every primal field is added to Mp and converted, and that of every
+        dual field to Md, so no two targets' element values coexist."""
         layouts, free = [], []
-        for target, fields in (("Mp", self.primal), ("Md", self.dual)):
+        for fields in (self.primal, self.dual):
             layout, idx, off = [], [], 0
             for name, spc in fields:
-                for batch in self.asm.batches(spc):
-                    for c in range(spc.components):
-                        self.add(target, batch, (name, c, "v"),
-                                 (name, c, "v"), 1.0)
                 layout.append(FieldBlock(name, spc, off, len(spc.free_idx)))
                 off += len(spc.free_idx)
                 idx.append(self.full_off[name] + spc.free_idx)
@@ -211,11 +262,18 @@ class _Builder:
         pfree, dfree = free
         A = self._matrix("A", (n_p, n_p), pfree, pfree)
         B = self._matrix("B", (n_d, n_p), dfree, pfree)
-        Mp = self._matrix("Mp", (n_p, n_p), pfree, pfree)
-        Md = self._matrix("Md", (n_d, n_d), dfree, dfree)
+        masses = []
+        for target, fields, n, rows in (("Mp", self.primal, n_p, pfree),
+                                        ("Md", self.dual, n_d, dfree)):
+            for name, spc in fields:
+                for batch in self.asm.batches(spc):
+                    for c in range(spc.components):
+                        self.add(target, batch, (name, c, "v"),
+                                 (name, c, "v"), 1.0)
+            masses.append(self._matrix(target, (n, n), rows, rows))
         return SaddleSystem(A=A, B=B, L=self.L_full[pfree],
                             primal=layouts[0], dual=layouts[1],
-                            M_primal=Mp, M_dual=Md)
+                            M_primal=masses[0], M_dual=masses[1])
 
 
 # (name, components, constraint) of each primal field, then of each dual

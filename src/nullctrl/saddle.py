@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .forms import SaddleSystem
+from .forms import SaddleSystem, _row_cuts
 
 
 class SolverDiverged(RuntimeError):
@@ -142,13 +142,37 @@ def _eq_mass(M, d):
     return (sp.diags(d) @ M @ sp.diags(d)).tocsr()
 
 
+def _rows_equal(P: sp.csr_matrix, Q: sp.csr_matrix):
+    """Mask of the rows of P stored exactly as in Q: the same column
+    indices and the same data bits in the same order, so that their
+    products with any vector are bitwise equal."""
+    lp, lq = np.diff(P.indptr), np.diff(Q.indptr)
+    same = lp == lq
+    in_p, in_q = np.repeat(same, lp), np.repeat(same, lq)
+    differs = ((P.indices[in_p] != Q.indices[in_q])
+               | (P.data[in_p].view(np.int64)
+                  != Q.data[in_q].view(np.int64)))
+    same[np.repeat(np.flatnonzero(same), lp[same])[differs]] = False
+    return same
+
+
 def _stacked_operators(eq: Equilibrated):
-    """KX = [A; B; M_p] and KL = [B^T; M_d] in the equilibrated basis."""
-    KX = sp.vstack([eq.A, eq.B, _eq_mass(eq.system.M_primal, eq.dp)],
-                   format="csr")
+    """KX = [A; B; M_p'] and KL = [B^T; M_d] in the equilibrated basis, and
+    the index `mass` with (KX @ x)[mass] = M_p @ x.
+
+    M_p' holds only the rows of M_p that A does not store identically (A
+    shares every z row and the p rows supported in omega); the mass product
+    of the shared rows is read from A's part, bit for bit.
+    """
+    Mp = _eq_mass(eq.system.M_primal, eq.dp)
+    own = np.flatnonzero(~_rows_equal(Mp, eq.A))
+    n, m = eq.A.shape[0], eq.B.shape[0]
+    mass = np.arange(n)
+    mass[own] = n + m + np.arange(len(own))
+    KX = sp.vstack([eq.A, eq.B, Mp[own]], format="csr")
     KL = sp.vstack([eq.B.T.tocsr(), _eq_mass(eq.system.M_dual, eq.dl)],
                    format="csr")
-    return KX, KL
+    return KX, KL, mass
 
 
 def _rel_increment(new, old, Mnew, Mold):
@@ -176,13 +200,15 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
 
     Each step makes two sparse products: KX = [A; B; M_p] with the new
     primal iterate and KL = [B^T; M_d] with the new dual one (all in the
-    equilibrated basis).  They give B x^{k+1} for the dual update, A x and
-    B^T lam for the next step and the mass products of the stopping test.
+    equilibrated basis; KX leaves out the rows of M_p that A stores
+    identically, `_stacked_operators`).  They give B x^{k+1} for the dual
+    update, A x and B^T lam for the next step and the mass products of the
+    stopping test.
     """
     eq = equilibrated(system)
     L = eq.L
     n, m = system.n_primal, system.n_dual
-    KX, KL = _stacked_operators(eq)
+    KX, KL, mass = _stacked_operators(eq)
 
     if start is None:
         x, lam = np.zeros(n), np.zeros(m)
@@ -190,6 +216,7 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
         x, lam = eq.to_basis(start)
     log = IterationLog()
     kx, kl = KX @ x, KL @ lam
+    mx = kx[mass]
     # divergence is reported by SolverDiverged, not by floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, params.max_iter + 1):
@@ -203,12 +230,13 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
                                    np.abs(lam_new).max()) > 1e130:
                 raise SolverDiverged(k, log)   # slow exponential blow-up
             kl_new = KL @ lam_new
-            e1 = _rel_increment(x_new, x, kx_new[n + m:], kx[n + m:])
+            mx_new = kx_new[mass]
+            e1 = _rel_increment(x_new, x, mx_new, mx)
             e2 = _rel_increment(lam_new, lam, kl_new[n:], kl[n:])
             log.iters.append(k)
             log.rel_err1.append(e1)
             log.rel_err2.append(e2)
-            x, lam, kx, kl = x_new, lam_new, kx_new, kl_new
+            x, lam, kx, kl, mx = x_new, lam_new, kx_new, kl_new, mx_new
             if e1 <= params.tol and e2 <= params.tol:
                 log.converged = True
                 break
@@ -305,9 +333,7 @@ def _row_blocks(M: sp.csr_matrix, nblocks: int):
 
     A view shares M's data and indices and has its own rebased indptr.
     """
-    n_rows = M.shape[0]
-    cuts = np.searchsorted(M.indptr, np.arange(1, nblocks) * M.nnz / nblocks)
-    bounds = np.unique(np.concatenate([[0], cuts, [n_rows]]))
+    bounds = _row_cuts(np.diff(M.indptr), nblocks)
     blocks = []
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         s, e = M.indptr[r0], M.indptr[r1]

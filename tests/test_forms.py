@@ -306,6 +306,15 @@ def _stokes_assembly(ws):
 _MATRICES = ("A", "B", "M_primal", "M_dual")
 
 
+def _assert_same_matrices(system, reference):
+    for name in _MATRICES:
+        got, want = getattr(system, name), getattr(reference, name)
+        assert got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+    assert np.array_equal(system.L, reference.L)
+
+
 @pytest.mark.parametrize("case", ["heat", "stokes-hatted", "oseen"])
 def test_assembly_bit_identical_to_concatenating_reference(ws, monkeypatch,
                                                            case):
@@ -314,13 +323,52 @@ def test_assembly_bit_identical_to_concatenating_reference(ws, monkeypatch,
                 "oseen": _taylor_green_oseen}[case]()
     system = assemble()
     monkeypatch.setattr(forms, "_Builder", ConcatenatingBuilder)
+    _assert_same_matrices(system, assemble())
+
+
+# row-block bounds of a target with n free rows: every 7th row, so that the
+# cuts fall inside fields and inside time levels (121 P2 nodes per level on
+# 5x5, 49 on 3x3), with empty blocks at both ends; one block per row; one
+# block for the whole target
+_CUTS = {
+    "every-7th-row": lambda n: np.concatenate([[0, 0], np.arange(1, n, 7),
+                                               [n, n]]),
+    "every-row": lambda n: np.arange(n + 1),
+    "whole": lambda n: np.array([0, n]),
+}
+
+
+@pytest.mark.parametrize("case,cuts", [("heat", "every-7th-row"),
+                                       ("heat", "every-row"),
+                                       ("heat", "whole"),
+                                       ("oseen", "every-7th-row")])
+def test_assembly_bits_independent_of_row_blocks(ws, monkeypatch, case,
+                                                 cuts):
+    assemble = {"heat": lambda: _heat_assembly(ws, 5, 3),
+                "oseen": _taylor_green_oseen}[case]()
+    monkeypatch.setattr(forms, "_Builder", ConcatenatingBuilder)
     reference = assemble()
-    for name in _MATRICES:
-        got, want = getattr(system, name), getattr(reference, name)
-        assert got.shape == want.shape
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, part), getattr(want, part))
-    assert np.array_equal(system.L, reference.L)
+    monkeypatch.undo()
+    monkeypatch.setattr(forms, "_row_cuts",
+                        lambda counts, _: _CUTS[cuts](len(counts)))
+    _assert_same_matrices(assemble(), reference)
+
+
+def test_assembly_of_a_target_without_terms(ws, small_mesh, heat_spaces,
+                                            monkeypatch):
+    """A system whose builder received no A terms: A is the empty matrix
+    over the free DOFs, and the other targets keep their bits."""
+    def assemble():
+        bld = forms._builder(small_mesh, heat_spaces, forms.HEAT_FIELDS, None)
+        for batch in bld.asm.batches(*heat_spaces):
+            bld.add("B", batch, ("lam", 0, "v"), ("p", 0, "t"), 1.0)
+        return bld.finish()
+
+    system = assemble()
+    assert system.A.nnz == 0 and system.B.nnz > 0
+    assert system.A.shape == (system.n_primal, system.n_primal)
+    monkeypatch.setattr(forms, "_Builder", ConcatenatingBuilder)
+    _assert_same_matrices(system, assemble())
 
 
 def _peak_over_csr_bytes(assemble):
@@ -337,10 +385,10 @@ def _peak_over_csr_bytes(assemble):
 
 
 def test_assembly_memory_peak_bounded_by_assembled_matrices(ws):
-    # measured 7.7 (heat) and 14.2 (Oseen); the full-copy conversion of the
-    # concatenated COO triplets took 15.9 and 27.8
-    assert _peak_over_csr_bytes(_heat_assembly(ws, 5, 4)) <= 10.0
-    assert _peak_over_csr_bytes(_taylor_green_oseen()) <= 18.0
+    # measured 3.1 (heat) and 5.6 (Oseen) with row-block conversion; the
+    # whole-target conversion of preallocated COO arrays took 7.7 and 14.2
+    assert _peak_over_csr_bytes(_heat_assembly(ws, 5, 4)) <= 5.0
+    assert _peak_over_csr_bytes(_taylor_green_oseen()) <= 10.0
 
 
 @pytest.mark.parametrize("case", ["heat", "oseen"])

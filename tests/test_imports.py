@@ -99,3 +99,77 @@ def test_no_unread_parameters():
     unread = {path.name: found for path in files
               if (found := unread_parameters(ast.parse(path.read_text())))}
     assert unread == {}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def private_library_names(sources):
+    """(module, line, name) of each private numpy/scipy module or name that
+    the given modules import, and of each private attribute they read that
+    none of them defines; the package defines its own private names, so
+    such an attribute is a library's (`sp._sparsetools`,
+    `M._matmul_vector`).  Dunder names are public."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defined = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Store):
+                defined.add(node.id)
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                paths = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                paths = [f"{node.module}.{alias.name}"
+                         for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and _private(node.attr) and node.attr not in defined):
+                found.append((module, node.lineno, node.attr))
+                continue
+            else:
+                continue
+            for path in paths:
+                parts = path.split(".")
+                if parts[0] in ("numpy", "scipy") and any(
+                        _private(part) for part in parts[1:]):
+                    found.append((module, node.lineno, path))
+    return sorted(found)
+
+
+def test_no_private_library_api():
+    sources = {path.name: path.read_text()
+               for path in sorted((ROOT / "src" / "nullctrl").glob("*.py"))}
+    assert len(sources) > 2
+    assert private_library_names(sources) == []
+
+
+def test_private_library_api_detected():
+    source = ("import numpy as np\n"
+              "import scipy.sparse as sp\n"
+              "import scipy.sparse._sputils\n"
+              "from scipy.sparse._sparsetools import csr_sort_indices\n"
+              "from numpy import _core\n"
+              "class Own:\n"
+              "    def _helper(self, M, v):\n"
+              "        self._cache = M.__matmul__(v)\n"
+              "        return self._cache, self._helper, M._matmul_vector(v)\n"
+              "sp._sparsetools.coo_tocsr(np.__version__)\n")
+    assert private_library_names({"m.py": source}) == [
+        ("m.py", 3, "scipy.sparse._sputils"),
+        ("m.py", 4, "scipy.sparse._sparsetools.csr_sort_indices"),
+        ("m.py", 5, "numpy._core"),
+        ("m.py", 9, "_matmul_vector"),
+        ("m.py", 10, "_sparsetools"),
+    ]

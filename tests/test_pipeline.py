@@ -42,7 +42,9 @@ def test_zero_datum_zero_solution():
 def test_control_vanishes_outside_region():
     cfg = heat_cfg()
     sol = solve_heat_control(cfg)
-    assert "least_squares = False" in _summary_lines(cfg, sol, None, 0.0)
+    lines = _summary_lines(cfg, sol, None, 0.0)
+    assert "least_squares = False" in lines
+    assert f"load_norm = {np.linalg.norm(sol.system.L):.6e}" in lines
     mesh = sol.mesh
     rng = np.random.default_rng(0)
     pts = rng.random((200, 2))
@@ -184,6 +186,7 @@ def test_lsq_fixed_point_keeps_last_pass_diagnostics(monkeypatch):
     assert f"lsmr_iterations = {last['iterations']}" in lines
     assert f"lsmr_istop = {last['istop']}" in lines
     assert f"lsmr_residual = {last['residual']:.6e}" in lines
+    assert f"load_norm = {np.linalg.norm(sol.system.L):.6e}" in lines
     assert not any(ln.startswith("kkt_residual") for ln in lines)
 
 

@@ -170,6 +170,40 @@ def test_relative_increments_are_mass_norm_ratios(which):
     assert log.rel_err2[k] == pytest.approx(want2, rel=1e-10)
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_iteration_bits_independent_of_shared_mass_rows(which, monkeypatch):
+    """Reading the mass product of M_p's rows that A stores identically from
+    A's part of the stacked product leaves every iterate and the log bit
+    for bit as with the whole of M_p stacked."""
+    system = assembled_systems()[which]
+    eq = equilibrated(system)
+    KX, _, mass = saddle._stacked_operators(eq)
+    shared = int(np.count_nonzero(mass < system.n_primal))
+    assert shared > 0   # z rows and the p rows supported in omega
+    assert KX.shape[0] == 2 * system.n_primal + system.n_dual - shared
+    params = AHParams(tol=1e-14, max_iter=200)
+    got = arrow_hurwicz(system, params)
+    monkeypatch.setattr(saddle, "_rows_equal",
+                        lambda P, Q: np.zeros(P.shape[0], dtype=bool))
+    want = arrow_hurwicz(system, params)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+def test_rows_equal_compares_stored_bits():
+    P = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0],
+                                [4.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                [0.0, 5.0, 0.0]]))
+    Q = P.toarray()
+    Q[1, 1] = np.nextafter(3.0, 4.0)   # one bit off
+    Q[2] = [0.0, 4.0, 0.0]             # the same value in another column
+    Q[4, 2] = 6.0                      # one more entry
+    Q = sp.csr_matrix(Q)
+    assert saddle._rows_equal(P, Q).tolist() == [True, False, False, True,
+                                                 False]
+
+
 def test_lsq_solve_matches_lsmr_on_block_matrix():
     """lsq_solve's stacked operator is bit for bit the block matrix of
     sp.bmat, so LSMR takes the same iterates on it."""
