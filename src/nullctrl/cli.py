@@ -70,6 +70,7 @@ def _summary_lines(cfg, sol, fp, wall):
         lines.append(f"rel_err2_final = {sol.log.rel_err2[-1]:.6e}")
         lines.append(f"residual_primal = {sol.log.residual_primal:.6e}")
         lines.append(f"residual_constraint = {sol.log.residual_constraint:.6e}")
+        lines.append(f"constraint_scale = {sol.log.constraint_scale:.6e}")
     # |L| in the assembled basis, the scale of residual_primal
     lines.append(f"load_norm = {np.linalg.norm(sol.system.L):.6e}")
     info = sol.info
@@ -79,6 +80,8 @@ def _summary_lines(cfg, sol, fp, wall):
         lines.append(f"lsmr_residual = {info['residual']:.6e}")
     if "kkt_residual" in info:
         lines.append(f"kkt_residual = {info['kkt_residual']:.6e}")
+        lines.append(f"kkt_refinements = {info['kkt_refinements']}")
+        lines.append(f"kkt_stop = {info['kkt_stop']}")
     if "least_squares" in info:   # heat direct: the singular fallback ran
         lines.append(f"least_squares = {info['least_squares']}")
     if fp is not None:

@@ -298,7 +298,9 @@ def heat_forward_cn(grid: SpatialGrid, y0, G, control, T, nt_fwd,
     y_t - Lap y + G y = v 1_omega with homogeneous Dirichlet data; y0 is a
     scalar or a callable of the node coordinates and G a constant; control
     is None or a field whose control.at(X) returns t -> values at the points
-    X, supported in the control region.  Steps follow `_steps`.
+    X, supported in the control region.  Steps follow `_steps`; each theta
+    is factorized when the schedule reaches it, and only the current
+    theta's factorization is held.
     Returns the norm history and the final coefficient vector.
     """
     el = _Elements(grid, 6)
@@ -309,11 +311,12 @@ def heat_forward_cn(grid: SpatialGrid, y0, G, control, T, nt_fwd,
     y[el.bdry] = 0.0
 
     dt = T / nt_fwd
-    solves = {}
-    for theta in (0.5, 1.0):
+
+    def operators(theta):
+        """The factorized interior M/dt + theta S and M/dt - (1-theta) S."""
         lhs = (M / dt + theta * S).tocsc()[interior][:, interior]
-        solves[theta] = (spla.factorized(lhs.tocsc()),
-                         (M / dt - (1.0 - theta) * S).tocsr())
+        return (spla.factorized(lhs.tocsc()),
+                (M / dt - (1.0 - theta) * S).tocsr())
 
     if control is not None:
         w, conn, v_at = el.bind(control, omega_box)
@@ -333,8 +336,14 @@ def heat_forward_cn(grid: SpatialGrid, y0, G, control, T, nt_fwd,
     times, steps = _steps(T, nt_fwd)
     state_norms = [float(np.sqrt(max(y @ (M @ y), 0.0)))]
     control_norms = [control_norm(0.0)]
+    current = None
     for theta, t_load, t_new in steps:
-        solve, rhs_op = solves[theta]
+        if theta != current:
+            # one factorization at a time: the startup one is dropped
+            # before the next theta is factorized
+            solve = rhs_op = None
+            solve, rhs_op = operators(theta)
+            current = theta
         b = (rhs_op @ y)[interior] + control_load(t_load)[interior]
         y = np.zeros(n)
         y[interior] = solve(b)

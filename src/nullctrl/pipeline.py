@@ -150,8 +150,9 @@ def _solve_system(system, cfg, start=None):
         if cfg.scenario == "heat":
             x, lam, flagged = direct_solve(system)
             return x, lam, None, {"least_squares": flagged}
-        x, lam, rn = KktSolver(system).resolve(start=start)
-        return x, lam, None, {"kkt_residual": rn}
+        x, lam, rn, steps, stop = KktSolver(system).resolve(start=start)
+        return x, lam, None, {"kkt_residual": rn, "kkt_refinements": steps,
+                              "kkt_stop": stop}
     if cfg.solver_method == "lsq":
         x, lam, info = lsq_solve(system, start=start, tol=cfg.tol,
                                  max_iter=cfg.max_iter)

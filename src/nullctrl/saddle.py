@@ -79,6 +79,7 @@ class IterationLog:
     converged: bool = False
     residual_primal: float = np.nan   # |A x + B^T lam - L|
     residual_constraint: float = np.nan   # |B x|
+    constraint_scale: float = np.nan   # |B|_F |x|, a bound on |B x|
 
     def rows(self):
         return zip(self.iters, self.rel_err1, self.rel_err2)
@@ -244,6 +245,7 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
     log.residual_primal = float(np.linalg.norm(
         system.A @ x - system.L + system.B.T @ lam))
     log.residual_constraint = float(np.linalg.norm(system.B @ x))
+    log.constraint_scale = float(spla.norm(system.B) * np.linalg.norm(x))
     return x, lam, log
 
 
@@ -273,10 +275,11 @@ class KktSolver:
     def resolve(self, start=None, tol=1e-9):
         """Refine from start (zero by default).
 
-        Stops when the relative KKT residual is at most tol, when it exceeds
-        twice the best residual so far (divergence), or after _MAX_REFINE
-        steps; a residual that stays flat above tol runs all _MAX_REFINE
-        steps.  Returns (x, lam, relative residual)."""
+        Stops when the relative KKT residual is at most tol ("converged"),
+        when it exceeds twice the best residual so far ("diverging"), or
+        after _MAX_REFINE steps ("max_steps"); a residual that stays flat
+        above tol runs all _MAX_REFINE steps.  Returns (x, lam, relative
+        residual, refinement steps taken, stop reason)."""
         eq = self.eq
         n, m = eq.A.shape[0], eq.B.shape[0]
         rhs = np.concatenate([eq.L, np.zeros(m)])
@@ -290,16 +293,22 @@ class KktSolver:
         sol = (np.zeros(n + m) if start is None
                else np.concatenate(eq.to_basis(start)))
         best = np.inf
-        for _ in range(_MAX_REFINE):
+        for steps in range(_MAX_REFINE + 1):
             r = residual(sol)
             rn = np.linalg.norm(r) / scale
-            if rn <= tol or rn > 2.0 * best:   # converged, or diverging
+            if rn <= tol:
+                stop = "converged"
+                break
+            if rn > 2.0 * best:
+                stop = "diverging"
+                break
+            if steps == _MAX_REFINE:
+                stop = "max_steps"
                 break
             best = min(best, rn)
             sol = sol + self.lu.solve(r)
-        rn = np.linalg.norm(residual(sol)) / scale
         x, lam = eq.from_basis(sol[:n], sol[n:])
-        return x, lam, rn
+        return x, lam, rn, steps, stop
 
 
 def _available_cpus():
@@ -389,13 +398,61 @@ def _row_split_matvec(M: sp.csr_matrix, nblocks: int):
     return lambda v: _split_product(blocks, v)
 
 
-def _split_operator(K: sp.csr_matrix):
-    """K as a LinearOperator whose K v and K^T u run on row blocks across the
-    available CPUs (`_row_split_matvec`).  K^T is built once as CSR; its
-    rows are summed in the same order as the CSC product K.T @ u, so both
-    products keep their bits."""
+_FILL_BLOCKS = 16   # row ranges of `_augmented_operators`' scatter
+
+
+def _augmented_operators(eq: Equilibrated):
+    """LSMR's augmented KKT matrix K = [[A + B^T B, B^T], [B, 0]] and its
+    transpose K^T, both as CSR, in the equilibrated basis.
+
+    K holds the bits of the stacked sp.vstack/sp.hstack matrix, entry for
+    entry and in the same order within each row, and K^T those of
+    K.T.tocsr().  The sum A + B^T B is the stacking's own, but B^T B is
+    converted to CSR, as the sum would, before the sum is made, so that its
+    CSC product is freed first.  K's index arrays are then sized once and
+    filled: every top row is the row of A + B^T B followed by the row of
+    B^T, and the bottom rows are B's.  The scatter runs on _FILL_BLOCKS row
+    ranges of about equal entries, so no position array is longer than a
+    range.  The sum is released before K^T is built, so the construction
+    holds little more than K and K^T at any time.
+    """
+    A, B = eq.A, eq.B
+    m, n = B.shape
+    C = A + (B.T @ B).tocsr()
+    C.sort_indices()   # the stacking sorts the row entries of the top rows
+    BT = B.T.tocsr()
+    nnz = C.nnz + BT.nnz + B.nnz
+    idx = np.int32 if max(nnz, n + m) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.empty(n + m + 1, dtype=idx)
+    np.add(C.indptr, BT.indptr, out=indptr[:n + 1], dtype=idx)
+    indptr[n + 1:] = indptr[n] + B.indptr[1:]
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz)
+    indices[indptr[n]:] = B.indices
+    data[indptr[n]:] = B.data
+    # entry s of row i goes to s + BT.indptr[i] (C) or s + C.indptr[i + 1]
+    # (B^T, whose columns are shifted by n)
+    for part, offset, shift in ((C, BT.indptr[:-1], 0),
+                                (BT, C.indptr[1:], n)):
+        counts = np.diff(part.indptr)
+        bounds = _row_cuts(counts, _FILL_BLOCKS)
+        for r0, r1 in zip(bounds[:-1], bounds[1:]):
+            s0, s1 = part.indptr[r0], part.indptr[r1]
+            at = np.repeat(offset[r0:r1].astype(np.intp), counts[r0:r1])
+            at += np.arange(s0, s1)
+            data[at] = part.data[s0:s1]
+            indices[at] = part.indices[s0:s1] + shift
+    del C, BT
+    K = sp.csr_matrix((data, indices, indptr), shape=(n + m, n + m))
+    return K, K.T.tocsr()
+
+
+def _split_operator(K: sp.csr_matrix, KT: sp.csr_matrix):
+    """K as a LinearOperator whose K v and K^T u run on row blocks of K and
+    of its CSR transpose KT across the available CPUs
+    (`_row_split_matvec`).  KT's rows are summed in the same order as the
+    CSC product K.T @ u, so both products keep their bits."""
     nblocks = _available_cpus()
-    KT = K.T.tocsr()
     return spla.LinearOperator(K.shape, dtype=K.dtype,
                                matvec=_row_split_matvec(K, nblocks),
                                rmatvec=_row_split_matvec(KT, nblocks))
@@ -408,25 +465,24 @@ def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000):
     augmented into the primal one (same solution set: the constraint
     vanishes at any solution); this is the workhorse for the flow systems,
     whose KKT matrices are numerically singular, and it supports warm starts
-    across outer fixed-point iterations.  LSMR's two products per iteration
-    run on row blocks across the available CPUs (`_split_operator`), with
-    the bits of the serial products.  Returns (x, lam, info_dict) with LSMR's
+    across outer fixed-point iterations.  The operator is the augmented
+    matrix K = [[A + B^T B, B^T], [B, 0]] with its CSR transpose, written
+    straight into their arrays (`_augmented_operators`); the two are the
+    solve's memory floor.  LSMR's two products per iteration run on row
+    blocks of them across the available CPUs (`_split_operator`), with the
+    bits of the serial products.  Returns (x, lam, info_dict) with LSMR's
     iterations, residual norm and stop code istop.
     """
     eq = equilibrated(system)
-    A, B = eq.A, eq.B
     n, mdim = system.n_primal, system.n_dual
     rhs = np.concatenate([eq.L, np.zeros(mdim)])
     if np.abs(rhs).max() == 0.0:
         # LSMR's own stop code for a zero right-hand side: x = 0 solves it
         return np.zeros(n), np.zeros(mdim), {"iterations": 0,
                                              "residual": 0.0, "istop": 0}
-    K = sp.vstack([sp.hstack([A + B.T @ B, B.T], format="csr"),
-                   sp.hstack([B, sp.csr_matrix((mdim, mdim))], format="csr")],
-                  format="csr")
     x0 = None if start is None else np.concatenate(eq.to_basis(start))
-    out = spla.lsmr(_split_operator(K), rhs, atol=tol, btol=tol,
-                    maxiter=max_iter, x0=x0)
+    out = spla.lsmr(_split_operator(*_augmented_operators(eq)), rhs,
+                    atol=tol, btol=tol, maxiter=max_iter, x0=x0)
     sol = out[0]
     x, lam = eq.from_basis(sol[:n], sol[n:])
     info = {"iterations": int(out[2]), "residual": float(out[3]),
@@ -477,5 +533,5 @@ def direct_solve(system: SaddleSystem, max_dim: int = 120_000):
         x, lam = eq.from_basis(sol[:n], sol[n:])
         return x, lam, False
     # numerically singular: regularized factorization with refinement, flagged
-    x, lam, _rn = KktSolver(system).resolve()
+    x, lam, *_ = KktSolver(system).resolve()
     return x, lam, True

@@ -7,11 +7,17 @@ product rule from scratch, so that a transcription or sign error in the
 assembly cannot cancel in the comparison.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import scipy.sparse as sp
 
-from nullctrl.fem import Assembler
-from nullctrl.forms import _Builder
+from nullctrl.fem import Assembler, build_space
+from nullctrl.forms import _Builder, assemble_oseen
+from nullctrl.forward import Trajectory
+from nullctrl.mesh import build_mesh
+from nullctrl.weights import WeightSet
 
 
 class Poly2T:
@@ -260,3 +266,44 @@ class ConcatenatingBuilder(_Builder):
         M = M[rows_idx][:, cols_idx]
         M.sum_duplicates()
         return M
+
+
+def wfun(X, t):
+    """A smooth transported field w for the Oseen assemblies."""
+    return np.stack([0.02 * X[..., 1] ** 2, 0.05 * X[..., 0]], axis=-1)
+
+
+def p2_flow_spaces(mesh):
+    """The pipeline's flow layout: P2 fields, P1 divergence multiplier."""
+    return (build_space(mesh, 2, 2, 2, "none"),
+            build_space(mesh, 2, 2, 2, "zero_lateral"),
+            build_space(mesh, 2, 2, 1, "none"),
+            build_space(mesh, 2, 2, 2, "zero_lateral"),
+            build_space(mesh, 1, 2, 1, "none"))
+
+
+def taylor_green_oseen():
+    """Oseen assembly on the 3x3x4 Taylor-Green mesh around the vortex,
+    with a transported field w."""
+    box = (math.pi / 3, 2 * math.pi / 3, math.pi / 3, 2 * math.pi / 3)
+    mesh = build_mesh(3, 3, 4, math.pi, math.pi, 1.0, box,
+                      diagonal="alternate")
+    ws = WeightSet(math.pi, math.pi, 1.0, (math.pi / 2, math.pi / 2))
+    spaces = p2_flow_spaces(mesh)
+    return lambda: assemble_oseen(mesh, spaces, ws, 1.0,
+                                  Trajectory("taylor_green"), wfun,
+                                  (0.1, 0.0))
+
+
+def peak_over_csr_bytes(build):
+    """tracemalloc peak of build() over the bytes of the CSR matrices it
+    returns."""
+    tracemalloc.start()
+    try:
+        matrices = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    csr = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+              for M in matrices)
+    return peak / csr

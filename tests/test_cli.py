@@ -1,6 +1,7 @@
 """CLI driver: presets, artifact layout, determinism, failure modes."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -164,6 +165,32 @@ def test_run_artifacts(tmp_path, preset):
     text = read(out, vtks[0])
     assert "DATASET UNSTRUCTURED_GRID" in text
     assert "CELL_TYPES" in text
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "README.md")
+
+
+def _documented_summary_keys():
+    """The names README's `summary.txt` list documents: the first word of
+    every code span in that list item."""
+    text = read(README)
+    start = text.index("- `summary.txt`")
+    end = text.index("\n- ", start + 1)
+    return set(re.findall(r"`(\w+)", text[start:end]))
+
+
+@pytest.mark.parametrize("preset, extra", [
+    ("heat-sec26", []),                                  # AH
+    ("ns-taylor-green", TINY_FLOW + ["--method", "direct"]),
+    ("ns-taylor-green", TINY_FLOW),                      # lsq
+], ids=["heat-ah", "flow-direct", "flow-lsq"])
+def test_summary_keys_documented_in_readme(tmp_path, preset, extra):
+    out = str(tmp_path / "run")
+    assert run(["run", preset, "--out", out] + FAST + extra) == 0
+    keys = {line.split(" = ", 1)[0]
+            for line in read(out, "summary.txt").splitlines()}
+    assert not keys - _documented_summary_keys()
 
 
 def test_vtk_fields_locate_vertices_once(tmp_path, monkeypatch):

@@ -1,8 +1,5 @@
 """Assembled systems: expansion oracles, symmetry, support, determinism."""
 
-import math
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -16,7 +13,8 @@ from nullctrl.weights import WeightSet
 
 from oracles import (ConcatenatingBuilder, Poly2T,
                      hatted_flow_constraint_oracle, heat_constraint_oracle,
-                     reduced_vector)
+                     p2_flow_spaces, peak_over_csr_bytes, reduced_vector,
+                     taylor_green_oseen, wfun)
 
 
 @pytest.fixture(scope="module")
@@ -90,10 +88,6 @@ def _ybar(X, t):
          -0.2 + 0.07 * X[..., 1]], axis=-1)
 
 
-def _wfun(X, t):
-    return np.stack([0.02 * X[..., 1] ** 2, 0.05 * X[..., 0]], axis=-1)
-
-
 def test_hatted_flow_constraint_matches_expansion_oracle(ws, small_mesh,
                                                          flow_spaces):
     """Normalized-variable assembly against the product-rule expansion.
@@ -107,7 +101,7 @@ def test_hatted_flow_constraint_matches_expansion_oracle(ws, small_mesh,
     fp_, fw_ = interval_quadrature(16)
     rule = QuadratureRule(tp, tw, sp_, sw_, fp_, fw_)
     nu = 0.7
-    ybar, wfun = _ybar, _wfun
+    ybar = _ybar
     system = assemble_oseen(small_mesh, flow_spaces, ws, nu, ybar, wfun,
                             (0.1, 0.0), rule)
     rng = np.random.default_rng(15)
@@ -141,7 +135,7 @@ def test_oseen_with_zero_background_reduces_to_stokes(ws, small_mesh,
     # the order in which the other entries of a lam row sum their
     # duplicates, so those agree to rounding; the mu rows stay bitwise.
     s3 = assemble_oseen(small_mesh, flow_spaces, ws, 0.7,
-                        Trajectory("taylor_green", nu=0.7), _wfun,
+                        Trajectory("taylor_green", nu=0.7), wfun,
                         (0.1, 0.0), rule)
     for name in ("A", "M_primal", "M_dual"):
         assert abs(getattr(s1, name) - getattr(s3, name)).max() == 0.0, name
@@ -267,28 +261,6 @@ def test_assembly_rejects_mismatched_input(ws, small_mesh, heat_spaces,
         calls[case]()
 
 
-def _p2_flow_spaces(mesh):
-    """The pipeline's flow layout: P2 fields, P1 divergence multiplier."""
-    return (build_space(mesh, 2, 2, 2, "none"),
-            build_space(mesh, 2, 2, 2, "zero_lateral"),
-            build_space(mesh, 2, 2, 1, "none"),
-            build_space(mesh, 2, 2, 2, "zero_lateral"),
-            build_space(mesh, 1, 2, 1, "none"))
-
-
-def _taylor_green_oseen():
-    """Oseen assembly on the 3x3x4 Taylor-Green mesh around the vortex,
-    with a transported field w."""
-    box = (math.pi / 3, 2 * math.pi / 3, math.pi / 3, 2 * math.pi / 3)
-    mesh = build_mesh(3, 3, 4, math.pi, math.pi, 1.0, box,
-                      diagonal="alternate")
-    ws = WeightSet(math.pi, math.pi, 1.0, (math.pi / 2, math.pi / 2))
-    spaces = _p2_flow_spaces(mesh)
-    return lambda: assemble_oseen(mesh, spaces, ws, 1.0,
-                                  Trajectory("taylor_green"), _wfun,
-                                  (0.1, 0.0))
-
-
 def _heat_assembly(ws, nx, nt):
     mesh = build_mesh(nx, nx, nt, 1.0, 1.0, 1.0, (0.2, 0.6, 0.2, 0.6))
     spaces = (build_space(mesh, 2, 2, 1, "none"),
@@ -299,7 +271,7 @@ def _heat_assembly(ws, nx, nt):
 
 def _stokes_assembly(ws):
     mesh = build_mesh(3, 3, 3, 1.0, 1.0, 1.0, (1 / 3, 2 / 3, 1 / 3, 2 / 3))
-    spaces = _p2_flow_spaces(mesh)
+    spaces = p2_flow_spaces(mesh)
     return lambda: assemble_stokes(mesh, spaces, ws, 1.0, (1000.0, 0.0))
 
 
@@ -320,7 +292,7 @@ def test_assembly_bit_identical_to_concatenating_reference(ws, monkeypatch,
                                                            case):
     assemble = {"heat": lambda: _heat_assembly(ws, 5, 3),
                 "stokes-hatted": lambda: _stokes_assembly(ws),
-                "oseen": _taylor_green_oseen}[case]()
+                "oseen": taylor_green_oseen}[case]()
     system = assemble()
     monkeypatch.setattr(forms, "_Builder", ConcatenatingBuilder)
     _assert_same_matrices(system, assemble())
@@ -345,7 +317,7 @@ _CUTS = {
 def test_assembly_bits_independent_of_row_blocks(ws, monkeypatch, case,
                                                  cuts):
     assemble = {"heat": lambda: _heat_assembly(ws, 5, 3),
-                "oseen": _taylor_green_oseen}[case]()
+                "oseen": taylor_green_oseen}[case]()
     monkeypatch.setattr(forms, "_Builder", ConcatenatingBuilder)
     reference = assemble()
     monkeypatch.undo()
@@ -371,24 +343,21 @@ def test_assembly_of_a_target_without_terms(ws, small_mesh, heat_spaces,
     _assert_same_matrices(system, assemble())
 
 
-def _peak_over_csr_bytes(assemble):
-    """tracemalloc peak of one assembly over the bytes of its CSR blocks."""
-    tracemalloc.start()
-    try:
+def _assembled_matrices(assemble):
+    """The assembly as a build of its CSR matrices."""
+    def build():
         system = assemble()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    csr = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-              for M in (getattr(system, name) for name in _MATRICES))
-    return peak / csr
+        return [getattr(system, name) for name in _MATRICES]
+    return build
 
 
 def test_assembly_memory_peak_bounded_by_assembled_matrices(ws):
     # measured 3.1 (heat) and 5.6 (Oseen) with row-block conversion; the
     # whole-target conversion of preallocated COO arrays took 7.7 and 14.2
-    assert _peak_over_csr_bytes(_heat_assembly(ws, 5, 4)) <= 5.0
-    assert _peak_over_csr_bytes(_taylor_green_oseen()) <= 10.0
+    assert peak_over_csr_bytes(
+        _assembled_matrices(_heat_assembly(ws, 5, 4))) <= 5.0
+    assert peak_over_csr_bytes(
+        _assembled_matrices(taylor_green_oseen())) <= 10.0
 
 
 @pytest.mark.parametrize("case", ["heat", "oseen"])
@@ -397,7 +366,7 @@ def test_element_kernel_path_bitwise_equal_to_optimize_true(ws, monkeypatch,
     """`_Builder.add` reuses one einsum contraction path per operand shapes;
     every element block must keep the bits of a fresh optimize=True call."""
     assemble = {"heat": lambda: _heat_assembly(ws, 5, 3),
-                "oseen": _taylor_green_oseen}[case]()
+                "oseen": taylor_green_oseen}[case]()
     einsum = np.einsum
     checked = []
 

@@ -18,6 +18,8 @@ from nullctrl.saddle import (AHParams, IterationLog, KktSolver,
                              equilibrated, lsq_solve)
 from nullctrl.weights import WeightSet
 
+from oracles import peak_over_csr_bytes, taylor_green_oseen
+
 
 def toy_system():
     """Hand-solvable system: A=diag(2,2), B=[1,1], L=(2,2) -> x=0, lam=2."""
@@ -118,6 +120,14 @@ def test_converged_constraint_residual_scale():
                 / max(np.linalg.norm(system.L), 1.0)) <= 10 * tol
 
 
+def test_constraint_scale_bounds_constraint_residual():
+    system = assembled_systems()[0]
+    x, _, log = arrow_hurwicz(system, AHParams(max_iter=50))
+    assert log.constraint_scale == (spla.norm(system.B)
+                                    * np.linalg.norm(x))
+    assert 0 < log.residual_constraint <= log.constraint_scale
+
+
 def test_divergence_reported():
     system = toy_system()   # equilibrated: A_eq = 2 I, so r = 500 diverges
     with warnings.catch_warnings(record=True) as caught:
@@ -204,21 +214,58 @@ def test_rows_equal_compares_stored_bits():
                                                  False]
 
 
-def test_lsq_solve_matches_lsmr_on_block_matrix():
-    """lsq_solve's stacked operator is bit for bit the block matrix of
-    sp.bmat, so LSMR takes the same iterates on it."""
-    system = assembled_systems()[1]
-    n = system.n_primal
-    eq = equilibrated(system)
+@pytest.fixture(scope="module")
+def lsq_systems():
+    """The heat and Stokes systems of `assembled_systems`, an Oseen system
+    with transport, and a random system whose A stores its rows' columns
+    out of order (a sparse product's raw output)."""
+    heat, stokes = assembled_systems()
+    unsorted = random_system(np.random.default_rng(3))
+    S = sp.random(40, 40, density=0.1, format="csr", random_state=2)
+    unsorted.A = S.T.tocsr() @ S
+    return {"heat": heat, "stokes": stokes, "oseen": taylor_green_oseen()(),
+            "unsorted": unsorted}
+
+
+@pytest.mark.parametrize("case", ["heat", "stokes", "oseen", "unsorted"])
+def test_augmented_operators_bitwise_equal_to_stacked(lsq_systems, case):
+    """K and K^T hold the bits of the sp.bmat matrix and of its CSR
+    transpose, entry for entry and row order for row order."""
+    eq = equilibrated(lsq_systems[case])
     A, B = eq.A, eq.B
-    K = sp.bmat([[A + B.T @ B, B.T], [B, None]], format="csr")
-    rhs = np.concatenate([eq.L, np.zeros(system.n_dual)])
-    out = spla.lsmr(K, rhs, atol=1e-10, btol=1e-10, maxiter=300)
-    want_x, want_lam = eq.from_basis(out[0][:n], out[0][n:])
-    x, lam, info = lsq_solve(system, tol=1e-10, max_iter=300)
-    assert info["iterations"] == out[2] > 0
-    assert np.array_equal(x, want_x)
-    assert np.array_equal(lam, want_lam)
+    want = sp.bmat([[A + B.T @ B, B.T], [B, None]], format="csr")
+    got = saddle._augmented_operators(eq)
+    for K, ref in zip(got, (want, want.T.tocsr())):
+        assert K.shape == ref.shape
+        assert K.indices.dtype == ref.indices.dtype
+        assert np.array_equal(K.indptr, ref.indptr)
+        assert np.array_equal(K.indices, ref.indices)
+        assert np.array_equal(_bits(K.data), _bits(ref.data))
+
+
+def test_augmented_operators_memory_peak(lsq_systems):
+    # measured 1.03 with K's arrays filled in place; stacking K with
+    # sp.vstack/sp.hstack took 1.73
+    eq = equilibrated(lsq_systems["oseen"])
+    assert peak_over_csr_bytes(
+        lambda: saddle._augmented_operators(eq)) <= 1.15
+
+
+def test_lsq_solve_matches_lsmr_on_block_matrix(lsq_systems):
+    """lsq_solve's operator is bit for bit the block matrix of sp.bmat, so
+    LSMR takes the same iterates on it, with and without transport."""
+    for system in (lsq_systems["stokes"], lsq_systems["oseen"]):
+        n = system.n_primal
+        eq = equilibrated(system)
+        A, B = eq.A, eq.B
+        K = sp.bmat([[A + B.T @ B, B.T], [B, None]], format="csr")
+        rhs = np.concatenate([eq.L, np.zeros(system.n_dual)])
+        out = spla.lsmr(K, rhs, atol=1e-10, btol=1e-10, maxiter=300)
+        want_x, want_lam = eq.from_basis(out[0][:n], out[0][n:])
+        x, lam, info = lsq_solve(system, tol=1e-10, max_iter=300)
+        assert info["iterations"] == out[2] > 0
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(lam, want_lam)
 
 
 def _bits(v):
@@ -349,11 +396,40 @@ def test_kkt_solver_matches_direct_on_random_system(factorizations):
     system = random_system(np.random.default_rng(5))
     xd, ld, flagged = direct_solve(system)
     assert not flagged and not factorizations
-    x, lam, rn = KktSolver(system).resolve()
+    x, lam, rn, steps, stop = KktSolver(system).resolve()
     assert len(factorizations) == 1
     assert rn <= 1e-9
+    assert stop == "converged" and steps >= 1
     assert np.allclose(x, xd, rtol=0, atol=1e-8)
     assert np.allclose(lam, ld, rtol=0, atol=1e-8)
+
+
+class _ScaledSolve:
+    """A factorization whose corrections are scaled by `factor`; counts
+    its solves."""
+
+    def __init__(self, lu, factor):
+        self.lu, self.factor, self.calls = lu, factor, 0
+
+    def solve(self, r):
+        self.calls += 1
+        return self.factor * self.lu.solve(r)
+
+
+@pytest.mark.parametrize("factor, want", [
+    (1.0, "converged"),    # exact corrections
+    (4.0, "diverging"),    # the error triples each step
+    (0.1, "max_steps"),    # the error shrinks by 0.9 each step
+])
+def test_kkt_solver_reports_refinement(factor, want):
+    solver = KktSolver(random_system(np.random.default_rng(5)))
+    solver.lu = _ScaledSolve(solver.lu, factor)
+    _, _, rn, steps, stop = solver.resolve()
+    assert stop == want
+    assert steps == solver.lu.calls >= 1
+    assert (rn <= 1e-9) == (stop == "converged")
+    if stop == "max_steps":
+        assert steps == saddle._MAX_REFINE
 
 
 def test_iteration_log_csv(tmp_path):
