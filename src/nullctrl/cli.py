@@ -63,27 +63,8 @@ def _summary_lines(cfg, sol, fp, wall):
     lines = [f"scenario = {cfg.scenario}",
              f"J = {sol.J:.12e}",
              f"wall_seconds = {wall:.1f}"]
-    if sol.log is not None:
-        lines.append(f"solver_iterations = {sol.log.iters[-1]}")
-        lines.append(f"solver_converged = {sol.log.converged}")
-        lines.append(f"rel_err1_final = {sol.log.rel_err1[-1]:.6e}")
-        lines.append(f"rel_err2_final = {sol.log.rel_err2[-1]:.6e}")
-        lines.append(f"residual_primal = {sol.log.residual_primal:.6e}")
-        lines.append(f"residual_constraint = {sol.log.residual_constraint:.6e}")
-        lines.append(f"constraint_scale = {sol.log.constraint_scale:.6e}")
-    # |L| in the assembled basis, the scale of residual_primal
-    lines.append(f"load_norm = {np.linalg.norm(sol.system.L):.6e}")
-    info = sol.info
-    if "istop" in info:   # an LSMR solve
-        lines.append(f"lsmr_iterations = {info['iterations']}")
-        lines.append(f"lsmr_istop = {info['istop']}")
-        lines.append(f"lsmr_residual = {info['residual']:.6e}")
-    if "kkt_residual" in info:
-        lines.append(f"kkt_residual = {info['kkt_residual']:.6e}")
-        lines.append(f"kkt_refinements = {info['kkt_refinements']}")
-        lines.append(f"kkt_stop = {info['kkt_stop']}")
-    if "least_squares" in info:   # heat direct: the singular fallback ran
-        lines.append(f"least_squares = {info['least_squares']}")
+    lines += [f"{key} = {value:.6e}" if isinstance(value, float)
+              else f"{key} = {value}" for key, value in sol.report.items()]
     if fp is not None:
         lines.append(f"outer_iterations = {fp.iters[-1]}")
         lines.append(f"outer_converged = {fp.converged}")

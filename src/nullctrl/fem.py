@@ -334,8 +334,6 @@ class Batch:
 
     def coeff(self, fun):
         """Evaluate a coefficient callable on the batch grid -> (P1, P2, Q, …)."""
-        if np.isscalar(fun):
-            return float(fun)
         X = self.Xq[:, None, :, :]
         t = self.tq[None, :, :]
         return np.asarray(fun(X, t), dtype=float)

@@ -19,7 +19,7 @@ from .forward import (SpatialGrid, Trajectory, curl_perturbation,
                       flow_forward, heat_forward_cn)
 from .mesh import build_mesh
 from .saddle import (AHParams, KktSolver, arrow_hurwicz, direct_solve,
-                     lsq_solve)
+                     kkt_residual, lsq_solve)
 from .weights import WeightSet
 
 
@@ -38,7 +38,7 @@ class ControlSolution:
     state: WeightedField
     J: float
     log: object = None     # IterationLog of an AH solve
-    info: dict = field(default_factory=dict)   # LSMR/KktSolver/direct_solve
+    report: dict = field(default_factory=dict)   # `_solve_system`'s report
     history: object = None
     history_uncontrolled: object = None
     trajectory: object = None   # Navier-Stokes: the target flow ybar
@@ -139,34 +139,50 @@ def _setup(cfg, flow):
         for name, components, constraint in primal + dual)
 
 
+_LSMR_MET = (0, 1, 2, 4, 5)   # LSMR's istop codes for a met tolerance
+
+
 def _solve_system(system, cfg, start=None):
-    """(x, lam, AH log or None, diagnostics) by cfg's method from start.
+    """(x, lam, AH log or None, report) by cfg's method from start.
 
     Every flow system is numerically singular: there `direct` is one fresh
     `KktSolver` factorization per system (refinement against another
     system's factorization diverges), while heat keeps the exact oracle.
+    The report has the same four entries for every method: the method's
+    iterations, its stop word, whether its own stopping test passed, and
+    the relative KKT residual reached (`saddle.kkt_residual`, computed once
+    the solver has returned and released its operators).
     """
-    if cfg.solver_method == "direct":
-        if cfg.scenario == "heat":
-            x, lam, flagged = direct_solve(system)
-            return x, lam, None, {"least_squares": flagged}
+    log = rn = None
+    if cfg.solver_method == "direct" and cfg.scenario != "heat":
         x, lam, rn, steps, stop = KktSolver(system).resolve(start=start)
-        return x, lam, None, {"kkt_residual": rn, "kkt_refinements": steps,
-                              "kkt_stop": stop}
-    if cfg.solver_method == "lsq":
+        converged = stop == "converged"
+    elif cfg.solver_method == "direct":
+        x, lam, flagged = direct_solve(system)
+        steps, stop = 0, "least_squares" if flagged else "exact"
+        converged = not flagged
+    elif cfg.solver_method == "lsq":
         x, lam, info = lsq_solve(system, start=start, tol=cfg.tol,
                                  max_iter=cfg.max_iter)
-        return x, lam, None, info
-    params = AHParams(r=cfg.r, s=cfg.s, tol=cfg.tol, max_iter=cfg.max_iter)
-    x, lam, log = arrow_hurwicz(system, params, start=start)
-    return x, lam, log, {}
+        steps, stop = info["iterations"], f"istop_{info['istop']}"
+        converged = info["istop"] in _LSMR_MET
+    else:
+        params = AHParams(r=cfg.r, s=cfg.s, tol=cfg.tol,
+                          max_iter=cfg.max_iter)
+        x, lam, log = arrow_hurwicz(system, params, start=start)
+        steps, converged = log.iters[-1], log.converged
+        stop = "converged" if converged else "max_iter"
+    if rn is None:   # KktSolver returns the residual it stopped on
+        rn = kkt_residual(system, x, lam)
+    return x, lam, log, {"solver_iterations": steps, "solver_stop": stop,
+                         "solver_converged": converged, "kkt_residual": rn}
 
 
 def _solution(cfg, mesh, ws, spaces, system, solved, forward,
               trajectory=None) -> ControlSolution:
     """Extraction, J and verification of `_solve_system`'s result `solved`;
     forward(grid, control) returns the scenario's forward norm history."""
-    x, lam, log, info = solved
+    x, lam, log, report = solved
     # v = -rho0^{-1} phat, y = rho^{-1} zhat in the weight-absorbing variables
     blocks = system.expand(x)
     control = WeightedField(spaces[1], blocks["p"], ws, weight=0, sign=-1.0,
@@ -180,7 +196,8 @@ def _solution(cfg, mesh, ws, spaces, system, solved, forward,
         hist, hist0 = forward(grid, control), forward(grid, None)
     return ControlSolution(mesh=mesh, ws=ws, spaces=spaces, system=system,
                            x=x, lam=lam, blocks=blocks, control=control,
-                           state=state, J=J, log=log, info=info, history=hist,
+                           state=state, J=J, log=log, report=report,
+                           history=hist,
                            history_uncontrolled=hist0, trajectory=trajectory)
 
 

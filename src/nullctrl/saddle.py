@@ -4,7 +4,9 @@ All four solvers (the primal-dual iteration `arrow_hurwicz`, the
 least-squares `lsq_solve`, the direct `direct_solve` and the factorized
 `KktSolver`) work on the same equilibrated system (`equilibrated`): its
 scalings, its scaled A, B, L, and the two conversions of a start into that
-basis and of a solution back to the assembled (x, lam).
+basis and of a solution back to the assembled (x, lam).  Every solve's
+accuracy is one number, the relative KKT residual in that basis
+(`kkt_residual`).
 
 The iteration needs matrix-vector products only; nothing is factorized.
 `KktSolver` factorizes the regularized KKT matrix of one system exactly once
@@ -71,23 +73,17 @@ class AHParams:
 
 @dataclass
 class IterationLog:
-    """Per-iteration relative errors plus final residual norms."""
+    """Per-iteration relative errors and whether the stopping test passed."""
 
     iters: list = field(default_factory=list)
     rel_err1: list = field(default_factory=list)
     rel_err2: list = field(default_factory=list)
     converged: bool = False
-    residual_primal: float = np.nan   # |A x + B^T lam - L|
-    residual_constraint: float = np.nan   # |B x|
-    constraint_scale: float = np.nan   # |B|_F |x|, a bound on |B x|
-
-    def rows(self):
-        return zip(self.iters, self.rel_err1, self.rel_err2)
 
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("iter,rel_err1,rel_err2\n")
-            for k, e1, e2 in self.rows():
+            for k, e1, e2 in zip(self.iters, self.rel_err1, self.rel_err2):
                 fh.write(f"{k},{e1:.12e},{e2:.12e}\n")
 
 
@@ -136,6 +132,26 @@ def equilibrated(system: SaddleSystem) -> Equilibrated:
     Dp, Dl = sp.diags(dp), sp.diags(dl)
     return Equilibrated(system, dp, dl, (Dp @ system.A @ Dp).tocsr(),
                         (Dl @ system.B @ Dp).tocsr(), dp * system.L)
+
+
+def _residual(eq: Equilibrated, sol):
+    """The KKT residual [L; 0] - K sol of the stacked equilibrated iterate
+    sol = [x; lam], K = [[A, B^T], [B, 0]], and its 2-norm relative to
+    |[L; 0]| (0 for a zero load and a zero iterate)."""
+    n, m = eq.A.shape[0], eq.B.shape[0]
+    rhs = np.concatenate([eq.L, np.zeros(m)])
+    r = rhs - np.concatenate([eq.A @ sol[:n] + eq.B.T @ sol[n:],
+                              eq.B @ sol[:n]])
+    return r, np.linalg.norm(r) / (np.linalg.norm(rhs) + 1e-300)
+
+
+def kkt_residual(system: SaddleSystem, x, lam) -> float:
+    """|[L; 0] - K [x; lam]| / |[L; 0]| in the equilibrated basis, for the
+    assembled (x, lam): the accuracy every saddle solve reports.  The
+    equilibration makes it independent of the scaling of the basis
+    functions and of the constraint rows."""
+    eq = equilibrated(system)
+    return float(_residual(eq, np.concatenate(eq.to_basis((x, lam))))[1])
 
 
 def _eq_mass(M, d):
@@ -242,10 +258,6 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
                 log.converged = True
                 break
     x, lam = eq.from_basis(x, lam)
-    log.residual_primal = float(np.linalg.norm(
-        system.A @ x - system.L + system.B.T @ lam))
-    log.residual_constraint = float(np.linalg.norm(system.B @ x))
-    log.constraint_scale = float(spla.norm(system.B) * np.linalg.norm(x))
     return x, lam, log
 
 
@@ -275,27 +287,18 @@ class KktSolver:
     def resolve(self, start=None, tol=1e-9):
         """Refine from start (zero by default).
 
-        Stops when the relative KKT residual is at most tol ("converged"),
-        when it exceeds twice the best residual so far ("diverging"), or
-        after _MAX_REFINE steps ("max_steps"); a residual that stays flat
-        above tol runs all _MAX_REFINE steps.  Returns (x, lam, relative
-        residual, refinement steps taken, stop reason)."""
+        Stops when the relative KKT residual (`_residual`) is at most tol
+        ("converged"), when it exceeds twice the best residual so far
+        ("diverging"), or after _MAX_REFINE steps ("max_steps"); a residual
+        that stays flat above tol runs all _MAX_REFINE steps.  Returns (x,
+        lam, relative residual, refinement steps taken, stop reason)."""
         eq = self.eq
         n, m = eq.A.shape[0], eq.B.shape[0]
-        rhs = np.concatenate([eq.L, np.zeros(m)])
-        scale = np.linalg.norm(rhs) + 1e-300
-
-        def residual(sol):
-            return rhs - np.concatenate([
-                eq.A @ sol[:n] + eq.B.T @ sol[n:],
-                eq.B @ sol[:n]])
-
         sol = (np.zeros(n + m) if start is None
                else np.concatenate(eq.to_basis(start)))
         best = np.inf
         for steps in range(_MAX_REFINE + 1):
-            r = residual(sol)
-            rn = np.linalg.norm(r) / scale
+            r, rn = _residual(eq, sol)
             if rn <= tol:
                 stop = "converged"
                 break
@@ -471,23 +474,20 @@ def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000):
     solve's memory floor.  LSMR's two products per iteration run on row
     blocks of them across the available CPUs (`_split_operator`), with the
     bits of the serial products.  Returns (x, lam, info_dict) with LSMR's
-    iterations, residual norm and stop code istop.
+    iterations and its stop code istop.
     """
     eq = equilibrated(system)
     n, mdim = system.n_primal, system.n_dual
     rhs = np.concatenate([eq.L, np.zeros(mdim)])
     if np.abs(rhs).max() == 0.0:
         # LSMR's own stop code for a zero right-hand side: x = 0 solves it
-        return np.zeros(n), np.zeros(mdim), {"iterations": 0,
-                                             "residual": 0.0, "istop": 0}
+        return np.zeros(n), np.zeros(mdim), {"iterations": 0, "istop": 0}
     x0 = None if start is None else np.concatenate(eq.to_basis(start))
     out = spla.lsmr(_split_operator(*_augmented_operators(eq)), rhs,
                     atol=tol, btol=tol, maxiter=max_iter, x0=x0)
     sol = out[0]
     x, lam = eq.from_basis(sol[:n], sol[n:])
-    info = {"iterations": int(out[2]), "residual": float(out[3]),
-            "istop": int(out[1])}
-    return x, lam, info
+    return x, lam, {"iterations": int(out[2]), "istop": int(out[1])}
 
 
 def direct_solve(system: SaddleSystem, max_dim: int = 120_000):
@@ -495,12 +495,14 @@ def direct_solve(system: SaddleSystem, max_dim: int = 120_000):
 
     The factorization runs on the equilibrated basis (better pivots).  The
     pipeline uses it for the heat systems only; the flow systems are always
-    numerically singular and go to `KktSolver` directly.  A numerically
-    singular matrix falls back to one `KktSolver` factorization of the
-    quasi-definite regularization ([A B^T; B -delta I]) with refinement, and
-    is flagged.  The fallback solves a singular system that has a solution;
-    on one that has none it returns `KktSolver.resolve`'s last iterate, whose
-    residual stays above its tolerance.  Returns (x, lam, flagged).
+    numerically singular and go to `KktSolver` directly.  An exact solve
+    whose primal or constraint part of the KKT residual (`_residual`)
+    exceeds 1e-8 (|L| + 1) counts as numerically singular: it falls back to
+    one `KktSolver` factorization of the quasi-definite regularization
+    ([A B^T; B -delta I]) with refinement, and is flagged.  The fallback
+    solves a singular system that has a solution; on one that has none it
+    returns `KktSolver.resolve`'s last iterate, whose residual stays above
+    its tolerance.  Returns (x, lam, flagged).
     """
     n, mdim = system.n_primal, system.n_dual
     if n + mdim > max_dim:
@@ -509,22 +511,19 @@ def direct_solve(system: SaddleSystem, max_dim: int = 120_000):
     if np.abs(system.L).max() == 0.0:
         return np.zeros(n), np.zeros(mdim), False
     eq = equilibrated(system)
-    A, B, L = eq.A, eq.B, eq.L
-    rhs = np.concatenate([L, np.zeros(mdim)])
-
-    scale = np.linalg.norm(L) + 1.0
+    rhs = np.concatenate([eq.L, np.zeros(mdim)])
+    scale = 1e-8 * (np.linalg.norm(eq.L) + 1.0)
 
     def attempt_exact():
-        K = sp.bmat([[A, B.T], [B, None]], format="csc")
+        K = sp.bmat([[eq.A, eq.B.T], [eq.B, None]], format="csc")
         try:
             sol = spla.spsolve(K, rhs)
         except RuntimeError:
             return None
         if not np.all(np.isfinite(sol)):
             return None
-        if np.linalg.norm(A @ sol[:n] - L + B.T @ sol[n:]) > 1e-8 * scale:
-            return None
-        if np.linalg.norm(B @ sol[:n]) > 1e-8 * scale:
+        r = _residual(eq, sol)[0]
+        if max(np.linalg.norm(r[:n]), np.linalg.norm(r[n:])) > scale:
             return None
         return sol
 

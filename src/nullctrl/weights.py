@@ -119,10 +119,10 @@ class WeightSet:
     # -- inverse time weights --------------------------------------------
 
     def inv_weight(self, i, x, t):
-        """Inverse weight value(s) at (x, t) for index i in {'-', 0, 1, 2}.
+        """Inverse weight value(s) at (x, t) for index i in {'-', 0}.
 
-        '-' gives exp(-chi/(T-t)); integer i gives the extra power
-        (T-t)^(i - 3/2).  Continuous on [0, T] with value 0 at t = T (the
+        '-' gives exp(-chi/(T-t)); 0 gives it times the extra power
+        (T-t)^(-3/2).  Continuous on [0, T] with value 0 at t = T (the
         exponential dominates every power); never forms the un-inverted
         weight.
         """
@@ -131,8 +131,8 @@ class WeightSet:
 
     def inv_weight_of_chi(self, i, chi, t):
         """inv_weight from precomputed exponent values chi = chi(x)[0]."""
-        if i not in ("-", 0, 1, 2):
-            raise ValueError("weight index must be '-' or 0, 1, 2")
+        if i not in ("-", 0):
+            raise ValueError("weight index must be '-' or 0")
         t = np.asarray(t, dtype=float)
         chi, t = np.broadcast_arrays(chi, t)
         tau = self.T - t
@@ -143,8 +143,8 @@ class WeightSet:
             live = expo >= EXP_CLAMP
             if np.any(live):
                 val = np.exp(expo[live])
-                if i != "-":
-                    val = val * tau[ok][live] ** (i - 1.5)
+                if i == 0:
+                    val = val * tau[ok][live] ** -1.5
                 tmp = np.zeros(expo.shape)
                 tmp[live] = val
                 out[ok] = tmp

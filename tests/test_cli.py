@@ -1,5 +1,6 @@
 """CLI driver: presets, artifact layout, determinism, failure modes."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -172,25 +173,60 @@ README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 
 
 def _documented_summary_keys():
-    """The names README's `summary.txt` list documents: the first word of
-    every code span in that list item."""
+    """The names README's `summary.txt` list documents: the code spans
+    before the first ": " of each of its sub-items."""
     text = read(README)
     start = text.index("- `summary.txt`")
     end = text.index("\n- ", start + 1)
-    return set(re.findall(r"`(\w+)", text[start:end]))
+    items = text[start:end].split("\n  - ")[1:]
+    return {key for item in items
+            for key in re.findall(r"`(\w+)`", item.split(": ", 1)[0])}
 
 
-@pytest.mark.parametrize("preset, extra", [
-    ("heat-sec26", []),                                  # AH
-    ("ns-taylor-green", TINY_FLOW + ["--method", "direct"]),
-    ("ns-taylor-green", TINY_FLOW),                      # lsq
-], ids=["heat-ah", "flow-direct", "flow-lsq"])
-def test_summary_keys_documented_in_readme(tmp_path, preset, extra):
-    out = str(tmp_path / "run")
-    assert run(["run", preset, "--out", out] + FAST + extra) == 0
-    keys = {line.split(" = ", 1)[0]
-            for line in read(out, "summary.txt").splitlines()}
-    assert not keys - _documented_summary_keys()
+SOLVE_REPORT = {"solver_iterations", "solver_stop", "solver_converged",
+                "kkt_residual"}
+# every solver path of the three problems
+SUMMARY_RUNS = {
+    "heat-ah": ("heat-sec26", []),
+    "heat-direct": ("heat-sec26", ["--method", "direct"]),
+    "stokes": ("stokes-sec37", TINY_FLOW),
+    "flow-direct": ("ns-taylor-green", TINY_FLOW + ["--method", "direct"]),
+    "flow-lsq": ("ns-taylor-green", TINY_FLOW),
+}
+
+
+@pytest.fixture(scope="module")
+def summary_keys(tmp_path_factory):
+    """The keys of each SUMMARY_RUNS run's summary.txt."""
+    keys = {}
+    for name, (preset, extra) in SUMMARY_RUNS.items():
+        out = str(tmp_path_factory.mktemp(name))
+        assert run(["run", preset, "--out", out] + FAST + extra) == 0
+        keys[name] = [line.split(" = ", 1)[0]
+                      for line in read(out, "summary.txt").splitlines()]
+    return keys
+
+
+@pytest.mark.parametrize("name", SUMMARY_RUNS)
+def test_summary_keys_documented_in_readme(summary_keys, name):
+    keys = summary_keys[name]
+    assert len(keys) == len(set(keys))
+    assert SOLVE_REPORT <= set(keys)
+    assert not set(keys) - _documented_summary_keys()
+
+
+def test_readme_documents_only_written_summary_keys(summary_keys):
+    written = set().union(*summary_keys.values())
+    assert written == _documented_summary_keys()
+
+
+def test_console_script_runs_cli_main():
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11 and later
+    with open(os.path.join(os.path.dirname(README), "pyproject.toml"),
+              "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["nullctrl"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def test_vtk_fields_locate_vertices_once(tmp_path, monkeypatch):

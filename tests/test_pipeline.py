@@ -42,9 +42,10 @@ def test_zero_datum_zero_solution():
 def test_control_vanishes_outside_region():
     cfg = heat_cfg()
     sol = solve_heat_control(cfg)
-    lines = _summary_lines(cfg, sol, None, 0.0)
-    assert "least_squares = False" in lines
-    assert f"load_norm = {np.linalg.norm(sol.system.L):.6e}" in lines
+    assert sol.report["solver_stop"] == "exact"
+    assert sol.report["solver_iterations"] == 0
+    assert sol.report["solver_converged"]
+    assert sol.report["kkt_residual"] <= 1e-8
     mesh = sol.mesh
     rng = np.random.default_rng(0)
     pts = rng.random((200, 2))
@@ -56,6 +57,16 @@ def test_control_vanishes_outside_region():
         assert np.abs(vals[outside]).max() == 0.0
     assert sol.J > 0.0
     assert np.isfinite(sol.J)
+
+
+def test_ah_report_names_its_stop():
+    cfg = heat_cfg(solver_method="ah", max_iter=5)
+    sol = solve_heat_control(cfg)
+    assert sol.report == {
+        "solver_iterations": 5, "solver_stop": "max_iter",
+        "solver_converged": False,
+        "kkt_residual": saddle.kkt_residual(sol.system, sol.x, sol.lam)}
+    assert 0 < sol.report["kkt_residual"] < 1
 
 
 def test_heat_scaling_linearity():
@@ -159,9 +170,12 @@ def test_direct_fixed_point_factorizes_each_pass_once(factorizations):
     sol, fp = fixed_point_ns(cfg)
     assert fp.iters == [1, 2] and not fp.converged
     assert len(factorizations) == 2
-    rn = sol.info["kkt_residual"]
+    rn = sol.report["kkt_residual"]
     assert np.isfinite(rn) and rn > 0
     assert f"kkt_residual = {rn:.6e}" in _summary_lines(cfg, sol, fp, 0.0)
+    # KktSolver's own residual is the one the other methods report
+    assert rn == pytest.approx(saddle.kkt_residual(sol.system, sol.x,
+                                                   sol.lam), rel=1e-6)
 
 
 def test_lsq_fixed_point_keeps_last_pass_diagnostics(monkeypatch):
@@ -180,14 +194,49 @@ def test_lsq_fixed_point_keeps_last_pass_diagnostics(monkeypatch):
     sol, fp = fixed_point_ns(cfg)
     assert len(infos) == 2
     last = infos[-1]
-    assert sol.info == last
-    assert set(last) == {"iterations", "residual", "istop"}
+    assert set(last) == {"iterations", "istop"}
+    rn = saddle.kkt_residual(sol.system, sol.x, sol.lam)
+    assert sol.report == {
+        "solver_iterations": last["iterations"],
+        "solver_stop": f"istop_{last['istop']}",
+        "solver_converged": last["istop"] in (0, 1, 2, 4, 5),
+        "kkt_residual": rn}
     lines = _summary_lines(cfg, sol, fp, 0.0)
-    assert f"lsmr_iterations = {last['iterations']}" in lines
-    assert f"lsmr_istop = {last['istop']}" in lines
-    assert f"lsmr_residual = {last['residual']:.6e}" in lines
-    assert f"load_norm = {np.linalg.norm(sol.system.L):.6e}" in lines
-    assert not any(ln.startswith("kkt_residual") for ln in lines)
+    assert f"solver_iterations = {last['iterations']}" in lines
+    assert f"solver_stop = istop_{last['istop']}" in lines
+    assert f"kkt_residual = {rn:.6e}" in lines
+
+
+def test_fixed_point_stops_on_stagnation(monkeypatch):
+    # l2_norm is called for the increment, then for the iterate: the
+    # relative increments read 1, 2, 3, ..., growing at every pass
+    calls = []
+
+    def growing(space, coeffs, weight=None, assembler=None):
+        calls.append(1)
+        return float(len(calls) + 1) / 2 if len(calls) % 2 else 1.0
+
+    # the stop depends on the increments only: every pass reuses the first
+    # pass's system, which keeps the eleven passes cheap
+    systems = []
+    assemble = pipeline.assemble_oseen
+
+    def first_system(*args):
+        if not systems:
+            systems.append(assemble(*args))
+        return systems[0]
+
+    monkeypatch.setattr(pipeline, "l2_norm", growing)
+    monkeypatch.setattr(pipeline, "assemble_oseen", first_system)
+    cfg = validate(dataclasses.replace(
+        from_preset("ns-taylor-green"), nx=3, ny=3, nt=2,
+        solver_method="direct", outer_max=20, verify=False))
+    sol, fp = fixed_point_ns(cfg)
+    assert fp.rel_err == [float(k) for k in range(1, 12)]
+    assert fp.stagnated and not fp.converged
+    lines = _summary_lines(cfg, sol, fp, 0.0)
+    assert "outer_iterations = 11" in lines
+    assert "outer_stagnated = True" in lines
 
 
 def test_direct_fallback_factorizes_once(factorizations, monkeypatch,
@@ -207,7 +256,8 @@ def test_direct_fallback_factorizes_once(factorizations, monkeypatch,
     assert len(factorizations) == 1
     assert exact == []
     assert capfd.readouterr() == ("", "")
-    assert sol.info["kkt_residual"] > 1e-9
+    assert sol.report["kkt_residual"] > 1e-9
+    assert sol.report["solver_converged"] is False
 
 
 def test_bound_evaluator_matches_scattered_points():

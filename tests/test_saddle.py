@@ -15,7 +15,7 @@ from nullctrl.forms import SaddleSystem, assemble_heat, assemble_stokes
 from nullctrl.mesh import build_mesh
 from nullctrl.saddle import (AHParams, IterationLog, KktSolver,
                              SolverDiverged, arrow_hurwicz, direct_solve,
-                             equilibrated, lsq_solve)
+                             equilibrated, kkt_residual, lsq_solve)
 from nullctrl.weights import WeightSet
 
 from oracles import peak_over_csr_bytes, taylor_green_oseen
@@ -120,12 +120,36 @@ def test_converged_constraint_residual_scale():
                 / max(np.linalg.norm(system.L), 1.0)) <= 10 * tol
 
 
-def test_constraint_scale_bounds_constraint_residual():
-    system = assembled_systems()[0]
-    x, _, log = arrow_hurwicz(system, AHParams(max_iter=50))
-    assert log.constraint_scale == (spla.norm(system.B)
-                                    * np.linalg.norm(x))
-    assert 0 < log.residual_constraint <= log.constraint_scale
+def test_kkt_residual_is_relative_and_basis_independent():
+    system = random_system(np.random.default_rng(6))
+    x, lam, _ = direct_solve(system)
+    assert kkt_residual(system, x, lam) <= 1e-12
+    n, m = system.n_primal, system.n_dual
+    assert kkt_residual(system, np.zeros(n), np.zeros(m)) == 1.0
+    # scaling a constraint row or a primal basis function rescales the
+    # equilibrated basis, not the residual
+    D = sp.diags(np.linspace(0.5, 3.0, m))
+    E = sp.diags(np.linspace(2.0, 0.25, n))
+    scaled = SaddleSystem(A=(E @ system.A @ E).tocsr(),
+                          B=(D @ system.B @ E).tocsr(), L=E @ system.L,
+                          primal=[], dual=[],
+                          M_primal=(E @ system.M_primal @ E).tocsr(),
+                          M_dual=system.M_dual)
+    x1 = x + 1e-3
+    assert kkt_residual(scaled, x1 / E.diagonal(), lam / D.diagonal()) == \
+        pytest.approx(kkt_residual(system, x1, lam), rel=1e-10)
+    zero = toy_system()
+    zero.L = np.zeros(2)
+    assert kkt_residual(zero, np.zeros(2), np.zeros(1)) == 0.0
+
+
+def test_kkt_residual_is_the_one_kkt_solver_stops_on():
+    system = random_system(np.random.default_rng(5))
+    solver = KktSolver(system)
+    solver.lu = _ScaledSolve(solver.lu, 0.1)   # stops at max_steps
+    x, lam, rn, _, stop = solver.resolve()
+    assert stop == "max_steps" and rn > 1e-9
+    assert kkt_residual(system, x, lam) == pytest.approx(rn, rel=1e-8)
 
 
 def test_divergence_reported():
