@@ -254,12 +254,6 @@ class TensorFemSpace:
             raise ValueError("interpolant returned wrong shape")
         return np.concatenate([vals[..., c].ravel() for c in range(2)])
 
-    def apply_constraints(self, coeffs):
-        """Zero the fixed DOFs (idempotent, order independent)."""
-        out = np.array(coeffs, dtype=float, copy=True)
-        out[~self.free_mask] = 0.0
-        return out
-
     def eval(self, coeffs, x, t):
         """Values of the FEM function at the points x (..., 2) and the
         time(s) t; one call of the bound evaluator `at`."""

@@ -404,7 +404,8 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
     """Velocity/pressure stepping of the (Navier-)Stokes momentum balance.
 
     trajectory=None is the Stokes problem with no-slip walls: no convection,
-    and one cached factorization per theta.  Otherwise the velocity's
+    and each theta is factorized when the schedule reaches it, with only the
+    current theta's factorization held.  Otherwise the velocity's
     Dirichlet data come from the trajectory, the convecting field is
     extrapolated from the previous steps and every step factorizes.  Viscous
     and pressure terms follow `_steps`' theta-scheme, and the divergence
@@ -456,12 +457,14 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
     max_div = 0.0
     y_prev = y
     Sop = nu * th.K
-    per_theta = {}
+    current = None
     for k, (theta, t_load, t_new) in enumerate(steps):
         if trajectory is None:
-            if theta not in per_theta:
-                per_theta[theta] = operators(theta, Sop)
-            rhs_op, Aib, solve = per_theta[theta]
+            if theta != current:
+                # one factorization at a time, as in heat_forward_cn
+                rhs_op = Aib = solve = None
+                rhs_op, Aib, solve = operators(theta, Sop)
+                current = theta
         else:
             adv = 1.5 * y - 0.5 * y_prev if k > 0 else y
             rhs_op, Aib, solve = operators(theta, Sop + th.convection(adv))

@@ -66,7 +66,8 @@ class WeightedField:
     Evaluates pointwise as weight(x,t) * u_h(x,t); with a region box the
     value is exactly 0 outside it (control locality).  `at` binds the field
     to fixed points once and returns t -> values; `on_batch` serves the
-    assembler's quadrature grid directly, avoiding point location.
+    assembler's quadrature grid directly, avoiding point location, and
+    applies no region (only region-free fields are assembled).
     """
 
     def __init__(self, space, coeffs, ws: WeightSet, weight="-", sign=1.0,
@@ -116,10 +117,7 @@ class WeightedField:
         w = self.sign * self.ws.inv_weight(self.weight, X, t)
         vals = np.stack([batch.field(self.space, self.coeffs, c)
                          for c in range(self.space.components)], axis=-1)
-        out = vals * w[..., None]
-        if self.region is not None:
-            out = out * self._inside(batch.Xq)[:, None, :, None]
-        return out
+        return vals * w[..., None]
 
 
 def _setup(cfg, flow):
@@ -139,7 +137,9 @@ def _setup(cfg, flow):
         for name, components, constraint in primal + dual)
 
 
-_LSMR_MET = (0, 1, 2, 4, 5)   # LSMR's istop codes for a met tolerance
+# LSMR's istop codes for a solved system; 2 and 5 only certify a
+# least-squares optimum (|K^T r| small against |K| |r|), not a solution
+_LSMR_MET = (0, 1, 4)
 
 
 def _solve_system(system, cfg, start=None):

@@ -17,8 +17,6 @@ fallback for small systems.
 from __future__ import annotations
 
 import os
-import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -262,6 +260,7 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
 
 
 _MAX_REFINE = 40
+_EPS = 1e-8   # KktSolver's regularization
 
 
 class KktSolver:
@@ -269,19 +268,19 @@ class KktSolver:
     refinement against that system.
 
     The factorization is of the equilibrated, quasi-definite regularization
-    [[A + eps I, B^T], [B, -eps I]]; iterative refinement against the true
-    matrix removes the O(eps |x|) bias when the system has a solution,
+    [[A + _EPS I, B^T], [B, -_EPS I]]; iterative refinement against the
+    true matrix removes the O(_EPS |x|) bias when the system has a solution,
     singular or not.  When it has none (the load has a component outside
     the range of the KKT matrix, as on the flow systems) refinement cannot
     remove that component: the residual stays flat above it while the
     iterate grows along the kernel, and resolve returns the last iterate.
     """
 
-    def __init__(self, system: SaddleSystem, eps: float = 1e-8):
+    def __init__(self, system: SaddleSystem):
         self.eq = eq = equilibrated(system)
         n, m = system.n_primal, system.n_dual
-        K = sp.bmat([[eq.A + eps * sp.identity(n), eq.B.T],
-                     [eq.B, (-eps) * sp.identity(m)]], format="csc")
+        K = sp.bmat([[eq.A + _EPS * sp.identity(n), eq.B.T],
+                     [eq.B, (-_EPS) * sp.identity(m)]], format="csc")
         self.lu = spla.splu(K)
 
     def resolve(self, start=None, tol=1e-9):
@@ -322,23 +321,6 @@ def _available_cpus():
         return os.cpu_count() or 1
 
 
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _product_pool():
-    """The helper threads of the split products, created on first use so
-    that importing the package starts no thread.  The calling thread takes
-    part in each product, so one CPU is left to it."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max_workers=max(_available_cpus() - 1, 1),
-                thread_name_prefix="nullctrl-matvec")
-        return _pool
-
-
 def _row_blocks(M: sp.csr_matrix, nblocks: int):
     """At most nblocks zero-copy CSR views of consecutive row ranges of M,
     with about equal nonzeros each; each range holds at least one row.
@@ -358,38 +340,11 @@ def _row_blocks(M: sp.csr_matrix, nblocks: int):
     return blocks
 
 
-def _split_product(blocks, v):
-    """The rows of M @ v from M's row blocks, on the calling thread and the
-    pool's helpers together.
-
-    Both take the blocks one at a time until none is left (scipy's sparse
-    kernels release the GIL while they compute).  The calling thread starts
-    at once and withdraws the helpers that have not started when it runs
-    out of blocks, so the product never waits for a thread that could not
-    get a CPU.  A block gives the same bits on any thread.
-    """
-    pool = _product_pool()
-    parts = [None] * len(blocks)
-    todo = deque(range(len(blocks)))   # popleft is thread-safe
-
-    def work():
-        while True:
-            try:
-                i = todo.popleft()
-            except IndexError:   # every block is taken
-                return
-            parts[i] = blocks[i] @ v
-
-    helpers = [pool.submit(work) for _ in blocks[1:]]
-    work()
-    for helper in helpers:
-        if not helper.cancel():   # started: wait for its blocks
-            helper.result()
-    return np.concatenate(parts)
-
-
-def _row_split_matvec(M: sp.csr_matrix, nblocks: int):
-    """v -> M @ v from the row blocks of `_row_blocks` (`_split_product`).
+def _row_split_matvec(pool, M: sp.csr_matrix, nblocks: int):
+    """v -> M @ v from the row blocks of `_row_blocks`: the calling thread
+    multiplies the first block while the pool multiplies the others
+    (scipy's sparse kernels release the GIL while they compute), and the
+    parts are joined in block order.
 
     Every output row is still summed from 0 over its stored columns in
     ascending order, so the result is bit-identical to M @ v.  With one
@@ -398,7 +353,13 @@ def _row_split_matvec(M: sp.csr_matrix, nblocks: int):
     blocks = _row_blocks(M, nblocks)
     if len(blocks) <= 1:
         return M.__matmul__
-    return lambda v: _split_product(blocks, v)
+    first, rest = blocks[0], blocks[1:]
+
+    def matvec(v):
+        parts = [pool.submit(block.__matmul__, v) for block in rest]
+        return np.concatenate([first @ v] + [part.result() for part in parts])
+
+    return matvec
 
 
 _FILL_BLOCKS = 16   # row ranges of `_augmented_operators`' scatter
@@ -450,17 +411,6 @@ def _augmented_operators(eq: Equilibrated):
     return K, K.T.tocsr()
 
 
-def _split_operator(K: sp.csr_matrix, KT: sp.csr_matrix):
-    """K as a LinearOperator whose K v and K^T u run on row blocks of K and
-    of its CSR transpose KT across the available CPUs
-    (`_row_split_matvec`).  KT's rows are summed in the same order as the
-    CSC product K.T @ u, so both products keep their bits."""
-    nblocks = _available_cpus()
-    return spla.LinearOperator(K.shape, dtype=K.dtype,
-                               matvec=_row_split_matvec(K, nblocks),
-                               rmatvec=_row_split_matvec(KT, nblocks))
-
-
 def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000):
     """Minimal-norm least-squares solve of the (augmented) KKT system.
 
@@ -472,9 +422,11 @@ def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000):
     matrix K = [[A + B^T B, B^T], [B, 0]] with its CSR transpose, written
     straight into their arrays (`_augmented_operators`); the two are the
     solve's memory floor.  LSMR's two products per iteration run on row
-    blocks of them across the available CPUs (`_split_operator`), with the
-    bits of the serial products.  Returns (x, lam, info_dict) with LSMR's
-    iterations and its stop code istop.
+    blocks of them (`_row_split_matvec`) across the available CPUs, with
+    the bits of the serial products: K^T's rows are summed in the same
+    order as the CSC product K.T @ u.  The helper threads belong to this
+    solve and are joined before it returns.  Returns (x, lam, info_dict)
+    with LSMR's iterations and its stop code istop.
     """
     eq = equilibrated(system)
     n, mdim = system.n_primal, system.n_dual
@@ -483,8 +435,15 @@ def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000):
         # LSMR's own stop code for a zero right-hand side: x = 0 solves it
         return np.zeros(n), np.zeros(mdim), {"iterations": 0, "istop": 0}
     x0 = None if start is None else np.concatenate(eq.to_basis(start))
-    out = spla.lsmr(_split_operator(*_augmented_operators(eq)), rhs,
-                    atol=tol, btol=tol, maxiter=max_iter, x0=x0)
+    K, KT = _augmented_operators(eq)
+    cpus = _available_cpus()
+    # the calling thread takes part in each product, so one CPU is left to it
+    with ThreadPoolExecutor(max_workers=max(cpus - 1, 1),
+                            thread_name_prefix="nullctrl-matvec") as pool:
+        op = spla.LinearOperator(K.shape, dtype=K.dtype,
+                                 matvec=_row_split_matvec(pool, K, cpus),
+                                 rmatvec=_row_split_matvec(pool, KT, cpus))
+        out = spla.lsmr(op, rhs, atol=tol, btol=tol, maxiter=max_iter, x0=x0)
     sol = out[0]
     x, lam = eq.from_basis(sol[:n], sol[n:])
     return x, lam, {"iterations": int(out[2]), "istop": int(out[1])}

@@ -165,16 +165,6 @@ def test_weighted_norm_against_refined_quadrature(unit_mesh):
     assert val == pytest.approx(np.sqrt(acc), rel=1e-6)
 
 
-def test_constraint_application_idempotent(unit_mesh):
-    sp = build_space(unit_mesh, 2, 2, 1, "zero_lateral_final")
-    rng = np.random.default_rng(1)
-    c = rng.standard_normal(sp.ndof)
-    once = sp.apply_constraints(c)
-    twice = sp.apply_constraints(once)
-    assert np.array_equal(once, twice)
-    assert np.abs(once[~sp.free_mask]).max() == 0.0
-
-
 def test_unknown_constraint_rejected(unit_mesh):
     # zero mean per time level is not a constraint of any assembled system
     with pytest.raises(ValueError, match="unknown constraint"):

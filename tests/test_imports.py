@@ -1,4 +1,6 @@
-"""Every imported name in the package and its tests is used."""
+"""Lint checks on the package source: every imported name is used, no
+helper or parameter is unread, no private library API is read and no
+module rebinds its own state."""
 
 import ast
 from pathlib import Path
@@ -99,6 +101,22 @@ def test_no_unread_parameters():
     unread = {path.name: found for path in files
               if (found := unread_parameters(ast.parse(path.read_text())))}
     assert unread == {}
+
+
+def global_statements(tree):
+    """(line, name) of each name a `global` statement declares."""
+    return [(node.lineno, name) for node in ast.walk(tree)
+            if isinstance(node, ast.Global) for name in node.names]
+
+
+def test_no_module_level_mutable_state():
+    # state a module's functions rebind is shared by every caller in the
+    # process; it belongs to an object that callers create and pass
+    files = sorted((ROOT / "src" / "nullctrl").glob("*.py"))
+    assert len(files) > 2
+    found = {path.name: names for path in files
+             if (names := global_statements(ast.parse(path.read_text())))}
+    assert found == {}
 
 
 def _private(name):

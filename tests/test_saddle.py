@@ -3,6 +3,7 @@
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -314,21 +315,20 @@ def test_row_split_products_bit_identical(case, nblocks):
     M = _split_cases()[case]
     MT = M.T.tocsr()
     rng = np.random.default_rng(nblocks)
-    matvec = saddle._row_split_matvec(M, nblocks)
-    rmatvec = saddle._row_split_matvec(MT, nblocks)
     v = rng.standard_normal(M.shape[1])
     u = rng.standard_normal(M.shape[0])
-    assert np.array_equal(_bits(matvec(v)), _bits(M @ v))
-    # the CSR transpose against the CSC product lsmr's own adjoint makes
-    assert np.array_equal(_bits(rmatvec(u)), _bits(M.T @ u))
+    with ThreadPoolExecutor(max_workers=max(nblocks - 1, 1)) as pool:
+        matvec = saddle._row_split_matvec(pool, M, nblocks)
+        rmatvec = saddle._row_split_matvec(pool, MT, nblocks)
+        assert np.array_equal(_bits(matvec(v)), _bits(M @ v))
+        # the CSR transpose against the CSC product lsmr's own adjoint makes
+        assert np.array_equal(_bits(rmatvec(u)), _bits(M.T @ u))
     blocks = saddle._row_blocks(M, nblocks)
     assert 1 <= len(blocks) <= min(nblocks, M.shape[0])
     assert sum(b.shape[0] for b in blocks) == M.shape[0]
     for b in blocks:
         assert b.nnz == 0 or np.shares_memory(b.data, M.data)
         assert b.nnz == 0 or np.shares_memory(b.indices, M.indices)
-    assert np.array_equal(_bits(saddle._split_product(blocks, v)),
-                          _bits(M @ v))
 
 
 def test_row_blocks_balance_nonzeros():
@@ -341,44 +341,21 @@ def test_row_blocks_balance_nonzeros():
 
 
 def test_split_product_under_fast_thread_switching():
-    """The calling thread and the helpers take blocks from one shared queue;
-    with more blocks than CPUs and a tiny switch interval no block may be
-    lost or mixed up between products."""
+    """The calling thread and the pool's threads multiply the blocks of one
+    product; with more blocks than CPUs and a tiny switch interval no block
+    may be lost or mixed up between products."""
     rng = np.random.default_rng(11)
     M = sp.random(400, 300, density=0.2, format="csr", random_state=rng)
-    blocks = saddle._row_blocks(M, 16)
     vs = rng.standard_normal((50, 300))
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for v in vs:
-            assert np.array_equal(_bits(saddle._split_product(blocks, v)),
-                                  _bits(M @ v))
+        with ThreadPoolExecutor(max_workers=15) as pool:
+            matvec = saddle._row_split_matvec(pool, M, 16)
+            for v in vs:
+                assert np.array_equal(_bits(matvec(v)), _bits(M @ v))
     finally:
         sys.setswitchinterval(old)
-
-
-def test_split_product_does_not_wait_for_busy_helpers():
-    """With every helper thread busy the calling thread computes all blocks
-    itself and withdraws the helpers' tasks."""
-    M = _split_cases()["empty-rows"]
-    blocks = saddle._row_blocks(M, 4)
-    v = np.arange(M.shape[1], dtype=float)
-    release = threading.Event()
-    pool = saddle._product_pool()
-    busy = [pool.submit(release.wait, 30)
-            for _ in range(saddle._available_cpus() + 2)]
-    out = []
-    try:
-        caller = threading.Thread(
-            target=lambda: out.append(saddle._split_product(blocks, v)))
-        caller.start()
-        caller.join(timeout=10)
-        assert not caller.is_alive()
-    finally:
-        release.set()
-    assert all(f.result(timeout=10) for f in busy)
-    assert np.array_equal(_bits(out[0]), _bits(M @ v))
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -392,6 +369,17 @@ def test_lsq_solve_bits_independent_of_cpu_count(monkeypatch, cpus):
     assert got[2] == want[2]
     assert np.array_equal(_bits(got[0]), _bits(want[0]))
     assert np.array_equal(_bits(got[1]), _bits(want[1]))
+
+
+def test_lsq_solve_leaves_no_thread(monkeypatch):
+    """The product threads belong to one solve and end with it."""
+    monkeypatch.setattr(saddle, "_available_cpus", lambda: 3)
+    before = threading.active_count()
+    lsq_solve(assembled_systems()[1], tol=1e-10, max_iter=50)
+    assert threading.active_count() == before
+    # also when an earlier solve had started product threads
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("nullctrl-matvec")]
 
 
 def test_direct_dimension_guard():
