@@ -72,21 +72,27 @@ def _summary_lines(cfg, sol, fp, wall):
         lines.append(f"outer_rel_err_final = {fp.rel_err[-1]:.6e}")
     h, h0 = sol.history, sol.history_uncontrolled
     if h is not None:
-        if h.deviation_norms is not None:
-            lines.append(f"final_deviation_controlled = {h.deviation_norms[-1]:.6e}")
-            lines.append(f"final_deviation_uncontrolled = {h0.deviation_norms[-1]:.6e}")
-            ratio = h.deviation_norms[-1] / max(h0.deviation_norms[-1], 1e-300)
-            lines.append(f"controlled_over_uncontrolled = {ratio:.6e}")
+        first, final = h.state_norms[0], h.state_norms[-1]
+        final0 = h0.state_norms[-1]
+        lines += [f"initial_state_norm = {first:.6e}",
+                  f"final_state_norm_controlled = {final:.6e}",
+                  f"final_state_norm_uncontrolled = {final0:.6e}",
+                  f"final_over_initial = {final / max(first, 1e-300):.6e}",
+                  f"controlled_over_uncontrolled = "
+                  f"{final / max(final0, 1e-300):.6e}"]
+        if h.divergence_residual is not None:
             lines.append(f"divergence_residual = {h.divergence_residual:.6e}")
-        else:
-            lines.append(f"initial_state_norm = {h.state_norms[0]:.6e}")
-            lines.append(f"final_state_norm_controlled = {h.state_norms[-1]:.6e}")
-            lines.append(f"final_state_norm_uncontrolled = {h0.state_norms[-1]:.6e}")
-            lines.append(f"final_over_initial = "
-                         f"{h.state_norms[-1] / max(h.state_norms[0], 1e-300):.6e}")
-            ratio = h.state_norms[-1] / max(h0.state_norms[-1], 1e-300)
-            lines.append(f"controlled_over_uncontrolled = {ratio:.6e}")
     return lines
+
+
+def _write_csv(path, columns):
+    """One CSV table from {header: column}: integer columns as they are,
+    number columns as .12e."""
+    cells = [[f"{v}" for v in col] if np.asarray(col).dtype.kind in "iu"
+             else [f"{v:.12e}" for v in col] for col in columns.values()]
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _vtk_fields(cfg, sol):
@@ -135,13 +141,18 @@ def run(argv=None) -> int:
 
     out = cfg.output_dir
     if sol.log is not None:
-        sol.log.to_csv(os.path.join(out, "iterations.csv"))
+        _write_csv(os.path.join(out, "iterations.csv"),
+                   {"iter": sol.log.iters, "rel_err1": sol.log.rel_err1,
+                    "rel_err2": sol.log.rel_err2})
     if fp is not None:
-        fp.to_csv(os.path.join(out, "outer_iterations.csv"))
-    if sol.history is not None:
-        sol.history.to_csv(os.path.join(out, "norms.csv"))
-        sol.history_uncontrolled.to_csv(
-            os.path.join(out, "norms_uncontrolled.csv"))
+        _write_csv(os.path.join(out, "outer_iterations.csv"),
+                   {"iter": fp.iters, "rel_err": fp.rel_err})
+    for name, h in (("norms.csv", sol.history),
+                    ("norms_uncontrolled.csv", sol.history_uncontrolled)):
+        if h is not None:
+            _write_csv(os.path.join(out, name),
+                       {"t": h.times, "control_norm": h.control_norms,
+                        "state_norm": h.state_norms})
     with open(os.path.join(out, "summary.txt"), "w") as fh:
         fh.write("\n".join(_summary_lines(cfg, sol, fp, wall)) + "\n")
     write_field_series(out, sol.mesh, _vtk_fields(cfg, sol))

@@ -307,15 +307,16 @@ def build_space(mesh, m, n, components=1, constraint="none") -> TensorFemSpace:
 class Batch:
     """One homogeneous batch of prisms: same triangle shape, same time rule.
 
-    Xq are the physical space points (P1, Q, 2) repeated over the time rule,
-    tq the physical times (P2, Q); w the full quadrature weights (Q,) already
+    X are the physical space points (P1, 1, Q, 2) repeated over the time
+    rule, t the physical times (1, P2, Q), so that the two broadcast to the
+    batch grid (P1, P2, Q); w the full quadrature weights (Q,) already
     including the cell Jacobians (uniform over the structured grid).
     """
 
     tris: np.ndarray
     slabs: np.ndarray
-    Xq: np.ndarray
-    tq: np.ndarray
+    X: np.ndarray
+    t: np.ndarray
     w: np.ndarray
     _tables: dict
 
@@ -328,9 +329,7 @@ class Batch:
 
     def coeff(self, fun):
         """Evaluate a coefficient callable on the batch grid -> (P1, P2, Q, …)."""
-        X = self.Xq[:, None, :, :]
-        t = self.tq[None, :, :]
-        return np.asarray(fun(X, t), dtype=float)
+        return np.asarray(fun(self.X, self.t), dtype=float)
 
     def field(self, space, coeffs, comp=0):
         """Values of a FEM field of this mesh on the batch grid (P1, P2, Q)."""
@@ -420,8 +419,8 @@ class Assembler:
                 Xq = np.tile(self.Xq_space[tris], (1, len(tp), 1))
                 tqq = np.repeat(tq, nqs, axis=1)
                 tables = {k: tabs[g][v] for k, tabs in self._space_tables.items()}
-                yield Batch(tris=tris, slabs=slabs, Xq=Xq, tq=tqq, w=w,
-                            _tables=tables)
+                yield Batch(tris=tris, slabs=slabs, X=Xq[:, None],
+                            t=tqq[None], w=w, _tables=tables)
 
 
 def l2_norm(space, coeffs, weight=None, assembler=None):

@@ -63,15 +63,17 @@ class SaddleSystem:
     def n_dual(self):
         return self.B.shape[0]
 
-    def block(self, name, which="primal"):
-        for blk in (self.primal if which == "primal" else self.dual):
+    def block(self, name):
+        """The named field's block; field names are unique across the
+        primal and the dual fields."""
+        for blk in self.primal + self.dual:
             if blk.name == name:
                 return blk
         raise KeyError(name)
 
-    def expand(self, reduced, which="primal"):
-        blocks = self.primal if which == "primal" else self.dual
-        return {blk.name: blk.expand(reduced) for blk in blocks}
+    def expand(self, reduced):
+        """Full coefficient vector of every primal field, by name."""
+        return {blk.name: blk.expand(reduced) for blk in self.primal}
 
 
 _ELEMENT = "abq,qi,qj->abij"   # sum_q w_q c_q Op_i Op_j per prism
@@ -324,9 +326,7 @@ def assemble_heat(mesh, spaces, ws: WeightSet, G, y0,
 
     for batch in bld.asm.batches(*spaces):
         om = mesh.omega_flag[batch.tris]
-        X = batch.Xq[:, None, :, :]
-        t = batch.tq[None, :, :]
-        c_mass, c_grad, c_time = ws.hatted_coeff_arrays(X, t)
+        c_mass, c_grad, c_time = ws.hatted_coeff_arrays(batch.X, batch.t)
         # A: plain mass on z, control-region mass on p
         bld.add("A", batch, ("z", 0, "v"), ("z", 0, "v"), 1.0)
         bld.add("A", batch, ("p", 0, "v"), ("p", 0, "v"), 1.0, region_mask=om)
@@ -355,10 +355,8 @@ def _batch_values(fun, batch):
         return None
     if hasattr(fun, "on_batch"):
         return np.asarray(fun.on_batch(batch), dtype=float)
-    X = batch.Xq[:, None, :, :]
-    t = batch.tq[None, :, :]
     P1, P2 = len(batch.tris), len(batch.slabs)
-    return np.broadcast_to(np.asarray(fun(X, t), dtype=float),
+    return np.broadcast_to(np.asarray(fun(batch.X, batch.t), dtype=float),
                            (P1, P2, len(batch.w), 2))
 
 
@@ -381,10 +379,8 @@ def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule):
     gops = ("gx", "gy")
     for batch in bld.asm.batches(*spaces):
         om = mesh.omega_flag[batch.tris]
-        X = batch.Xq[:, None, :, :]
-        t = batch.tq[None, :, :]
-        chi, gchi, _ = ws.chi(X)
-        tau = ws.T - t
+        chi, gchi, _ = ws.chi(batch.X)
+        tau = ws.T - batch.t
         sq = np.sqrt(tau)
         c_time = tau * sq                              # rho^-1 rho0
         c_pt = -1.5 * sq + chi / sq                    # rho^-1 d_t rho0

@@ -75,27 +75,15 @@ def curl_perturbation(psi_kind, M, x):
 
 @dataclass
 class NormHistory:
-    """Per-time L2(Omega) norms recorded along a forward run."""
+    """Per-time L2(Omega) norms recorded along a forward run: of the control
+    and of the state's deviation y - ybar from the target (ybar = 0 for heat
+    and Stokes).  Flow runs also record the largest relative divergence of
+    the velocity over the steps; heat runs have none."""
 
     times: np.ndarray
-    control_norms: np.ndarray = None
-    state_norms: np.ndarray = None
-    deviation_norms: np.ndarray = None
-    divergence_residual: float = 0.0
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            if self.deviation_norms is not None:
-                fh.write("t,deviation_norm\n")
-                for t, d in zip(self.times, self.deviation_norms):
-                    fh.write(f"{t:.12e},{d:.12e}\n")
-            else:
-                fh.write("t,control_norm,state_norm\n")
-                for t, c, s in zip(self.times, self.control_norms,
-                                   self.state_norms):
-                    fh.write(f"{t:.12e},{c:.12e},{s:.12e}\n")
-
-
+    control_norms: np.ndarray
+    state_norms: np.ndarray
+    divergence_residual: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +205,7 @@ class SpatialGrid:
 
 # ---------------------------------------------------------------------------
 # shared core: element table, assembly, control binding, step schedule; the
-# solvers differ only in the PDE operator, Dirichlet data and recorded norm
+# solvers differ only in the PDE operator, Dirichlet data and state norm
 # ---------------------------------------------------------------------------
 
 def _matrix(rconn, cconn, E):
@@ -256,10 +244,21 @@ class _Elements:
                          np.einsum("tq,tqid,tqjd->tij", self.w, self.g, self.g))
 
     def bind(self, control, box):
-        """(w, conn, v_at) on the triangles in box: their weights and
-        connectivity, and control.at bound once to their quadrature points."""
+        """(w, conn, v_at, norm) on the triangles in box: their weights and
+        connectivity, control.at bound once to their quadrature points, and
+        t -> the control's L2 norm over them (0 without a control)."""
         keep = self.grid.tris_in(box)
-        return self.w[keep], self.conn[keep], control.at(self.X[keep])
+        w = self.w[keep]
+        v_at = None if control is None else control.at(self.X[keep])
+
+        def norm(t):
+            if v_at is None:
+                return 0.0
+            v = np.asarray(v_at(t), dtype=float)
+            wv = w.reshape(w.shape + (1,) * (v.ndim - w.ndim))
+            return float(np.sqrt(max((wv * v * v).sum(), 0.0)))
+
+        return w, self.conn[keep], v_at, norm
 
 
 _STARTUP_STEPS = 2
@@ -318,20 +317,13 @@ def heat_forward_cn(grid: SpatialGrid, y0, G, control, T, nt_fwd,
         return (spla.factorized(lhs.tocsc()),
                 (M / dt - (1.0 - theta) * S).tocsr())
 
-    if control is not None:
-        w, conn, v_at = el.bind(control, omega_box)
+    w, conn, v_at, control_norm = el.bind(control, omega_box)
 
     def control_load(t):
         out = np.zeros(n)
         if control is not None:
             np.add.at(out, conn, np.einsum("tq,qi->ti", w * v_at(t), el.v))
         return out
-
-    def control_norm(t):
-        if control is None:
-            return 0.0
-        v = v_at(t)
-        return float(np.sqrt(max((w * v * v).sum(), 0.0)))
 
     times, steps = _steps(T, nt_fwd)
     state_norms = [float(np.sqrt(max(y @ (M @ y), 0.0)))]
@@ -410,8 +402,8 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
     extrapolated from the previous steps and every step factorizes.  Viscous
     and pressure terms follow `_steps`' theta-scheme, and the divergence
     constraint is enforced at the new time level with a zero-mean pressure.
-    Returns the history of ||y - ybar|| (ybar = 0 for Stokes) and the final
-    velocity coefficients.
+    Returns the norm history, with ||y - ybar|| (ybar = 0 for Stokes) as
+    the state norm, and the final velocity coefficients.
     """
     th = _TaylorHood(grid)
     nodes, bdry, interior = th.nodes, th.bdry, th.interior
@@ -427,8 +419,7 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
     y = _nodal(y0, nodes, (n, 2))
     y[bdry] = ybar[bdry]
 
-    if control is not None:
-        w, conn, v_at = th.bind(control, omega_box)
+    w, conn, v_at, control_norm = th.bind(control, omega_box)
 
     def control_load(t):
         out = np.zeros((n, 2))
@@ -453,7 +444,8 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
                 spla.factorized(KKT))
 
     times, steps = _steps(T, nt_fwd)
-    dev_norm = [th.norm(y - ybar)]
+    state_norms = [th.norm(y - ybar)]
+    control_norms = [control_norm(0.0)]
     max_div = 0.0
     y_prev = y
     Sop = nu * th.K
@@ -482,9 +474,11 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
         y[bdry] = gb
         y[interior, 0] = sol[:ni]
         y[interior, 1] = sol[ni:2 * ni]
-        dev_norm.append(th.norm(y - ybar))
+        state_norms.append(th.norm(y - ybar))
+        control_norms.append(control_norm(t_new))
         max_div = max(max_div, th.divergence_residual(y))
 
-    hist = NormHistory(times=times, deviation_norms=np.array(dev_norm),
+    hist = NormHistory(times=times, control_norms=np.array(control_norms),
+                       state_norms=np.array(state_norms),
                        divergence_residual=max_div)
     return hist, y

@@ -53,12 +53,6 @@ class FixedPointLog:
     converged: bool = False
     stagnated: bool = False
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("iter,rel_err\n")
-            for k, e in zip(self.iters, self.rel_err):
-                fh.write(f"{k},{e:.12e}\n")
-
 
 class WeightedField:
     """FEM field times an inverse weight, restricted to a region.
@@ -112,9 +106,7 @@ class WeightedField:
         return self.at(X)(t)
 
     def on_batch(self, batch):
-        X = batch.Xq[:, None, :, :]
-        t = batch.tq[None, :, :]
-        w = self.sign * self.ws.inv_weight(self.weight, X, t)
+        w = self.sign * self.ws.inv_weight(self.weight, batch.X, batch.t)
         vals = np.stack([batch.field(self.space, self.coeffs, c)
                          for c in range(self.space.components)], axis=-1)
         return vals * w[..., None]
@@ -255,7 +247,7 @@ def fixed_point_ns(cfg):
         system = assemble_oseen(mesh, spaces, ws, cfg.nu, traj, w_field, u0)
         solved = _solve_system(system, cfg,
                                start=None if solved is None else solved[:2])
-        z_new = system.expand(solved[0])["z"]
+        z_new = system.block("z").expand(solved[0])
         dz = z_new if z_prev is None else z_new - z_prev
         num = l2_norm(zsp, dz, weight=uweight, assembler=asm)
         den = l2_norm(zsp, z_new, weight=uweight, assembler=asm)

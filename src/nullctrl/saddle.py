@@ -78,12 +78,6 @@ class IterationLog:
     rel_err2: list = field(default_factory=list)
     converged: bool = False
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("iter,rel_err1,rel_err2\n")
-            for k, e1, e2 in zip(self.iters, self.rel_err1, self.rel_err2):
-                fh.write(f"{k},{e1:.12e},{e2:.12e}\n")
-
 
 @dataclass
 class Equilibrated:
@@ -449,7 +443,10 @@ def lsq_solve(system: SaddleSystem, start=None, tol=1e-12, max_iter=40000):
     return x, lam, {"iterations": int(out[2]), "istop": int(out[1])}
 
 
-def direct_solve(system: SaddleSystem, max_dim: int = 120_000):
+_DIRECT_MAX_DIM = 120_000   # largest n + m `direct_solve` factorizes
+
+
+def direct_solve(system: SaddleSystem):
     """Factorize the full symmetric indefinite KKT matrix (oracle/fallback).
 
     The factorization runs on the equilibrated basis (better pivots).  The
@@ -464,9 +461,9 @@ def direct_solve(system: SaddleSystem, max_dim: int = 120_000):
     its tolerance.  Returns (x, lam, flagged).
     """
     n, mdim = system.n_primal, system.n_dual
-    if n + mdim > max_dim:
+    if n + mdim > _DIRECT_MAX_DIM:
         raise ValueError(f"system of dimension {n + mdim} exceeds the "
-                         f"direct-solve guard {max_dim}")
+                         f"direct-solve guard {_DIRECT_MAX_DIM}")
     if np.abs(system.L).max() == 0.0:
         return np.zeros(n), np.zeros(mdim), False
     eq = equilibrated(system)

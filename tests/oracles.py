@@ -140,7 +140,7 @@ def quad_spacetime(mesh, rule, integrand):
     asm = Assembler(mesh, rule)
     total = 0.0
     for batch in asm.batches():
-        vals = integrand(batch.Xq[:, None, :, :], batch.tq[None, :, :])
+        vals = integrand(batch.X, batch.t)
         total += float(np.einsum("abq,q->", vals, batch.w))
     return total
 

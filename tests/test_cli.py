@@ -157,15 +157,25 @@ def test_run_artifacts(tmp_path, preset):
         "config.resolved", "norms.csv", "norms_uncontrolled.csv",
         "summary.txt"} | tables
     assert {f[len("field_"):].rsplit("_", 1)[0] for f in vtks} == fields
-    head = read(out, "norms.csv").splitlines()[0]
-    assert head == ("t,control_norm,state_norm" if preset == "heat-sec26"
-                    else "t,deviation_norm")
-    if "iterations.csv" in tables:
-        head = read(out, "iterations.csv").splitlines()[0]
-        assert head == "iter,rel_err1,rel_err2"
+    heads = {"norms.csv": "t,control_norm,state_norm",
+             "norms_uncontrolled.csv": "t,control_norm,state_norm",
+             "iterations.csv": "iter,rel_err1,rel_err2",
+             "outer_iterations.csv": "iter,rel_err"}
+    for name in set(files) & set(heads):
+        assert read(out, name).splitlines()[0] == heads[name], name
     text = read(out, vtks[0])
     assert "DATASET UNSTRUCTURED_GRID" in text
     assert "CELL_TYPES" in text
+
+
+def test_write_csv_formats_columns(tmp_path):
+    # integer columns as they are, number columns as .12e
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, {"iter": [1, 2], "t": np.array([0.0, 0.25]),
+                          "norm": [2.0, 0.5]})
+    assert path.read_text() == ("iter,t,norm\n"
+                                "1,0.000000000000e+00,2.000000000000e+00\n"
+                                "2,2.500000000000e-01,5.000000000000e-01\n")
 
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,

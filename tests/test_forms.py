@@ -140,7 +140,7 @@ def test_oseen_with_zero_background_reduces_to_stokes(ws, small_mesh,
     for name in ("A", "M_primal", "M_dual"):
         assert abs(getattr(s1, name) - getattr(s3, name)).max() == 0.0, name
     assert np.array_equal(s1.L, s3.L)
-    lam, p = s1.block("lam", "dual"), s1.block("p")
+    lam, p = s1.block("lam"), s1.block("p")
     D = (s3.B - s1.B).tocoo()
     in_lam = (D.row >= lam.offset) & (D.row < lam.offset + lam.size)
     in_p = (D.col >= p.offset) & (D.col < p.offset + p.size)

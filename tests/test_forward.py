@@ -94,11 +94,27 @@ def test_stokes_controlled_branch():
         hist, y = flow_forward(grid, 1.0, (0.0, 0.0), control, None, 0.3, 6,
                                omega_box=box)
         assert control.bindings == 1
-        assert hist.deviation_norms[0] == 0.0
-        assert hist.deviation_norms[-1] > 0.0
+        assert hist.state_norms[0] == 0.0
+        assert hist.state_norms[-1] > 0.0
         runs.append(y)
     assert np.allclose(runs[1], 2.0 * runs[0], rtol=1e-12,
                        atol=1e-14 * np.abs(runs[1]).max())
+
+
+def test_stokes_control_norms():
+    # as in the heat case, the box sits on grid lines: the control's
+    # L2(Omega) norm is |c| sqrt(area) at every time, and 0 without one
+    grid = SpatialGrid(6, 6, 1.0, 1.0)
+    box = (1 / 3, 2 / 3, 1 / 3, 2 / 3)
+    c = (1.0, -2.0)
+    hist, _ = flow_forward(grid, 1.0, (0.0, 0.0), ConstantControl(c), None,
+                           0.3, 6, omega_box=box)
+    assert len(hist.control_norms) == len(hist.times) == 7
+    assert np.allclose(hist.control_norms, np.hypot(*c) * np.sqrt(1 / 9),
+                       rtol=1e-12, atol=0.0)
+    hist0, _ = flow_forward(grid, 1.0, (0.0, 0.0), None, None, 0.3, 6,
+                            omega_box=box)
+    assert np.array_equal(hist0.control_norms, np.zeros(7))
 
 
 @pytest.fixture
@@ -181,7 +197,7 @@ def test_flow_zero_data_stays_zero():
     grid = SpatialGrid(6, 6, 1.0, 1.0)
     hist, y = flow_forward(grid, 1.0, (0.0, 0.0), None, None, 0.3, 6)
     assert np.abs(y).max() <= 1e-14
-    assert hist.deviation_norms.max() <= 1e-14
+    assert hist.state_norms.max() <= 1e-14
 
 
 def test_poiseuille_steady_state_exact():
@@ -191,7 +207,7 @@ def test_poiseuille_steady_state_exact():
     traj = Trajectory("poiseuille")
     hist, _ = flow_forward(grid, 1.0, lambda X: traj(X, 0.0),
                            None, traj, 0.5, 25)
-    assert hist.deviation_norms.max() <= 1e-10
+    assert hist.state_norms.max() <= 1e-10
 
 
 def test_taylor_green_tracks_exact_decay():
@@ -200,7 +216,7 @@ def test_taylor_green_tracks_exact_decay():
     hist, _ = flow_forward(grid, 1.0, lambda X: traj(X, 0.0),
                            None, traj, 0.5, 50)
     norm0 = np.pi / np.sqrt(2.0) * np.sqrt(2.0)   # ||TG(0)|| on (0,pi)^2
-    rel = hist.deviation_norms[-1] / (np.exp(-4.0) * norm0)
+    rel = hist.state_norms[-1] / (np.exp(-4.0) * norm0)
     assert rel <= 0.05
     # discrete divergence of the velocity pair scales like h^2: 1.1e-2 at
     # this resolution, 2.8e-3 at 32x32
@@ -214,17 +230,3 @@ def test_flow_divergence_residual_reported():
                            None, traj, 0.2, 10)
     assert hist.divergence_residual > 0.0
     assert np.isfinite(hist.divergence_residual)
-
-
-def test_norm_history_csv(tmp_path):
-    from nullctrl.forward import NormHistory
-    h = NormHistory(times=np.array([0.0, 1.0]),
-                    control_norms=np.array([1.0, 0.0]),
-                    state_norms=np.array([2.0, 0.5]))
-    p = tmp_path / "norms.csv"
-    h.to_csv(p)
-    assert p.read_text().startswith("t,control_norm,state_norm")
-    h2 = NormHistory(times=np.array([0.0]), deviation_norms=np.array([3.0]))
-    p2 = tmp_path / "dev.csv"
-    h2.to_csv(p2)
-    assert p2.read_text().startswith("t,deviation_norm")

@@ -1,6 +1,6 @@
 """Lint checks on the package source: every imported name is used, no
-helper or parameter is unread, no private library API is read and no
-module rebinds its own state."""
+helper or parameter is unread, no private library API is read, no
+module rebinds its own state and only the I/O modules open files."""
 
 import ast
 from pathlib import Path
@@ -191,3 +191,36 @@ def test_private_library_api_detected():
         ("m.py", 9, "_matmul_vector"),
         ("m.py", 10, "_sparsetools"),
     ]
+
+
+# the modules that read or write files: the command line driver, the config
+# reader and the VTK writer; the numerics hand their records to the driver
+FILE_IO_MODULES = {"cli.py", "config.py", "vtkout.py"}
+
+
+def file_opens(tree):
+    """Lines of the module's calls of `open(...)` or `<expr>.open(...)`."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Name)
+                       and node.func.id == "open"
+                       or isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "open"))
+
+
+def test_numerics_modules_open_no_files():
+    files = sorted((ROOT / "src" / "nullctrl").glob("*.py"))
+    assert FILE_IO_MODULES <= {path.name for path in files}
+    found = {path.name: lines for path in files
+             if path.name not in FILE_IO_MODULES
+             and (lines := file_opens(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+def test_file_opens_detected():
+    source = ("import pathlib\n"
+              "with open('a.csv', 'w') as fh:\n"
+              "    fh.write('x')\n"
+              "pathlib.Path('b').open()\n"
+              "opener = open\n")
+    assert file_opens(ast.parse(source)) == [2, 4]

@@ -14,7 +14,7 @@ from nullctrl import saddle
 from nullctrl.fem import build_space
 from nullctrl.forms import SaddleSystem, assemble_heat, assemble_stokes
 from nullctrl.mesh import build_mesh
-from nullctrl.saddle import (AHParams, IterationLog, KktSolver,
+from nullctrl.saddle import (AHParams, KktSolver,
                              SolverDiverged, arrow_hurwicz, direct_solve,
                              equilibrated, kkt_residual, lsq_solve)
 from nullctrl.weights import WeightSet
@@ -382,9 +382,10 @@ def test_lsq_solve_leaves_no_thread(monkeypatch):
                 if t.name.startswith("nullctrl-matvec")]
 
 
-def test_direct_dimension_guard():
-    with pytest.raises(ValueError):
-        direct_solve(toy_system(), max_dim=2)
+def test_direct_dimension_guard(monkeypatch):
+    monkeypatch.setattr(saddle, "_DIRECT_MAX_DIM", 2)
+    with pytest.raises(ValueError, match="direct-solve guard 2"):
+        direct_solve(toy_system())
 
 
 def test_singular_system_flagged_least_squares(factorizations):
@@ -442,16 +443,6 @@ def test_kkt_solver_reports_refinement(factor, want):
     assert (rn <= 1e-9) == (stop == "converged")
     if stop == "max_steps":
         assert steps == saddle._MAX_REFINE
-
-
-def test_iteration_log_csv(tmp_path):
-    log = IterationLog(iters=[1, 2], rel_err1=[1.0, 0.5], rel_err2=[1.0, 0.25])
-    path = tmp_path / "iters.csv"
-    log.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "iter,rel_err1,rel_err2"
-    assert lines[1].startswith("1,1.0")
-    assert len(lines) == 3
 
 
 def test_warm_start_resumes():
