@@ -95,6 +95,25 @@ def _write_csv(path, columns):
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
+def _tables(sol, fp):
+    """{file name: columns} of the run's CSV tables: the saddle solver's
+    iteration log, the fixed point's outer log and the norm histories."""
+    tables = {}
+    if sol.log is not None:
+        tables["iterations.csv"] = {"iter": sol.log.iters,
+                                    "rel_err1": sol.log.rel_err1,
+                                    "rel_err2": sol.log.rel_err2}
+    if fp is not None:
+        tables["outer_iterations.csv"] = {"iter": fp.iters,
+                                          "rel_err": fp.rel_err}
+    for name, h in (("norms.csv", sol.history),
+                    ("norms_uncontrolled.csv", sol.history_uncontrolled)):
+        if h is not None:
+            tables[name] = {"t": h.times, "control_norm": h.control_norms,
+                            "state_norm": h.state_norms}
+    return tables
+
+
 def _vtk_fields(cfg, sol):
     blocks, spaces = sol.blocks, sol.spaces
     fields = {"y": sol.state,   # Navier-Stokes: the deviation
@@ -140,19 +159,8 @@ def run(argv=None) -> int:
     wall = time.time() - t0
 
     out = cfg.output_dir
-    if sol.log is not None:
-        _write_csv(os.path.join(out, "iterations.csv"),
-                   {"iter": sol.log.iters, "rel_err1": sol.log.rel_err1,
-                    "rel_err2": sol.log.rel_err2})
-    if fp is not None:
-        _write_csv(os.path.join(out, "outer_iterations.csv"),
-                   {"iter": fp.iters, "rel_err": fp.rel_err})
-    for name, h in (("norms.csv", sol.history),
-                    ("norms_uncontrolled.csv", sol.history_uncontrolled)):
-        if h is not None:
-            _write_csv(os.path.join(out, name),
-                       {"t": h.times, "control_norm": h.control_norms,
-                        "state_norm": h.state_norms})
+    for name, columns in _tables(sol, fp).items():
+        _write_csv(os.path.join(out, name), columns)
     with open(os.path.join(out, "summary.txt"), "w") as fh:
         fh.write("\n".join(_summary_lines(cfg, sol, fp, wall)) + "\n")
     write_field_series(out, sol.mesh, _vtk_fields(cfg, sol))

@@ -1,9 +1,11 @@
 """Forward verification solvers: analytic benchmarks and exactness checks."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from nullctrl import forward
+from nullctrl import cli, forward
 from nullctrl.forward import (SpatialGrid, Trajectory, curl_perturbation,
                               flow_forward, heat_forward_cn)
 
@@ -230,3 +232,27 @@ def test_flow_divergence_residual_reported():
                            None, traj, 0.2, 10)
     assert hist.divergence_residual > 0.0
     assert np.isfinite(hist.divergence_residual)
+
+
+def test_norm_history_csv(tmp_path):
+    # every scenario's record, with or without a divergence residual, is
+    # written as t,control_norm,state_norm
+    h = forward.NormHistory(times=np.array([0.0, 1.0]),
+                            control_norms=np.array([1.0, 0.0]),
+                            state_norms=np.array([2.0, 0.5]))
+    hf = forward.NormHistory(times=np.array([0.0]),
+                             control_norms=np.array([0.0]),
+                             state_norms=np.array([3.0]),
+                             divergence_residual=1e-3)
+    sol = SimpleNamespace(log=None, history=h, history_uncontrolled=hf)
+    tables = cli._tables(sol, None)
+    assert set(tables) == {"norms.csv", "norms_uncontrolled.csv"}
+    for name, columns in tables.items():
+        cli._write_csv(tmp_path / name, columns)
+    assert (tmp_path / "norms.csv").read_text() == (
+        "t,control_norm,state_norm\n"
+        "0.000000000000e+00,1.000000000000e+00,2.000000000000e+00\n"
+        "1.000000000000e+00,0.000000000000e+00,5.000000000000e-01\n")
+    assert (tmp_path / "norms_uncontrolled.csv").read_text() == (
+        "t,control_norm,state_norm\n"
+        "0.000000000000e+00,0.000000000000e+00,3.000000000000e+00\n")

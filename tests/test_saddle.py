@@ -4,17 +4,18 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from nullctrl import saddle
+from nullctrl import cli, saddle
 from nullctrl.fem import build_space
 from nullctrl.forms import SaddleSystem, assemble_heat, assemble_stokes
 from nullctrl.mesh import build_mesh
-from nullctrl.saddle import (AHParams, KktSolver,
+from nullctrl.saddle import (AHParams, IterationLog, KktSolver,
                              SolverDiverged, arrow_hurwicz, direct_solve,
                              equilibrated, kkt_residual, lsq_solve)
 from nullctrl.weights import WeightSet
@@ -443,6 +444,19 @@ def test_kkt_solver_reports_refinement(factor, want):
     assert (rn <= 1e-9) == (stop == "converged")
     if stop == "max_steps":
         assert steps == saddle._MAX_REFINE
+
+
+def test_iteration_log_csv(tmp_path):
+    log = IterationLog(iters=[1, 2], rel_err1=[1.0, 0.5], rel_err2=[1.0, 0.25])
+    sol = SimpleNamespace(log=log, history=None, history_uncontrolled=None)
+    tables = cli._tables(sol, None)
+    assert set(tables) == {"iterations.csv"}
+    path = tmp_path / "iters.csv"
+    cli._write_csv(path, tables["iterations.csv"])
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "iter,rel_err1,rel_err2"
+    assert lines[1].startswith("1,1.0")
+    assert len(lines) == 3
 
 
 def test_warm_start_resumes():
