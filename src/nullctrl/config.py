@@ -149,15 +149,20 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ValueError("degrees m, n must be >= 1")
     if min(cfg.L1, cfg.L2, cfg.T) <= 0:
         raise ValueError("L1, L2, T must be positive")
-    if cfg.K1 <= 0 or cfg.K2 <= 0:
-        raise ValueError("K1, K2 must be positive")
+    if cfg.K1 <= 0 or cfg.K2 <= 1:
+        # chi = K1 (e^K2 - e^chi0) must stay positive where chi0 reaches 1
+        raise ValueError("K1 must be positive and K2 greater than 1")
     if cfg.scenario in ("stokes", "navier_stokes") and cfg.nu <= 0:
         raise ValueError("viscosity nu must be positive")
     if cfg.scenario == "navier_stokes" and cfg.trajectory not in (
             "poiseuille", "taylor_green"):
         raise ValueError(f"unknown trajectory {cfg.trajectory!r}")
-    if cfg.r <= 0 or cfg.s <= 0 or cfg.tol <= 0 or cfg.max_iter < 1:
+    if (cfg.r <= 0 or cfg.s <= 0 or cfg.tol <= 0 or cfg.max_iter < 1
+            or cfg.outer_max < 1):
         raise ValueError("solver parameters must be positive")
+    if min(cfg.verify_nx, cfg.verify_ny, cfg.verify_nt) < 1:
+        raise ValueError("verification counts verify.nx, verify.ny, "
+                         "verify.nt must be >= 1")
     if cfg.solver_method not in SOLVER_METHODS:
         raise ValueError("solver_method must be one of "
                          + ", ".join(SOLVER_METHODS))

@@ -310,7 +310,8 @@ class Batch:
     X are the physical space points (P1, 1, Q, 2) repeated over the time
     rule, t the physical times (1, P2, Q), so that the two broadcast to the
     batch grid (P1, P2, Q); w the full quadrature weights (Q,) already
-    including the cell Jacobians (uniform over the structured grid).
+    including the cell Jacobians (uniform over the structured grid).  Any
+    space of the assembler's mesh is served (`tables`, `field`).
     """
 
     tris: np.ndarray
@@ -318,34 +319,38 @@ class Batch:
     X: np.ndarray
     t: np.ndarray
     w: np.ndarray
-    _tables: dict
+    asm: Assembler = field(repr=False)
+    key: tuple          # (triangle group, time rule) of the assembler
 
     def tables(self, space):
-        key = (space.m, space.n)
-        return self._tables[key]
+        """The space's basis tables on the batch grid by operator name:
+        values "v", time derivatives "t" and the gradient components "gx"
+        and "gy", each (Q, ldof)."""
+        group, variant = self.key
+        return self.asm._tables_for(space)[group][variant]
 
     def dofs(self, space):
         return space.prism_scalar_dofs(self.tris, self.slabs)
 
-    def coeff(self, fun):
-        """Evaluate a coefficient callable on the batch grid -> (P1, P2, Q, …)."""
-        return np.asarray(fun(self.X, self.t), dtype=float)
-
-    def field(self, space, coeffs, comp=0):
-        """Values of a FEM field of this mesh on the batch grid (P1, P2, Q)."""
-        val = self.tables(space)[0]
-        D = self.dofs(space) + comp * space.ndof_scalar
-        cc = np.asarray(coeffs, dtype=float)[D]              # (P1, P2, ldof)
-        return np.einsum("abl,ql->abq", cc, val)
+    def field(self, space, coeffs):
+        """Values of a FEM field of this mesh on the batch grid (P1, P2, Q),
+        with a trailing axis of 2 for a vector space."""
+        D, val = self.dofs(space), self.tables(space)["v"]
+        comps = np.asarray(coeffs, dtype=float).reshape(space.components,
+                                                        space.ndof_scalar)
+        # one contraction per component: a stacked one rounds differently
+        vals = [np.einsum("abl,ql->abq", cc[D], val) for cc in comps]
+        return np.stack(vals, axis=-1) if space.components == 2 else vals[0]
 
 
 class Assembler:
     """Shared quadrature grid and basis tables for one mesh.
 
-    Prisms are grouped by triangle shape (two congruence classes on the
-    structured grid) and by time rule (regular slabs vs. the final slab with
-    its raised quadrature order); each group is assembled in one vectorized
-    batch, accumulated in a fixed order so results are deterministic.
+    Prisms are grouped by triangle shape (the congruence classes of the
+    structured grid: two with the `same` diagonal, four with `alternate`)
+    and by time rule (regular slabs vs. the final slab with its raised
+    quadrature order); each group is assembled in one vectorized batch,
+    accumulated in a fixed order so results are deterministic.
     """
 
     def __init__(self, mesh: SpaceTimeMesh, rule: QuadratureRule):
@@ -381,46 +386,46 @@ class Assembler:
             self.t_variants.append((slabs, tp, tw * ht, tq))
 
     def _tables_for(self, space):
+        """The tables of `Batch.tables` for every triangle group and time
+        rule, [group][rule]; tabulated on a space's first use and kept per
+        degree pair (m, n)."""
+        if space.mesh is not self.mesh:
+            raise ValueError("space built on a different mesh")
         key = (space.m, space.n)
-        if key in self._space_tables:
-            return self._space_tables[key]
-        out = []
-        sval, sgrad_ref = tabulate_triangle(space.m, self.rule.tri_points)
-        for g, tris in enumerate(self.tri_groups):
-            Jinv = np.linalg.inv(self.J[tris[0]])
-            sgrad = np.einsum("kd,qsk->qsd", Jinv, sgrad_ref)
-            per_variant = []
-            for slabs, tp, tw, tq in self.t_variants:
-                tval, tder = tabulate_interval(space.n, tp)
-                tder = tder / self.mesh.ht
-                # tensor tables, q = qt * nqs + qs
-                val = np.einsum("ti,qs->tqis", tval, sval)
-                val = val.reshape(-1, space.nn_t * space.nn_s)
-                dt = np.einsum("ti,qs->tqis", tder, sval)
-                dt = dt.reshape(-1, space.nn_t * space.nn_s)
-                grad = np.einsum("ti,qsd->tqisd", tval, sgrad)
-                grad = grad.reshape(-1, space.nn_t * space.nn_s, 2)
-                per_variant.append((val, grad, dt))
-            out.append(per_variant)
-        self._space_tables[key] = out
-        return out
+        if key not in self._space_tables:
+            nl = space.ldof
+            sval, sgrad_ref = tabulate_triangle(space.m, self.rule.tri_points)
+            out = []
+            for tris in self.tri_groups:
+                Jinv = np.linalg.inv(self.J[tris[0]])
+                sgrad = np.einsum("kd,qsk->qsd", Jinv, sgrad_ref)
+                per_variant = []
+                for slabs, tp, tw, tq in self.t_variants:
+                    tval, tder = tabulate_interval(space.n, tp)
+                    # tensor tables, q = qt * nqs + qs
+                    val = np.einsum("ti,qs->tqis", tval, sval)
+                    dt = np.einsum("ti,qs->tqis", tder / self.mesh.ht, sval)
+                    grad = np.einsum("ti,qsd->tqisd", tval, sgrad)
+                    grad = grad.reshape(-1, nl, 2)
+                    per_variant.append({"v": val.reshape(-1, nl),
+                                        "t": dt.reshape(-1, nl),
+                                        "gx": grad[:, :, 0],
+                                        "gy": grad[:, :, 1]})
+                out.append(per_variant)
+            self._space_tables[key] = out
+        return self._space_tables[key]
 
-    def batches(self, *spaces):
+    def batches(self):
         """Yield Batch objects covering every prism exactly once."""
-        for sp in spaces:
-            if sp.mesh is not self.mesh:
-                raise ValueError("space built on a different mesh")
-            self._tables_for(sp)
+        nqs = len(self.rule.tri_weights)
         for g, tris in enumerate(self.tri_groups):
             det = self.detJ[tris[0]]
             for v, (slabs, tp, tw, tq) in enumerate(self.t_variants):
                 w = (tw[:, None] * (self.rule.tri_weights * det)[None, :]).ravel()
-                nqs = len(self.rule.tri_weights)
                 Xq = np.tile(self.Xq_space[tris], (1, len(tp), 1))
                 tqq = np.repeat(tq, nqs, axis=1)
-                tables = {k: tabs[g][v] for k, tabs in self._space_tables.items()}
                 yield Batch(tris=tris, slabs=slabs, X=Xq[:, None],
-                            t=tqq[None], w=w, _tables=tables)
+                            t=tqq[None], w=w, asm=self, key=(g, v))
 
 
 def l2_norm(space, coeffs, weight=None, assembler=None):
@@ -430,12 +435,10 @@ def l2_norm(space, coeffs, weight=None, assembler=None):
     """
     asm = assembler or Assembler(space.mesh, QuadratureRule.default(space.m, space.n))
     total = 0.0
-    for batch in asm.batches(space):
-        acc = 0.0
-        for c in range(space.components):
-            v = batch.field(space, coeffs, comp=c)
-            acc = acc + v * v
+    for batch in asm.batches():
+        v = batch.field(space, coeffs)
+        acc = (v * v).sum(axis=-1) if space.components == 2 else v * v
         if weight is not None:
-            acc = acc * batch.coeff(weight)
+            acc = acc * weight(batch.X, batch.t)
         total += float(np.einsum("abq,q->ab", acc, batch.w).sum())
     return np.sqrt(max(total, 0.0))

@@ -82,7 +82,7 @@ _ELEMENT = "abq,qi,qj->abij"   # sum_q w_q c_q Op_i Op_j per prism
 _ROW_BLOCKS = 8
 
 
-def _row_cuts(counts, nblocks):
+def row_cuts(counts, nblocks):
     """Bounds of at most nblocks consecutive row ranges with about equal
     entries each, from the entry count of every row; each range holds at
     least one row."""
@@ -96,37 +96,43 @@ class _Builder:
     """Collects bilinear terms as element values and DOF maps, then converts
     each target to a CSR matrix over the free DOFs, one row block at a time.
 
-    primal and dual are the system's (name, space) pairs in table order.
+    The system is laid out by `fields` (HEAT_FIELDS or FLOW_FIELDS) on
+    `spaces`, one space per row, each checked against its row; rule defaults
+    to the one of the largest degrees.
     """
 
-    def __init__(self, asm, primal, dual):
-        self.asm = asm
-        self.primal, self.dual = primal, dual
-        self.spaces = dict(primal + dual)
-        self.full_off, sizes = {}, []
-        for fields in (primal, dual):
-            off = 0
-            for name, spc in fields:
-                self.full_off[name] = off
-                off += spc.ndof
-            sizes.append(off)
-        self.n_full_primal, self.n_full_dual = sizes
+    def __init__(self, mesh, spaces, fields, rule=None):
+        primal, dual = fields
+        named = list(zip(primal + dual, spaces, strict=True))
+        self.spaces, self.full_off = {}, {}
+        self.layouts, self.free, self.n_full = [], [], []
+        for rows in (named[:len(primal)], named[len(primal):]):
+            layout, idx, full, off = [], [], 0, 0
+            for (name, components, constraint), space in rows:
+                if (space.components != components
+                        or space.constraint != constraint):
+                    raise ValueError(f"{name} space must have components="
+                                     f"{components}, constraint="
+                                     f"{constraint!r}")
+                if space.mesh is not mesh:
+                    raise ValueError("all spaces must live on the assembly "
+                                     "mesh")
+                size = len(space.free_idx)
+                self.spaces[name] = space
+                self.full_off[name] = full
+                layout.append(FieldBlock(name, space, off, size))
+                idx.append(full + space.free_idx)
+                full += space.ndof
+                off += size
+            self.layouts.append(layout)
+            self.free.append(np.concatenate(idx))
+            self.n_full.append(full)
+        rule = rule or QuadratureRule.default(max(s.m for s in spaces),
+                                              max(s.n for s in spaces))
+        self.asm = Assembler(mesh, rule)
         self._terms = {"A": [], "B": [], "Mp": [], "Md": []}
-        self.L_full = np.zeros(self.n_full_primal)
+        self.L_full = np.zeros(self.n_full[0])
         self._paths = {}   # einsum contraction path per operand shapes
-
-    @staticmethod
-    def _op(tables, op):
-        val, grad, dt = tables
-        if op == "v":
-            return val
-        if op == "t":
-            return dt
-        if op == "gx":
-            return grad[:, :, 0]
-        if op == "gy":
-            return grad[:, :, 1]
-        raise ValueError(op)
 
     def add(self, target, batch, test, trial, cvals, region_mask=None):
         """Add sum_q w_q c_q Op_i Op_j over the batch's prisms.
@@ -137,8 +143,8 @@ class _Builder:
         tname, tcomp, topn = test
         rname, rcomp, ropn = trial
         tspace, rspace = self.spaces[tname], self.spaces[rname]
-        Ti = self._op(batch.tables(tspace), topn)
-        Tj = self._op(batch.tables(rspace), ropn)
+        Ti = batch.tables(tspace)[topn]
+        Tj = batch.tables(rspace)[ropn]
         P1, P2 = len(batch.tris), len(batch.slabs)
         CW = np.broadcast_to(np.asarray(cvals, dtype=float)[...],
                              (P1, P2, len(batch.w))) * batch.w
@@ -159,23 +165,29 @@ class _Builder:
               + self.full_off[rname])
         self._terms[target].append((E, Dt, Dr))
 
-    def add_initial_load(self, name, comp, fun):
-        """L contribution int_Omega fun(x) phi(x, 0) dx on the named field,
-        on the assembler's spatial quadrature points."""
-        asm, spc = self.asm, dict(self.primal)[name]
+    def add_initial_datum(self, ws, y0):
+        """L = int_Omega rho0(x, 0) y0(x) . p(x, 0) dx on the p field, on the
+        assembler's spatial quadrature points; y0 is a constant of p's shape
+        (a scalar or a 2-vector) or a callable of the points X (..., 2)."""
+        asm, spc = self.asm, self.spaces["p"]
+        X, comps = asm.Xq_space, spc.components
+        y = np.asarray(y0(X) if callable(y0) else y0, dtype=float)
+        shape = X.shape[:-1] + ((2,) if comps == 2 else ())
+        y = np.broadcast_to(y, shape).reshape(X.shape[:-1] + (comps,))
+        rho0 = ws.rho0_at_start(X)
         vals, _ = tabulate_triangle(spc.m, asm.rule.tri_points)
-        f = np.asarray(fun(asm.Xq_space), dtype=float)
-        contrib = np.einsum("tq,qi,t->ti", f * asm.rule.tri_weights[None, :],
-                            vals, asm.detJ)
-        tgt = self.L_full[self.full_off[name] + comp * spc.ndof_scalar:]
-        np.add.at(tgt, spc.space_conn, contrib)   # time level 0 only
+        for c in range(comps):
+            f = rho0 * y[..., c] * asm.rule.tri_weights[None, :]
+            contrib = np.einsum("tq,qi,t->ti", f, vals, asm.detJ)
+            tgt = self.L_full[self.full_off["p"] + c * spc.ndof_scalar:]
+            np.add.at(tgt, spc.space_conn, contrib)   # time level 0 only
 
     def _matrix(self, target, shape, rows_idx, cols_idx):
         """The target's terms as one CSR matrix, reduced to the free DOFs
         rows_idx and cols_idx (both ascending).
 
         The matrix is converted one block of consecutive free rows at a time
-        (`_row_cuts`), so COO triplets never exist for more than one block.
+        (`row_cuts`), so COO triplets never exist for more than one block.
         A block takes the entries of its rows, term by term in the order the
         terms were added and in (prism, i, j) order within a term, into
         arrays sized once for the block; consecutive terms with the same
@@ -210,7 +222,7 @@ class _Builder:
             counts += (np.bincount(rq[rq >= 0], minlength=n_rows)
                        * (len(Es) * Es[0].shape[3]))
             groups[k] = (rq, Es, Drs)
-        bounds = _row_cuts(counts, _ROW_BLOCKS)
+        bounds = row_cuts(counts, _ROW_BLOCKS)
         sizes = np.diff(np.concatenate([[0], np.cumsum(counts)])[bounds])
         for k, (rq, Es, Drs) in enumerate(groups):
             # each test row's block + 1 (0 on fixed rows); the stable sort
@@ -251,30 +263,20 @@ class _Builder:
         """The system.  A and B are converted first; then the L2 mass of
         every primal field is added to Mp and converted, and that of every
         dual field to Md, so no two targets' element values coexist."""
-        layouts, free = [], []
-        for fields in (self.primal, self.dual):
-            layout, idx, off = [], [], 0
-            for name, spc in fields:
-                layout.append(FieldBlock(name, spc, off, len(spc.free_idx)))
-                off += len(spc.free_idx)
-                idx.append(self.full_off[name] + spc.free_idx)
-            layouts.append(layout)
-            free.append(np.concatenate(idx))
-        n_p, n_d = self.n_full_primal, self.n_full_dual
-        pfree, dfree = free
+        (n_p, n_d), (pfree, dfree) = self.n_full, self.free
         A = self._matrix("A", (n_p, n_p), pfree, pfree)
         B = self._matrix("B", (n_d, n_p), dfree, pfree)
         masses = []
-        for target, fields, n, rows in (("Mp", self.primal, n_p, pfree),
-                                        ("Md", self.dual, n_d, dfree)):
-            for name, spc in fields:
-                for batch in self.asm.batches(spc):
-                    for c in range(spc.components):
-                        self.add(target, batch, (name, c, "v"),
-                                 (name, c, "v"), 1.0)
+        for target, layout, n, rows in (("Mp", self.layouts[0], n_p, pfree),
+                                        ("Md", self.layouts[1], n_d, dfree)):
+            for blk in layout:
+                for batch in self.asm.batches():
+                    for c in range(blk.space.components):
+                        self.add(target, batch, (blk.name, c, "v"),
+                                 (blk.name, c, "v"), 1.0)
             masses.append(self._matrix(target, (n, n), rows, rows))
         return SaddleSystem(A=A, B=B, L=self.L_full[pfree],
-                            primal=layouts[0], dual=layouts[1],
+                            primal=self.layouts[0], dual=self.layouts[1],
                             M_primal=masses[0], M_dual=masses[1])
 
 
@@ -287,44 +289,16 @@ FLOW_FIELDS = ((("z", 2, "none"), ("p", 2, "zero_lateral"),
                (("lam", 2, "zero_lateral"), ("mu", 1, "none")))
 
 
-def _builder(mesh, spaces, fields, rule):
-    """The builder of the system laid out by `fields` (a table above) on
-    `spaces`, after checking each space against its row."""
-    primal, dual = fields
-    named = []
-    for (name, components, constraint), space in zip(primal + dual, spaces,
-                                                     strict=True):
-        if space.components != components or space.constraint != constraint:
-            raise ValueError(f"{name} space must have components="
-                             f"{components}, constraint={constraint!r}")
-        if space.mesh is not mesh:
-            raise ValueError("all spaces must live on the assembly mesh")
-        named.append((name, space))
-    rule = rule or QuadratureRule.default(max(s.m for s in spaces),
-                                          max(s.n for s in spaces))
-    return _Builder(Assembler(mesh, rule), named[:len(primal)],
-                    named[len(primal):])
-
-
-def _as_spatial(value):
-    """A constant scalar or 2-vector as a function of the points X (..., 2);
-    a callable passes through."""
-    if callable(value):
-        return value
-    v = np.asarray(value, dtype=float)
-    return lambda X: np.broadcast_to(v, X.shape[:-1] + v.shape)
-
-
 def assemble_heat(mesh, spaces, ws: WeightSet, G, y0,
                   rule: QuadratureRule = None) -> SaddleSystem:
     """Saddle system of the normalized heat control formulation.
 
     spaces = one space per row of HEAT_FIELDS (z, p, lam), on the mesh.
     """
-    bld = _builder(mesh, spaces, HEAT_FIELDS, rule)
+    bld = _Builder(mesh, spaces, HEAT_FIELDS, rule)
     G = float(G)
 
-    for batch in bld.asm.batches(*spaces):
+    for batch in bld.asm.batches():
         om = mesh.omega_flag[batch.tris]
         c_mass, c_grad, c_time = ws.hatted_coeff_arrays(batch.X, batch.t)
         # A: plain mass on z, control-region mass on p
@@ -340,8 +314,7 @@ def assemble_heat(mesh, spaces, ws: WeightSet, G, y0,
         bld.add("B", batch, ("lam", 0, "v"), ("p", 0, "gy"), c_grad[..., 1])
         bld.add("B", batch, ("lam", 0, "v"), ("p", 0, "v"), c_mass)
 
-    y0f = _as_spatial(y0)
-    bld.add_initial_load("p", 0, lambda X: ws.rho0_at_start(X) * y0f(X))
+    bld.add_initial_datum(ws, y0)
     return bld.finish()
 
 
@@ -375,9 +348,9 @@ def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule):
     """
     if not nu > 0:
         raise ValueError("flow problems need positive viscosity")
-    bld = _builder(mesh, spaces, FLOW_FIELDS, rule)
+    bld = _Builder(mesh, spaces, FLOW_FIELDS, rule)
     gops = ("gx", "gy")
-    for batch in bld.asm.batches(*spaces):
+    for batch in bld.asm.batches():
         om = mesh.omega_flag[batch.tris]
         chi, gchi, _ = ws.chi(batch.X)
         tau = ws.T - batch.t
@@ -413,11 +386,9 @@ def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule):
 
         yb = _batch_values(ybar, batch)
         wv = _batch_values(w, batch)
-        adv = yb.copy() if yb is not None else None
-        if wv is not None:
-            adv = wv if adv is None else adv + wv
-        if adv is None:
+        if yb is None and wv is None:
             continue
+        adv = yb if wv is None else wv if yb is None else yb + wv
         # grad p (ybar + w) . lam : sum_j adv_j d_j p_i lam_i
         for i in range(2):
             for j in range(2):
@@ -439,10 +410,7 @@ def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule):
                     bld.add("B", batch, ("lam", i, "v"), ("p", j, "v"),
                             sq * gchi[..., i] * yb[..., j])
 
-    y0f = _as_spatial(y0)
-    for c in range(2):
-        bld.add_initial_load("p", c, lambda X, c=c: ws.rho0_at_start(X)
-                             * np.asarray(y0f(X))[..., c])
+    bld.add_initial_datum(ws, y0)
     return bld.finish()
 
 

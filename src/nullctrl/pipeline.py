@@ -107,9 +107,8 @@ class WeightedField:
 
     def on_batch(self, batch):
         w = self.sign * self.ws.inv_weight(self.weight, batch.X, batch.t)
-        vals = np.stack([batch.field(self.space, self.coeffs, c)
-                         for c in range(self.space.components)], axis=-1)
-        return vals * w[..., None]
+        out = batch.field(self.space, self.coeffs)
+        return out * (w[..., None] if out.ndim > w.ndim else w)
 
 
 def _setup(cfg, flow):

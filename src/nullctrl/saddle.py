@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .forms import SaddleSystem, _row_cuts
+from .forms import SaddleSystem, row_cuts
 
 
 class SolverDiverged(RuntimeError):
@@ -321,7 +321,7 @@ def _row_blocks(M: sp.csr_matrix, nblocks: int):
 
     A view shares M's data and indices and has its own rebased indptr.
     """
-    bounds = _row_cuts(np.diff(M.indptr), nblocks)
+    bounds = row_cuts(np.diff(M.indptr), nblocks)
     blocks = []
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         s, e = M.indptr[r0], M.indptr[r1]
@@ -393,7 +393,7 @@ def _augmented_operators(eq: Equilibrated):
     for part, offset, shift in ((C, BT.indptr[:-1], 0),
                                 (BT, C.indptr[1:], n)):
         counts = np.diff(part.indptr)
-        bounds = _row_cuts(counts, _FILL_BLOCKS)
+        bounds = row_cuts(counts, _FILL_BLOCKS)
         for r0, r1 in zip(bounds[:-1], bounds[1:]):
             s0, s1 = part.indptr[r0], part.indptr[r1]
             at = np.repeat(offset[r0:r1].astype(np.intp), counts[r0:r1])

@@ -26,7 +26,8 @@ class WeightSet:
     1 at the anchor point and 0 on the boundary; the anchor must lie strictly
     inside the domain (and inside the control region, which callers check).
     The shift constants c_a, c_b place the bump's critical point exactly at
-    the anchor.
+    the anchor.  K2 must exceed the bump maximum 1, so that the exponent
+    chi is positive everywhere and the weight blows up at T.
     """
 
     L1: float
@@ -40,8 +41,9 @@ class WeightSet:
         a, b = self.anchor
         if not (0.0 < a < self.L1 and 0.0 < b < self.L2):
             raise ValueError("anchor must lie strictly inside the domain")
-        if self.K1 <= 0.0 or self.K2 <= 0.0:
-            raise ValueError("K1 and K2 must be positive")
+        if self.K1 <= 0.0 or self.K2 <= 1.0:
+            raise ValueError("K1 must be positive and K2 greater than 1 "
+                             "(the bump maximum)")
         if self.T <= 0.0:
             raise ValueError("horizon T must be positive")
 

@@ -125,6 +125,25 @@ def test_removed_keys_rejected(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("key,value", [("solver.outer_max", "0"),
+                                       ("verify.nx", "0"),
+                                       ("verify.ny", "0"),
+                                       ("verify.nt", "0"),
+                                       ("weights.K2", "1")])
+def test_out_of_range_setting_rejected_before_any_output(tmp_path, capsys,
+                                                         key, value):
+    # each of these used to run (part of) the solve, write its output
+    # directory and then fail: no fixed-point pass, a division by zero in
+    # the verification, or a weight that does not blow up at T
+    out = tmp_path / "out"
+    rc = run(["run", "ns-taylor-green", "--nx", "3", "--ny", "3", "--nt",
+              "2", "--method", "direct", "--set", f"{key}={value}",
+              "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not os.path.exists(out)
+
+
 def test_equilibrate_key_rejected():
     # the iteration always runs on the equilibrated bases
     with pytest.raises(ValueError, match="unknown config key"):

@@ -4,8 +4,9 @@ import numpy as np
 from math import factorial
 import pytest
 
-from nullctrl.fem import (QuadratureRule, build_space, interval_quadrature,
-                          l2_norm, tabulate_triangle, triangle_quadrature)
+from nullctrl.fem import (Assembler, QuadratureRule, build_space,
+                          interval_quadrature, l2_norm, tabulate_triangle,
+                          triangle_quadrature)
 from nullctrl.mesh import build_mesh
 
 
@@ -169,3 +170,61 @@ def test_unknown_constraint_rejected(unit_mesh):
     # zero mean per time level is not a constraint of any assembled system
     with pytest.raises(ValueError, match="unknown constraint"):
         build_space(unit_mesh, 2, 2, 1, "zero_mean_slice")
+
+
+def _alternate_mesh():
+    return build_mesh(3, 3, 4, 1.0, 1.0, 1.0, (1 / 3, 2 / 3, 1 / 3, 2 / 3),
+                      diagonal="alternate")
+
+
+@pytest.mark.parametrize("diagonal,shapes", [("same", 2), ("alternate", 4)])
+def test_batches_serve_any_space_of_their_mesh(diagonal, shapes):
+    """The batches of an assembler built before any space tabulate each
+    space on first use, keep one table set per degree pair, and reproduce a
+    degree-(m, n) field at their quadrature points, scalar and vector."""
+    mesh = build_mesh(3, 3, 4, 1.0, 1.0, 1.0, (1 / 3, 2 / 3, 1 / 3, 2 / 3),
+                      diagonal=diagonal)
+    asm = Assembler(mesh, QuadratureRule.default(2, 2))
+    assert len(asm.tri_groups) == shapes   # triangle congruence classes
+    spaces = [build_space(mesh, m, n, comps, "none")
+              for m, n, comps in ((1, 1, 1), (2, 2, 1), (2, 2, 2))]
+    lateral = build_space(mesh, 2, 2, 2, "zero_lateral")
+    batches = list(asm.batches())
+    assert len(batches) == 2 * shapes      # two time rules
+    for batch in batches:
+        for space in spaces:
+            tables = batch.tables(space)
+            assert sorted(tables) == ["gx", "gy", "t", "v"]
+            for table in tables.values():
+                assert table.shape == (len(batch.w), space.ldof)
+            f = _poly(space.m, space.n, space.components)
+            got = batch.field(space, space.interpolate(f))
+            np.testing.assert_allclose(got, f(batch.X, batch.t), rtol=0,
+                                       atol=1e-12)
+        assert batch.tables(lateral) is batch.tables(spaces[2])
+
+
+def test_tables_reject_a_space_of_another_mesh():
+    asm = Assembler(_alternate_mesh(), QuadratureRule.default(2, 2))
+    other = build_space(_alternate_mesh(), 2, 2, 1, "none")
+    batch = next(asm.batches())
+    with pytest.raises(ValueError, match="different mesh"):
+        batch.tables(other)
+    with pytest.raises(ValueError, match="different mesh"):
+        batch.field(other, np.zeros(other.ndof))
+
+
+def test_batch_field_of_vector_space_stacks_components_bitwise():
+    mesh = _alternate_mesh()
+    space = build_space(mesh, 2, 2, 2, "zero_lateral")
+    coeffs = np.random.default_rng(3).standard_normal(space.ndof)
+    for batch in Assembler(mesh, QuadratureRule.default(2, 2)).batches():
+        vals = batch.tables(space)["v"]
+        want = np.stack([np.einsum("abl,ql->abq",
+                                   coeffs[batch.dofs(space)
+                                          + c * space.ndof_scalar], vals)
+                         for c in range(2)], axis=-1)
+        got = batch.field(space, coeffs)
+        assert got.shape == want.shape
+        assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                              want.view(np.int64))

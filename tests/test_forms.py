@@ -234,7 +234,7 @@ def test_stokes_weighted_blocks_all_finite(ws):
 
 
 @pytest.mark.parametrize("case", ["constraint", "components", "mesh",
-                                  "stokes-nu", "oseen-nu"])
+                                  "count", "stokes-nu", "oseen-nu"])
 def test_assembly_rejects_mismatched_input(ws, small_mesh, heat_spaces,
                                            flow_spaces, case):
     z, p, lam = heat_spaces
@@ -250,12 +250,15 @@ def test_assembly_rejects_mismatched_input(ws, small_mesh, heat_spaces,
             small_mesh, (z, p, build_space(other, 4, 2, 1,
                                            "zero_lateral_final")),
             ws, 1.0, 1.0),
+        # one space short of the table's rows
+        "count": lambda: assemble_heat(small_mesh, (z, p), ws, 1.0, 1.0),
         "stokes-nu": lambda: assemble_stokes(small_mesh, flow_spaces, ws,
                                              0.0, (1.0, 0.0)),
         "oseen-nu": lambda: assemble_oseen(small_mesh, flow_spaces, ws, -1.0,
                                            None, None, (1.0, 0.0)),
     }
-    match = {"mesh": "assembly mesh", "stokes-nu": "viscosity",
+    match = {"mesh": "assembly mesh", "count": "shorter",
+             "stokes-nu": "viscosity",
              "oseen-nu": "viscosity"}.get(case, "space must have")
     with pytest.raises(ValueError, match=match):
         calls[case]()
@@ -321,7 +324,7 @@ def test_assembly_bits_independent_of_row_blocks(ws, monkeypatch, case,
     monkeypatch.setattr(forms, "_Builder", ConcatenatingBuilder)
     reference = assemble()
     monkeypatch.undo()
-    monkeypatch.setattr(forms, "_row_cuts",
+    monkeypatch.setattr(forms, "row_cuts",
                         lambda counts, _: _CUTS[cuts](len(counts)))
     _assert_same_matrices(assemble(), reference)
 
@@ -331,8 +334,8 @@ def test_assembly_of_a_target_without_terms(ws, small_mesh, heat_spaces,
     """A system whose builder received no A terms: A is the empty matrix
     over the free DOFs, and the other targets keep their bits."""
     def assemble():
-        bld = forms._builder(small_mesh, heat_spaces, forms.HEAT_FIELDS, None)
-        for batch in bld.asm.batches(*heat_spaces):
+        bld = forms._Builder(small_mesh, heat_spaces, forms.HEAT_FIELDS)
+        for batch in bld.asm.batches():
             bld.add("B", batch, ("lam", 0, "v"), ("p", 0, "t"), 1.0)
         return bld.finish()
 

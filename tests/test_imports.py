@@ -1,6 +1,7 @@
 """Lint checks on the package source: every imported name is used, no
-helper or parameter is unread, no private library API is read, no
-module rebinds its own state and only the I/O modules open files."""
+helper or parameter is unread, no private library API is read, no private
+name crosses a module boundary, no module rebinds its own state and only
+the I/O modules open files."""
 
 import ast
 from pathlib import Path
@@ -191,6 +192,54 @@ def test_private_library_api_detected():
         ("m.py", 9, "_matmul_vector"),
         ("m.py", 10, "_sparsetools"),
     ]
+
+
+def private_package_imports(sources, package="nullctrl"):
+    """(module, name) of each private name a package module takes from
+    another: by a relative or package import, or as an attribute of a
+    package module it imported.  Dunder names are public."""
+    found = []
+    for module, source in sources.items():
+        modules = set()   # local names of the package modules imported
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0]
+                    == package):
+                for alias in node.names:
+                    if _private(alias.name):
+                        found.append((module, alias.name))
+                    elif node.module is None or node.module == package:
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname for alias in node.names
+                               if alias.asname and alias.name.split(".")[0]
+                               == package)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)):
+                found.append((module, node.attr))
+    return sorted(found)
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    sources = {path.name: path.read_text()
+               for path in sorted((ROOT / "src" / "nullctrl").glob("*.py"))}
+    assert len(sources) > 2
+    assert private_package_imports(sources) == []
+
+
+def test_private_package_import_detected():
+    source = ("from .forms import SaddleSystem, _row_cuts\n"
+              "from . import config as cfgmod, fem\n"
+              "from nullctrl.saddle import _row_blocks\n"
+              "import nullctrl.vtkout as vtk\n"
+              "from numpy import _core\n"
+              "from .weights import __doc__\n"
+              "cfgmod._coerce(fem.__name__, fem._private, vtk._write, 1)\n"
+              "cfgmod.validate(_core)\n")
+    assert private_package_imports({"m.py": source}) == [
+        ("m.py", "_coerce"), ("m.py", "_private"), ("m.py", "_row_blocks"),
+        ("m.py", "_row_cuts"), ("m.py", "_write")]
 
 
 # the modules that read or write files: the command line driver, the config

@@ -110,7 +110,7 @@ def test_cost_change_of_variables_identity():
 
     def weighted_sq(field, exponent_kind, region=False):
         total = 0.0
-        for batch in asm.batches(field.space):
+        for batch in asm.batches():
             X, t = batch.X, batch.t
             chi = ws.chi(X)[0]
             tau = ws.T - t

@@ -164,6 +164,16 @@ def test_weight_set_validation():
         WeightSet(1.0, 1.0, -1.0, (0.5, 0.5))
 
 
+@pytest.mark.parametrize("K2", [1.0, 0.5])
+def test_weight_set_rejects_exponent_at_or_below_bump_maximum(K2):
+    # chi = K1 (e^K2 - e^chi0) with chi0 = 1 at the anchor: K2 <= 1 makes
+    # chi <= 0 there, and the weight no longer blows up at T
+    with pytest.raises(ValueError, match="K2 greater than 1"):
+        WeightSet(1.0, 1.0, 1.0, (0.5, 0.5), K2=K2)
+    ws = WeightSet(1.0, 1.0, 1.0, (0.5, 0.5), K2=1.0 + 1e-9)
+    assert ws.chi(np.array([0.5, 0.5]))[0] > 0.0
+
+
 def test_shift_constants_recomputable():
     ws = WeightSet(2.0, 3.0, 1.0, (0.7, 1.1))
     a, b = ws.anchor
