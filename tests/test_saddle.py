@@ -1,6 +1,5 @@
 """Primal-dual iteration and the direct factorization oracle."""
 
-import dataclasses
 import sys
 import threading
 import warnings
@@ -12,12 +11,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from nullctrl import cli, pipeline, saddle
-from nullctrl.config import from_preset, validate
+from nullctrl import cli, saddle
 from nullctrl.fem import build_space
-from nullctrl.forms import (SaddleSystem, assemble_heat, assemble_oseen,
-                            assemble_stokes)
-from nullctrl.forward import Trajectory, curl_perturbation
+from nullctrl.forms import SaddleSystem, assemble_heat, assemble_stokes
 from nullctrl.mesh import build_mesh
 from nullctrl.saddle import (AHParams, IterationLog, KktSolver,
                              SolverDiverged, arrow_hurwicz, direct_solve,
@@ -451,18 +447,6 @@ def test_kkt_solver_reports_refinement(factor, want):
         assert steps == saddle._MAX_REFINE
 
 
-@pytest.fixture(scope="module")
-def first_oseen():
-    """The first Oseen system of the Taylor-Green fixed point at 3x3x4 (no
-    transported field yet): the first system ns-tg-direct factorizes."""
-    cfg = validate(dataclasses.replace(from_preset("ns-taylor-green"),
-                                       nx=3, ny=3, nt=4))
-    mesh, ws, spaces = pipeline._setup(cfg, flow=True)
-    return assemble_oseen(
-        mesh, spaces, ws, cfg.nu, Trajectory(cfg.trajectory, nu=cfg.nu),
-        None, lambda X: curl_perturbation(cfg.trajectory, cfg.M, X))
-
-
 def _fill(lu):
     return lu.L.nnz + lu.U.nnz
 
@@ -473,18 +457,37 @@ def _unpivoted(solver):
             and np.array_equal(solver.lu.perm_c, np.arange(N)))
 
 
-def test_kkt_solver_factorizes_in_system_order(first_oseen):
-    """No row or column exchange, less fill than SuperLU's default COLAMD
-    order with partial pivoting, and the same answer after refinement."""
-    solver = KktSolver(first_oseen)
+# L+U entries of KktSolver's factorization of the Stokes 3x3x3 and Taylor-
+# Green Oseen 3x3x4 systems in their own order; SuperLU's default COLAMD
+# order with partial pivoting fills 1528983 and 2558418.  A deterministic
+# count, where a factorization time is too noisy to guard.
+_FILL = {"stokes": 578403, "oseen": 952678}
+
+
+@pytest.mark.parametrize("case", sorted(_FILL))
+def test_kkt_solver_factorizes_in_system_order(lsq_systems, case):
+    """No row or column exchange, at most 10% more fill than recorded and
+    less than SuperLU's default COLAMD order with partial pivoting, a small
+    backward error despite U's entries growing to about 1/_EPS (1.6e-14
+    and 6.7e-15 measured, 5e-17 with COLAMD), and the same answer after
+    refinement."""
+    system = lsq_systems[case]
+    solver = KktSolver(system)
     assert _unpivoted(solver)
-    default = spla.splu(saddle._regularized_kkt(solver.eq))
+    assert _fill(solver.lu) <= 1.1 * _FILL[case]
+    K = saddle._regularized_kkt(solver.eq)
+    default = spla.splu(K)
     assert _fill(solver.lu) < _fill(default)
-    reference = KktSolver(first_oseen)
+    b = np.random.default_rng(0).standard_normal(K.shape[0])
+    z = solver.lu.solve(b)
+    backward = (np.linalg.norm(K @ z - b, np.inf)
+                / (spla.norm(K, np.inf) * np.linalg.norm(z, np.inf)))
+    assert backward <= 1e-12
+    reference = KktSolver(system)
     reference.lu = default
     x, _, rn, steps, stop = solver.resolve()
     xr, _, rnr, steps_r, stop_r = reference.resolve()
-    A = first_oseen.A
+    A = system.A
     assert 0.5 * x @ (A @ x) == pytest.approx(0.5 * xr @ (A @ xr), rel=1e-8)
     assert rn == pytest.approx(rnr, rel=1e-8)
     assert (steps, stop) == (steps_r, stop_r)
@@ -508,20 +511,6 @@ def test_kkt_solver_unpivoted_on_singular_primal_block(factorizations):
     assert stop == "converged" and rn <= 1e-9
     assert np.allclose(x, xd, rtol=0, atol=1e-8)
     assert np.allclose(lam, ld, rtol=0, atol=1e-8)
-
-
-# L+U entries of KktSolver's factorization, measured on the system order;
-# SuperLU's default order with partial pivoting fills 1528983 and 2562297
-_FILL = {"stokes": 578403, "oseen": 952681}
-
-
-@pytest.mark.parametrize("case", sorted(_FILL))
-def test_kkt_solver_fill_guard(case, lsq_systems, first_oseen):
-    """Stokes 3x3x3 and Oseen 3x3x4 fill at most 10% more than recorded:
-    a deterministic count, where a factorization time is too noisy to
-    guard."""
-    system = lsq_systems["stokes"] if case == "stokes" else first_oseen
-    assert _fill(KktSolver(system).lu) <= 1.1 * _FILL[case]
 
 
 def test_iteration_log_csv(tmp_path):
