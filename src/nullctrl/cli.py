@@ -82,6 +82,10 @@ def _summary_lines(cfg, sol, fp, wall):
                   f"{final / max(final0, 1e-300):.6e}"]
         if h.divergence_residual is not None:
             lines.append(f"divergence_residual = {h.divergence_residual:.6e}")
+        lines += [f"verify_factorizations = "
+                  f"{h.factorizations + h0.factorizations}",
+                  f"verify_gmres_iterations = "
+                  f"{h.gmres_iterations + h0.gmres_iterations}"]
     return lines
 
 

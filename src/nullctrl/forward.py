@@ -6,6 +6,14 @@ stepping, so that agreement with the space-time control solver is evidence
 rather than tautology.  The only shared interface is the control field: a
 solver picks its own quadrature points X, calls control.at(X) once, and gets
 back a function t -> pointwise control values at X.
+
+The heat solver factorizes each theta of its schedule once.  The flow solver
+holds one factorization for the whole run: its step matrices are refilled in
+place on a fixed sparsity pattern, each step is solved by GMRES
+preconditioned with the held LU and stopped on the true residual of the
+step's own system, and the step's matrix is refactorized when GMRES fails or
+needs more than a few iterations.  Nothing is imported from the space-time
+solver.
 """
 
 from __future__ import annotations
@@ -78,12 +86,15 @@ class NormHistory:
     """Per-time L2(Omega) norms recorded along a forward run: of the control
     and of the state's deviation y - ybar from the target (ybar = 0 for heat
     and Stokes).  Flow runs also record the largest relative divergence of
-    the velocity over the steps; heat runs have none."""
+    the velocity over the steps; heat runs have none.  The solver's work is
+    counted too: its sparse LU factorizations and GMRES iterations."""
 
     times: np.ndarray
     control_norms: np.ndarray
     state_norms: np.ndarray
     divergence_residual: float | None = None
+    factorizations: int = 0
+    gmres_iterations: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +340,7 @@ def heat_forward_cn(grid: SpatialGrid, y0, G, control, T, nt_fwd,
     state_norms = [float(np.sqrt(max(y @ (M @ y), 0.0)))]
     control_norms = [control_norm(0.0)]
     current = None
+    factorizations = 0
     for theta, t_load, t_new in steps:
         if theta != current:
             # one factorization at a time: the startup one is dropped
@@ -336,13 +348,15 @@ def heat_forward_cn(grid: SpatialGrid, y0, G, control, T, nt_fwd,
             solve = rhs_op = None
             solve, rhs_op = operators(theta)
             current = theta
+            factorizations += 1
         b = (rhs_op @ y)[interior] + control_load(t_load)[interior]
         y = np.zeros(n)
         y[interior] = solve(b)
         state_norms.append(float(np.sqrt(max(y @ (M @ y), 0.0))))
         control_norms.append(control_norm(t_new))
     hist = NormHistory(times=times, control_norms=np.array(control_norms),
-                       state_norms=np.array(state_norms))
+                       state_norms=np.array(state_norms),
+                       factorizations=factorizations)
     return hist, y
 
 
@@ -354,7 +368,16 @@ class _TaylorHood(_Elements):
     """P2 velocity / P1 pressure operators on the grid: the P2 table on the
     7-point rule plus the divergence blocks, split into interior columns
     Dint (both components side by side) and boundary columns Db[c], and the
-    zero-mean pressure constraint row."""
+    zero-mean pressure constraint row.
+
+    The step matrices live on one fixed pattern, the P2 conn x conn sparsity
+    in canonical CSR, found once per grid together with each element
+    entry's position `pos` in it.  M and K are read onto the pattern as Mv
+    and Kv.  `lhs` (M/dt + theta S), `rhs_op` (M/dt - (1-theta) S) and the
+    step's KKT matrix `kkt` (interior velocity dofs of both components,
+    full pressure, mean row) are built once; `refill` rewrites their values
+    in place.
+    """
 
     def __init__(self, grid):
         super().__init__(grid, 7)
@@ -370,12 +393,55 @@ class _TaylorHood(_Elements):
         self.pmean = np.zeros(conn1.max() + 1)
         np.add.at(self.pmean, conn1, np.einsum("tq,qi->ti", self.w, self.lam))
 
+        n, k = len(self.nodes), self.conn.shape[1]
+        rows = np.broadcast_to(self.conn[:, :, None], (len(self.conn), k, k))
+        cols = np.broadcast_to(self.conn[:, None, :], rows.shape)
+        keys, self.pos = np.unique((rows * n + cols).ravel(),
+                                   return_inverse=True)
+        prow, pcol = np.divmod(keys, n)
+        self.nnz = len(keys)
+        self.Mv = np.asarray(self.M[prow, pcol]).ravel()
+        self.Kv = np.asarray(self.K[prow, pcol]).ravel()
+
+        self.lhs = sp.csr_matrix((np.zeros(self.nnz), pcol,
+                                  np.searchsorted(prow, np.arange(n + 1))),
+                                 shape=(n, n))
+
+        def on_pattern(data):
+            """CSR matrix sharing lhs's index arrays."""
+            return sp.csr_matrix((data, self.lhs.indices, self.lhs.indptr),
+                                 shape=(n, n))
+
+        self.rhs_op = on_pattern(np.zeros(self.nnz))
+        # the velocity blocks carry each entry's pattern position plus one;
+        # they fill the KKT matrix's leading 2 ni x 2 ni corner, which holds
+        # nothing else
+        tag = on_pattern(np.arange(1.0, self.nnz + 1))[self.interior][
+            :, self.interior]
+        self.kkt = sp.bmat([[sp.block_diag((tag, tag)), self.Dint.T, None],
+                            [self.Dint, None, self.pmean[:, None]],
+                            [None, self.pmean[None, :], None]], format="csc")
+        nv = 2 * len(self.interior)
+        kcol = np.repeat(np.arange(self.kkt.shape[1]),
+                         np.diff(self.kkt.indptr))
+        self.velocity = np.flatnonzero((self.kkt.indices < nv) & (kcol < nv))
+        self.source = self.kkt.data[self.velocity].astype(np.intp) - 1
+
     def convection(self, adv):
-        """Matrix of (adv . grad) u . v for a P2 vector field adv (n2, 2)."""
-        a = np.einsum("tic,qi->tqc", adv[self.conn], self.v)
-        E = np.einsum("tq,tqjc,qi->tij",
-                      self.w, np.einsum("tqc,tqjc->tqjc", a, self.g), self.v)
-        return _matrix(self.conn, self.conn, E)
+        """(adv . grad) u . v for a P2 vector field adv (n2, 2), as values
+        on the pattern: rows test functions, columns trial functions."""
+        a = np.matmul(self.v, adv[self.conn])                # (ntri, Q, 2)
+        b = np.matmul(self.g, a[..., None])[..., 0]          # (ntri, Q, 6)
+        E = np.matmul(self.v.T, self.w[..., None] * b)       # (ntri, 6, 6)
+        return np.bincount(self.pos, weights=E.ravel(), minlength=self.nnz)
+
+    def refill(self, dt, theta, S):
+        """Write one step's matrices for S on the pattern: M/dt + theta S
+        into lhs and the KKT velocity blocks, M/dt - (1-theta) S into
+        rhs_op."""
+        np.add(self.Mv / dt, theta * S, out=self.lhs.data)
+        np.subtract(self.Mv / dt, (1.0 - theta) * S, out=self.rhs_op.data)
+        self.kkt.data[self.velocity] = self.lhs.data[self.source]
 
     def divergence_residual(self, u):
         """|div u|_L2 relative to |grad u|_L2."""
@@ -391,19 +457,78 @@ class _TaylorHood(_Elements):
                                  for c in range(2))))
 
 
+_GMRES_RTOL = 1e-12     # true residual, relative to the right-hand side
+_GMRES_RESTART = 30
+_GMRES_CYCLES = 3       # restart cycles before a GMRES run counts as failed
+_REFACTOR_AFTER = 8     # GMRES iterations a held factorization may need
+
+
+class _HeldFactorization:
+    """One sparse LU held across the steps of a run.
+
+    Each step's system is solved with it directly, and the answer is kept
+    when its true residual is at most _GMRES_RTOL |b|.  Otherwise GMRES on
+    the step's own matrix, preconditioned by the held LU and started from
+    that answer, takes over; its stop is the same true-residual test.  A
+    GMRES run that fails within _GMRES_CYCLES restart cycles, or that needs
+    more than _REFACTOR_AFTER iterations, refactorizes with the step's
+    matrix, and a failed one is solved again with the new factorization.
+    A factorization made for the step itself is not redone.
+    """
+
+    def __init__(self):
+        self.solve = None
+        self.factorizations = self.gmres_iterations = 0
+
+    def refactor(self, A):
+        self.solve = None   # only one factorization is held at a time
+        # a copy: the caller refills A in place for the next steps
+        self.solve = spla.factorized(A.copy())
+        self.factorizations += 1
+
+    def __call__(self, A, b):
+        fresh = self.solve is None
+        if fresh:
+            self.refactor(A)
+        x = self.solve(b)
+        if np.linalg.norm(b - A @ x) <= _GMRES_RTOL * np.linalg.norm(b):
+            return x
+        residuals = []
+        # info 0 means GMRES's own final test, on b - A x, passed
+        x, info = spla.gmres(A, b, x0=x, rtol=_GMRES_RTOL, atol=0.0,
+                             restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES,
+                             M=spla.LinearOperator(A.shape, self.solve,
+                                                   dtype=A.dtype),
+                             callback=residuals.append,
+                             callback_type="pr_norm")
+        self.gmres_iterations += len(residuals)
+        if not fresh and (info != 0 or len(residuals) > _REFACTOR_AFTER):
+            self.refactor(A)
+            if info != 0:
+                x = self.solve(b)
+        return x
+
+
 def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
                  omega_box=None):
     """Velocity/pressure stepping of the (Navier-)Stokes momentum balance.
 
-    trajectory=None is the Stokes problem with no-slip walls: no convection,
-    and each theta is factorized when the schedule reaches it, with only the
-    current theta's factorization held.  Otherwise the velocity's
-    Dirichlet data come from the trajectory, the convecting field is
-    extrapolated from the previous steps and every step factorizes.  Viscous
-    and pressure terms follow `_steps`' theta-scheme, and the divergence
-    constraint is enforced at the new time level with a zero-mean pressure.
+    trajectory=None is the Stokes problem with no-slip walls and no
+    convection.  Otherwise the velocity's Dirichlet data come from the
+    trajectory and the convecting field is extrapolated from the previous
+    steps.  Viscous and pressure terms follow `_steps`' theta-scheme, and
+    the divergence constraint is enforced at the new time level with a
+    zero-mean pressure.
+
+    Every step refills the step matrices on `_TaylorHood`'s fixed pattern
+    and solves its KKT system through one held factorization
+    (`_HeldFactorization`): GMRES preconditioned by it stops on the true
+    residual of the step's own matrix, at _GMRES_RTOL, and the step's matrix
+    is refactorized when GMRES fails or needs more than _REFACTOR_AFTER
+    iterations.  A theta switch is one such step.
     Returns the norm history, with ||y - ybar|| (ybar = 0 for Stokes) as
-    the state norm, and the final velocity coefficients.
+    the state norm and the factorization and GMRES iteration counts, and
+    the final velocity coefficients.
     """
     th = _TaylorHood(grid)
     nodes, bdry, interior = th.nodes, th.bdry, th.interior
@@ -429,49 +554,29 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
         return out
 
     dt = T / nt_fwd
-
-    def operators(theta, Sop):
-        """(M/dt - (1-theta) Sop, the interior rows' boundary columns of
-        M/dt + theta Sop, and the factorized KKT matrix of the step: interior
-        velocity dofs of both components, full pressure, mean row)."""
-        Ai = (th.M / dt + theta * Sop).tocsr()[interior]
-        Aii = Ai[:, interior]
-        KKT = sp.bmat([[sp.bmat([[Aii, None], [None, Aii]], format="csr"),
-                        th.Dint.T, None],
-                       [th.Dint, None, th.pmean[:, None]],
-                       [None, th.pmean[None, :], None]], format="csc")
-        return (th.M / dt - (1.0 - theta) * Sop, Ai[:, bdry],
-                spla.factorized(KKT))
-
     times, steps = _steps(T, nt_fwd)
     state_norms = [th.norm(y - ybar)]
     control_norms = [control_norm(0.0)]
     max_div = 0.0
     y_prev = y
-    Sop = nu * th.K
-    current = None
+    viscous = nu * th.Kv
+    solve = _HeldFactorization()
     for k, (theta, t_load, t_new) in enumerate(steps):
-        if trajectory is None:
-            if theta != current:
-                # one factorization at a time, as in heat_forward_cn
-                rhs_op = Aib = solve = None
-                rhs_op, Aib, solve = operators(theta, Sop)
-                current = theta
-        else:
-            adv = 1.5 * y - 0.5 * y_prev if k > 0 else y
-            rhs_op, Aib, solve = operators(theta, Sop + th.convection(adv))
-        rhs_full = rhs_op @ y + control_load(t_load)
+        S = viscous
+        if trajectory is not None:
+            S = S + th.convection(1.5 * y - 0.5 * y_prev if k > 0 else y)
+        th.refill(dt, theta, S)
         # known boundary values at t_new move to the right side
         ybar = wall(t_new)
-        gb = ybar[bdry]
-        rhs = np.concatenate([rhs_full[interior, 0] - Aib @ gb[:, 0],
-                              rhs_full[interior, 1] - Aib @ gb[:, 1],
-                              -(th.Db[0] @ gb[:, 0] + th.Db[1] @ gb[:, 1]),
+        g = np.zeros((n, 2))
+        g[bdry] = ybar[bdry]
+        rhs_v = (th.rhs_op @ y + control_load(t_load) - th.lhs @ g)[interior]
+        rhs = np.concatenate([rhs_v[:, 0], rhs_v[:, 1],
+                              -(th.Db[0] @ g[bdry, 0] + th.Db[1] @ g[bdry, 1]),
                               [0.0]])
-        sol = solve(rhs)
+        sol = solve(th.kkt, rhs)
         y_prev = y
-        y = np.empty((n, 2))
-        y[bdry] = gb
+        y = g
         y[interior, 0] = sol[:ni]
         y[interior, 1] = sol[ni:2 * ni]
         state_norms.append(th.norm(y - ybar))
@@ -480,5 +585,7 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
 
     hist = NormHistory(times=times, control_norms=np.array(control_norms),
                        state_norms=np.array(state_norms),
-                       divergence_residual=max_div)
+                       divergence_residual=max_div,
+                       factorizations=solve.factorizations,
+                       gmres_iterations=solve.gmres_iterations)
     return hist, y

@@ -12,10 +12,12 @@ import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nullctrl.fem import Assembler, build_space
 from nullctrl.forms import _Builder, assemble_oseen
-from nullctrl.forward import Trajectory
+from nullctrl.forward import (NormHistory, Trajectory, _matrix, _nodal,
+                              _steps, _TaylorHood)
 from nullctrl.mesh import build_mesh
 from nullctrl.weights import WeightSet
 
@@ -307,3 +309,85 @@ def peak_over_csr_bytes(build):
     csr = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
               for M in matrices)
     return peak / csr
+
+
+def einsum_convection(th, adv):
+    """Matrix of (adv . grad) u . v for a P2 vector field adv (n2, 2),
+    from the element values by nested einsum and COO assembly."""
+    a = np.einsum("tic,qi->tqc", adv[th.conn], th.v)
+    E = np.einsum("tq,tqjc,qi->tij",
+                  th.w, np.einsum("tqc,tqjc->tqjc", a, th.g), th.v)
+    return _matrix(th.conn, th.conn, E)
+
+
+def bmat_step_operators(th, dt, theta, Sop):
+    """One flow step's operators built from scratch: M/dt - (1-theta) Sop,
+    the interior rows' boundary columns of M/dt + theta Sop, and the KKT
+    matrix of interior velocity dofs of both components, full pressure
+    and mean row."""
+    Ai = (th.M / dt + theta * Sop).tocsr()[th.interior]
+    Aii = Ai[:, th.interior]
+    KKT = sp.bmat([[sp.bmat([[Aii, None], [None, Aii]], format="csr"),
+                    th.Dint.T, None],
+                   [th.Dint, None, th.pmean[:, None]],
+                   [None, th.pmean[None, :], None]], format="csc")
+    return th.M / dt - (1.0 - theta) * Sop, Ai[:, th.bdry], KKT
+
+
+def fresh_flow_forward(grid, nu, y0, control, trajectory, T, nt_fwd,
+                       omega_box=None):
+    """`forward.flow_forward` with a fresh factorization of every step's own
+    matrix, assembled from scratch, and a direct solve with it."""
+    th = _TaylorHood(grid)
+    nodes, bdry, interior = th.nodes, th.bdry, th.interior
+    n, ni = len(nodes), len(interior)
+
+    def wall(t):
+        if trajectory is None:
+            return np.zeros((n, 2))
+        return np.asarray(trajectory(nodes, t), dtype=float)
+
+    ybar = wall(0.0)
+    y = _nodal(y0, nodes, (n, 2))
+    y[bdry] = ybar[bdry]
+    w, conn, v_at, control_norm = th.bind(control, omega_box)
+
+    def control_load(t):
+        out = np.zeros((n, 2))
+        if control is not None:
+            v = np.asarray(v_at(t), dtype=float)
+            np.add.at(out, conn, np.einsum("tq,tqc,qi->tic", w, v, th.v))
+        return out
+
+    dt = T / nt_fwd
+    times, steps = _steps(T, nt_fwd)
+    state_norms = [th.norm(y - ybar)]
+    control_norms = [control_norm(0.0)]
+    max_div = 0.0
+    y_prev = y
+    for k, (theta, t_load, t_new) in enumerate(steps):
+        Sop = nu * th.K
+        if trajectory is not None:
+            adv = 1.5 * y - 0.5 * y_prev if k > 0 else y
+            Sop = Sop + einsum_convection(th, adv)
+        rhs_op, Aib, KKT = bmat_step_operators(th, dt, theta, Sop)
+        rhs_full = rhs_op @ y + control_load(t_load)
+        ybar = wall(t_new)
+        gb = ybar[bdry]
+        rhs = np.concatenate([rhs_full[interior, 0] - Aib @ gb[:, 0],
+                              rhs_full[interior, 1] - Aib @ gb[:, 1],
+                              -(th.Db[0] @ gb[:, 0] + th.Db[1] @ gb[:, 1]),
+                              [0.0]])
+        sol = spla.splu(KKT).solve(rhs)
+        y_prev = y
+        y = np.empty((n, 2))
+        y[bdry] = gb
+        y[interior, 0] = sol[:ni]
+        y[interior, 1] = sol[ni:2 * ni]
+        state_norms.append(th.norm(y - ybar))
+        control_norms.append(control_norm(t_new))
+        max_div = max(max_div, th.divergence_residual(y))
+    return NormHistory(times=times, control_norms=np.array(control_norms),
+                       state_norms=np.array(state_norms),
+                       divergence_residual=max_div,
+                       factorizations=nt_fwd), y

@@ -9,7 +9,8 @@ from nullctrl import cli, forward
 from nullctrl.forward import (SpatialGrid, Trajectory, curl_perturbation,
                               flow_forward, heat_forward_cn)
 
-from oracles import fd_divergence
+from oracles import (bmat_step_operators, einsum_convection, fd_divergence,
+                     fresh_flow_forward)
 
 
 def sin_mode(X):
@@ -135,23 +136,77 @@ def factorizations(monkeypatch):
 
 def test_heat_factorizes_once_per_theta(factorizations):
     grid = SpatialGrid(4, 4, 1.0, 1.0)
-    heat_forward_cn(grid, sin_mode, 1.0, None, 0.1, 7)
+    hist, _ = heat_forward_cn(grid, sin_mode, 1.0, None, 0.1, 7)
     assert len(factorizations) == 2
+    assert (hist.factorizations, hist.gmres_iterations) == (2, 0)
 
 
 @pytest.mark.parametrize("nt_fwd", [3, 7])
 def test_stokes_reuses_factorization_per_theta(factorizations, nt_fwd):
+    # one held factorization; the theta switch may refactorize once
     grid = SpatialGrid(4, 4, 1.0, 1.0)
-    flow_forward(grid, 1.0, (0.0, 0.0), None, None, 0.1, nt_fwd)
-    assert len(factorizations) == 2
+    hist, _ = flow_forward(grid, 1.0, (0.0, 0.0), None, None, 0.1, nt_fwd)
+    assert 1 <= len(factorizations) <= 2
+    assert hist.factorizations == len(factorizations)
 
 
-def test_navier_stokes_factorizes_every_step(factorizations):
+def test_navier_stokes_reuses_factorization(factorizations):
+    # the convection changes the step matrix every step; GMRES on the held
+    # factorization absorbs most of the changes
     grid = SpatialGrid(4, 4, np.pi, np.pi)
     traj = Trajectory("taylor_green")
-    flow_forward(grid, 1.0, lambda X: traj(X, 0.0), None,
-                 traj, 0.1, 5)
-    assert len(factorizations) == 5
+    hist, _ = flow_forward(grid, 1.0, lambda X: traj(X, 0.0), None,
+                           traj, 0.1, 5)
+    assert 1 <= len(factorizations) < 5
+    assert hist.factorizations == len(factorizations)
+    assert hist.gmres_iterations > 0
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_step_matrix_refill_matches_bmat(theta):
+    grid = SpatialGrid(5, 4, np.pi, 2.0)
+    th = forward._TaylorHood(grid)
+    adv = np.random.default_rng(3).standard_normal((len(th.nodes), 2))
+    dt, nu = 0.05, 0.7
+    th.refill(dt, theta, nu * th.Kv + th.convection(adv))
+    rhs_op, Aib, KKT = bmat_step_operators(
+        th, dt, theta, nu * th.K + einsum_convection(th, adv))
+    # every entry within 1e-14 of the matrix's largest: an entry where
+    # M/dt and theta S nearly cancel keeps only the sum's absolute accuracy
+    for new, ref in ((th.kkt, KKT), (th.rhs_op, rhs_op),
+                     (th.lhs[th.interior][:, th.bdry], Aib)):
+        new, ref = new.toarray(), ref.toarray()
+        assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _stokes_flow(forward_solver):
+    # no-slip walls, a divergence-free start that vanishes on them and a
+    # control
+    box = (np.pi / 3, 2 * np.pi / 3, np.pi / 3, 2 * np.pi / 3)
+    return forward_solver(SpatialGrid(8, 8, np.pi, np.pi), 0.5,
+                          lambda X: curl_perturbation("taylor_green", 1.0, X),
+                          ConstantControl((1.0, -2.0)), None, 0.4, 12,
+                          omega_box=box)
+
+
+def _taylor_green_flow(forward_solver):
+    traj = Trajectory("taylor_green")
+    return forward_solver(
+        SpatialGrid(8, 8, np.pi, np.pi), 1.0,
+        lambda X: traj(X, 0.0) + curl_perturbation("taylor_green", 0.1, X),
+        None, traj, 1.0, 20)
+
+
+@pytest.mark.parametrize("flow", [_stokes_flow, _taylor_green_flow])
+def test_reuse_matches_fresh_factorization(flow):
+    hist, y = flow(flow_forward)
+    ref, y_ref = flow(fresh_flow_forward)
+    assert hist.factorizations < ref.factorizations
+    assert np.allclose(hist.state_norms, ref.state_norms, rtol=1e-11,
+                       atol=0.0)
+    assert hist.divergence_residual == pytest.approx(
+        ref.divergence_residual, rel=1e-11)
+    assert np.allclose(y, y_ref, rtol=0.0, atol=1e-11 * np.abs(y_ref).max())
 
 
 def test_zero_trajectory_kind_rejected():

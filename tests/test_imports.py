@@ -1,7 +1,8 @@
 """Lint checks on the package source: every imported name is used, no
 helper or parameter is unread, no private library API is read, no private
-name crosses a module boundary, no module rebinds its own state and only
-the I/O modules open files."""
+name crosses a module boundary, no module rebinds its own state, only
+the I/O modules open files and the forward verifier imports nothing from
+the package."""
 
 import ast
 from pathlib import Path
@@ -240,6 +241,42 @@ def test_private_package_import_detected():
     assert private_package_imports({"m.py": source}) == [
         ("m.py", "_coerce"), ("m.py", "_private"), ("m.py", "_row_blocks"),
         ("m.py", "_row_cuts"), ("m.py", "_write")]
+
+
+def package_imports(source, package="nullctrl"):
+    """(line, module) of each import the module makes from the package: a
+    relative import, or an absolute one of the package or its modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.split(".")[0] == package:
+                found.append((node.lineno, module))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == package]
+    return found
+
+
+def test_verifier_imports_nothing_from_the_package():
+    # the forward solvers check the space-time solver's control, so they
+    # share no code with it: not a saddle helper, not an element table
+    source = (ROOT / "src" / "nullctrl" / "forward.py").read_text()
+    assert "import" in source
+    assert package_imports(source) == []
+
+
+def test_package_imports_detected():
+    source = ("import numpy as np\n"
+              "from scipy.sparse import linalg\n"
+              "from .saddle import KktSolver\n"
+              "from . import fem\n"
+              "import nullctrl.forms as forms\n"
+              "from nullctrl import weights\n"
+              "import nullctrlx\n")
+    assert package_imports(source) == [(3, ".saddle"), (4, "."),
+                                       (5, "nullctrl.forms"),
+                                       (6, "nullctrl")]
 
 
 # the modules that read or write files: the command line driver, the config
