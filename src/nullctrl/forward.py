@@ -473,7 +473,6 @@ class _HeldFactorization:
     GMRES run that fails within _GMRES_CYCLES restart cycles, or that needs
     more than _REFACTOR_AFTER iterations, refactorizes with the step's
     matrix, and a failed one is solved again with the new factorization.
-    A factorization made for the step itself is not redone.
     """
 
     def __init__(self):
@@ -482,13 +481,13 @@ class _HeldFactorization:
 
     def refactor(self, A):
         self.solve = None   # only one factorization is held at a time
-        # a copy: the caller refills A in place for the next steps
+        # a copy: the caller refills A in place for the next steps, and a
+        # factorization may keep its matrix (UMFPACK's solve reads it)
         self.solve = spla.factorized(A.copy())
         self.factorizations += 1
 
     def __call__(self, A, b):
-        fresh = self.solve is None
-        if fresh:
+        if self.solve is None:
             self.refactor(A)
         x = self.solve(b)
         if np.linalg.norm(b - A @ x) <= _GMRES_RTOL * np.linalg.norm(b):
@@ -502,7 +501,7 @@ class _HeldFactorization:
                              callback=residuals.append,
                              callback_type="pr_norm")
         self.gmres_iterations += len(residuals)
-        if not fresh and (info != 0 or len(residuals) > _REFACTOR_AFTER):
+        if info != 0 or len(residuals) > _REFACTOR_AFTER:
             self.refactor(A)
             if info != 0:
                 x = self.solve(b)
