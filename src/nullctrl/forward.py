@@ -11,10 +11,9 @@ The heat solver factorizes each theta of its schedule once.  The flow solver
 holds one factorization for the whole run: its step matrices are refilled in
 place on a fixed sparsity pattern, each step is solved by GMRES
 preconditioned with the held LU and stopped on the true residual of the
-step's own system, and the step's matrix is refactorized when GMRES fails,
-needs more than a few iterations, or runs on a matrix that has stopped
-changing since the previous step.  Nothing is imported from the space-time
-solver.
+step's own system, and the step's matrix is refactorized at the switch of
+time scheme and when GMRES fails or needs more than a few iterations.
+Nothing is imported from the space-time solver.
 """
 
 from __future__ import annotations
@@ -474,28 +473,20 @@ class _HeldFactorization:
     GMRES run that fails within _GMRES_CYCLES restart cycles, or that needs
     more than _REFACTOR_AFTER iterations, refactorizes with the step's
     matrix, and a failed one is solved again with the new factorization.
-    So does any GMRES run on a matrix that equals the previous step's but
-    not the factorized one: that matrix has stopped changing (Stokes after
-    a theta switch that GMRES absorbed), and the held LU would otherwise
-    leave GMRES iterating at every later step.
     """
 
     def __init__(self):
-        self.solve = self.factored = self.previous = None
+        self.solve = None
         self.factorizations = self.gmres_iterations = 0
 
     def refactor(self, A):
         self.solve = None   # only one factorization is held at a time
         # a copy: the caller refills A in place for the next steps, and a
         # factorization may keep its matrix (UMFPACK's solve reads it)
-        self.factored = A.copy()
-        self.solve = spla.factorized(self.factored)
+        self.solve = spla.factorized(A.copy())
         self.factorizations += 1
 
     def __call__(self, A, b):
-        repeated = (self.previous is not None
-                    and np.array_equal(A.data, self.previous))
-        self.previous = A.data.copy()
         if self.solve is None:
             self.refactor(A)
         x = self.solve(b)
@@ -510,8 +501,7 @@ class _HeldFactorization:
                              callback=residuals.append,
                              callback_type="pr_norm")
         self.gmres_iterations += len(residuals)
-        stale = repeated and not np.array_equal(A.data, self.factored.data)
-        if info != 0 or len(residuals) > _REFACTOR_AFTER or stale:
+        if info != 0 or len(residuals) > _REFACTOR_AFTER:
             self.refactor(A)
             if info != 0:
                 x = self.solve(b)
@@ -533,9 +523,8 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
     and solves its KKT system through one held factorization
     (`_HeldFactorization`): GMRES preconditioned by it stops on the true
     residual of the step's own matrix, at _GMRES_RTOL, and the step's matrix
-    is refactorized when GMRES fails, needs more than _REFACTOR_AFTER
-    iterations or runs on an unchanged matrix that the held LU is not of.
-    A theta switch is one such step.
+    is refactorized when GMRES fails or needs more than _REFACTOR_AFTER
+    iterations.  The theta switch refactorizes before its step is solved.
     Returns the norm history, with ||y - ybar|| (ybar = 0 for Stokes) as
     the state norm and the factorization and GMRES iteration counts, and
     the final velocity coefficients.
@@ -576,6 +565,12 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
         if trajectory is not None:
             S = S + th.convection(1.5 * y - 0.5 * y_prev if k > 0 else y)
         th.refill(dt, theta, S)
+        if k > 0 and theta != steps[k - 1][0]:
+            # the new theta's matrix is a multiple of S away from the held
+            # LU's for the rest of the run; where GMRES absorbs that in a
+            # few iterations (Stokes with steps of 1/5 or longer), it would
+            # pay them again at every later step
+            solve.refactor(th.kkt)
         # known boundary values at t_new move to the right side
         ybar = wall(t_new)
         g = np.zeros((n, 2))
