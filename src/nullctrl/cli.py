@@ -109,7 +109,8 @@ def _tables(sol, fp):
                                     "rel_err2": sol.log.rel_err2}
     if fp is not None:
         tables["outer_iterations.csv"] = {"iter": fp.iters,
-                                          "rel_err": fp.rel_err}
+                                          "rel_err": fp.rel_err,
+                                          "element_kernels": fp.kernels}
     for name, h in (("norms.csv", sol.history),
                     ("norms_uncontrolled.csv", sol.history_uncontrolled)):
         if h is not None:

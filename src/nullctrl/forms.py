@@ -18,7 +18,7 @@ test suite before the signs here were frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -133,6 +133,8 @@ class _Builder:
         self._terms = {"A": [], "B": [], "Mp": [], "Md": []}
         self.L_full = np.zeros(self.n_full[0])
         self._paths = {}   # einsum contraction path per operand shapes
+        self._maps = {}    # DOF map per (batch, field, component)
+        self.kernels = 0   # element kernels computed so far
 
     def add(self, target, batch, test, trial, cvals, region_mask=None):
         """Add sum_q w_q c_q Op_i Op_j over the batch's prisms.
@@ -159,11 +161,20 @@ class _Builder:
             self._paths[key] = np.einsum_path(_ELEMENT, CW, Ti, Tj,
                                               optimize=True)[0]
         E = np.einsum(_ELEMENT, CW, Ti, Tj, optimize=self._paths[key])
-        Dt = (batch.dofs(tspace) + tcomp * tspace.ndof_scalar
-              + self.full_off[tname])
-        Dr = (batch.dofs(rspace) + rcomp * rspace.ndof_scalar
-              + self.full_off[rname])
-        self._terms[target].append((E, Dt, Dr))
+        self.kernels += 1
+        self._terms[target].append((E, self._dofs(batch, tname, tcomp),
+                                    self._dofs(batch, rname, rcomp)))
+
+    def _dofs(self, batch, name, comp):
+        """Full-vector DOFs of the field's component on the batch's prisms,
+        (P1, P2, ldof); one array per batch, field and component, shared by
+        every term that reads it."""
+        key = (batch.key, name, comp)
+        if key not in self._maps:
+            space = self.spaces[name]
+            self._maps[key] = (batch.dofs(space) + comp * space.ndof_scalar
+                               + self.full_off[name])
+        return self._maps[key]
 
     def add_initial_datum(self, ws, y0):
         """L = int_Omega rho0(x, 0) y0(x) . p(x, 0) dx on the p field, on the
@@ -196,9 +207,10 @@ class _Builder:
         indices, with an unstable sort, before summing duplicates.  So a row
         sees the same sequence of entries whatever the cuts, and the bits do
         not depend on them; but adding or reordering terms can change the
-        rounding of other entries in the same row.
+        rounding of other entries in the same row.  The target starts over
+        with no terms.
         """
-        terms = self._terms.pop(target)
+        terms, self._terms[target] = self._terms[target], []
         n_rows = len(rows_idx)
         if not terms or not n_rows:
             return sp.csr_matrix((n_rows, len(cols_idx)))
@@ -259,13 +271,18 @@ class _Builder:
         groups.clear()   # the element values, before the blocks are stacked
         return sp.vstack(blocks, format="csr")
 
+    def constraint(self):
+        """B from the B terms added since the last conversion."""
+        (n_p, n_d), (pfree, dfree) = self.n_full, self.free
+        return self._matrix("B", (n_d, n_p), dfree, pfree)
+
     def finish(self) -> SaddleSystem:
         """The system.  A and B are converted first; then the L2 mass of
         every primal field is added to Mp and converted, and that of every
         dual field to Md, so no two targets' element values coexist."""
         (n_p, n_d), (pfree, dfree) = self.n_full, self.free
         A = self._matrix("A", (n_p, n_p), pfree, pfree)
-        B = self._matrix("B", (n_d, n_p), dfree, pfree)
+        B = self.constraint()
         masses = []
         for target, layout, n, rows in (("Mp", self.layouts[0], n_p, pfree),
                                         ("Md", self.layouts[1], n_d, dfree)):
@@ -333,29 +350,28 @@ def _batch_values(fun, batch):
                            (P1, P2, len(batch.w), 2))
 
 
-def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule):
-    """Saddle system of a flow control problem (Stokes or Oseen).
+def _flow_batch(bld, batch, ws, nu, ybar, w, held=None):
+    """Add one batch's terms of a flow system (see _assemble_flow) to bld:
+    per component the A terms and the Stokes terms of B, then the transport
+    terms in adv = ybar + w, then the terms in ybar alone.  Returns the
+    batch's B terms that do not read w, as the lists before and after the
+    transport terms.
 
-    spaces = one space per row of FLOW_FIELDS (z, p, sigma, lam, mu).
-    The fields are assembled in the weight-absorbing variables
-    z -> rho zhat, p -> rho0 phat, sigma -> rho sigmahat, with the matching
-    multiplier scalings lam -> rho^{-1} lamhat, mu -> rho1^{-1} muhat.  The
-    A-blocks are then plain mass forms and the constraint has bounded,
-    balanced coefficients; the raw variables of the formulation as printed
-    grow like the (overflowing) weights themselves near the horizon.  Where
-    ybar or w is given, the constraint bracket also carries the transport
-    terms [grad p (ybar + w) + (grad p)^T ybar] . lam.
+    `held` is such a pair from an earlier assembly with the same ybar: its
+    terms take their places in B, and only the transport terms are computed
+    (A is not added at all).
     """
-    if not nu > 0:
-        raise ValueError("flow problems need positive viscosity")
-    bld = _Builder(mesh, spaces, FLOW_FIELDS, rule)
+    terms = bld._terms["B"]
+    chi, gchi, _ = ws.chi(batch.X)
+    tau = ws.T - batch.t
+    sq = np.sqrt(tau)
+    c_time = tau * sq                                  # rho^-1 rho0
     gops = ("gx", "gy")
-    for batch in bld.asm.batches():
-        om = mesh.omega_flag[batch.tris]
-        chi, gchi, _ = ws.chi(batch.X)
-        tau = ws.T - batch.t
-        sq = np.sqrt(tau)
-        c_time = tau * sq                              # rho^-1 rho0
+    start = len(terms)
+    if held is not None:
+        terms.extend(held[0])
+    else:
+        om = bld.asm.mesh.omega_flag[batch.tris]
         c_pt = -1.5 * sq + chi / sq                    # rho^-1 d_t rho0
         gchi2 = np.einsum("...i,...i->...", gchi, gchi)
         for c in range(2):
@@ -383,35 +399,110 @@ def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule):
             # divergence rows: rho1^-1 div(rho0 phat) muhat
             bld.add("B", batch, ("mu", 0, "v"), ("p", c, gops[c]), tau)
             bld.add("B", batch, ("mu", 0, "v"), ("p", c, "v"), gchi[..., c])
+    before = terms[start:]
 
-        yb = _batch_values(ybar, batch)
-        wv = _batch_values(w, batch)
-        if yb is None and wv is None:
-            continue
-        adv = yb if wv is None else wv if yb is None else yb + wv
-        # grad p (ybar + w) . lam : sum_j adv_j d_j p_i lam_i
+    yb = _batch_values(ybar, batch)
+    wv = _batch_values(w, batch)
+    if yb is None and wv is None:
+        return before, []
+    adv = yb if wv is None else wv if yb is None else yb + wv
+    # grad p (ybar + w) . lam : sum_j adv_j d_j p_i lam_i
+    for i in range(2):
+        for j in range(2):
+            bld.add("B", batch, ("lam", i, "v"), ("p", i, gops[j]),
+                    adv[..., j] * c_time)
+    # weight-derivative part: sqrt(tau) (grad chi . adv) phat.lamhat
+    gdot = np.einsum("...i,...i->...", gchi, adv)
+    for i in range(2):
+        bld.add("B", batch, ("lam", i, "v"), ("p", i, "v"), sq * gdot)
+    start = len(terms)
+    if held is not None:
+        terms.extend(held[1])
+    elif yb is not None:
+        # (grad p)^T ybar . lam : sum_j yb_j d_i p_j lam_i
         for i in range(2):
             for j in range(2):
-                bld.add("B", batch, ("lam", i, "v"), ("p", i, gops[j]),
-                        adv[..., j] * c_time)
-        # weight-derivative part: sqrt(tau) (grad chi . adv) phat.lamhat
-        gdot = np.einsum("...i,...i->...", gchi, adv)
+                bld.add("B", batch, ("lam", i, "v"), ("p", j, gops[i]),
+                        yb[..., j] * c_time)
+        # sqrt(tau) (phat . ybar) (grad chi . lamhat)
         for i in range(2):
-            bld.add("B", batch, ("lam", i, "v"), ("p", i, "v"), sq * gdot)
-        if yb is not None:
-            # (grad p)^T ybar . lam : sum_j yb_j d_i p_j lam_i
-            for i in range(2):
-                for j in range(2):
-                    bld.add("B", batch, ("lam", i, "v"), ("p", j, gops[i]),
-                            yb[..., j] * c_time)
-            # sqrt(tau) (phat . ybar) (grad chi . lamhat)
-            for i in range(2):
-                for j in range(2):
-                    bld.add("B", batch, ("lam", i, "v"), ("p", j, "v"),
-                            sq * gchi[..., i] * yb[..., j])
+            for j in range(2):
+                bld.add("B", batch, ("lam", i, "v"), ("p", j, "v"),
+                        sq * gchi[..., i] * yb[..., j])
+    return before, terms[start:]
 
-    bld.add_initial_datum(ws, y0)
-    return bld.finish()
+
+class OseenFixedPart:
+    """The part of a fixed point's Oseen systems that does not depend on the
+    transported field w, held across its passes by `assemble_oseen`.
+
+    The first assembly through it keeps its builder (quadrature grid, basis
+    tables, contraction paths, DOF maps), its system (A, M_primal, M_dual, L
+    and the layouts) and the element values of B's terms that do not read
+    w: the Stokes terms and the terms in ybar alone, 36 of B's 42 per batch.
+    A later assembly computes only the 6 transport terms per batch and
+    converts B from the whole term list, held and new terms in the order of
+    a single-shot assembly.  The conversion then sees the same entries in
+    the same order, so B has the bits of a fresh assembly; a held B summed
+    with a fresh transport part would round each row differently.
+    """
+
+    def __init__(self):
+        self._problem = None   # (mesh, spaces, ws, ybar, y0, rule), then nu
+        self._nu = None
+        self._builder = None
+        self._system = None
+        self._held = None      # per batch: `_flow_batch`'s pair of B terms
+        self.kernels = 0       # element kernels of the last assembly
+
+    @property
+    def nbytes(self):
+        """Bytes of the held element values."""
+        return sum(E.nbytes for pair in self._held or () for terms in pair
+                   for E, _, _ in terms)
+
+
+def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule, fixed=None):
+    """Saddle system of a flow control problem (Stokes or Oseen).
+
+    spaces = one space per row of FLOW_FIELDS (z, p, sigma, lam, mu).
+    The fields are assembled in the weight-absorbing variables
+    z -> rho zhat, p -> rho0 phat, sigma -> rho sigmahat, with the matching
+    multiplier scalings lam -> rho^{-1} lamhat, mu -> rho1^{-1} muhat.  The
+    A-blocks are then plain mass forms and the constraint has bounded,
+    balanced coefficients; the raw variables of the formulation as printed
+    grow like the (overflowing) weights themselves near the horizon.  Where
+    ybar or w is given, the constraint bracket also carries the transport
+    terms [grad p (ybar + w) + (grad p)^T ybar] . lam.  `fixed` is an
+    `OseenFixedPart`, filled by this assembly or held from an earlier one.
+    """
+    if not nu > 0:
+        raise ValueError("flow problems need positive viscosity")
+    problem = (mesh, spaces, ws, ybar, y0, rule)
+    held = fixed is not None and fixed._builder is not None
+    if held and (nu != fixed._nu or any(
+            a is not b for a, b in zip(problem, fixed._problem))):
+        raise ValueError("the fixed part was held for another problem")
+    bld = fixed._builder if held else _Builder(mesh, spaces, FLOW_FIELDS,
+                                               rule)
+    kernels = bld.kernels
+    pairs = []
+    for k, batch in enumerate(bld.asm.batches()):
+        pair = _flow_batch(bld, batch, ws, nu, ybar, w,
+                           fixed._held[k] if held else None)
+        if fixed is not None:
+            pairs.append(pair)
+    if held:
+        system = replace(fixed._system, B=bld.constraint())
+    else:
+        bld.add_initial_datum(ws, y0)
+        system = bld.finish()
+        if fixed is not None:
+            fixed._problem, fixed._nu = problem, nu
+            fixed._builder, fixed._system, fixed._held = bld, system, pairs
+    if fixed is not None:
+        fixed.kernels = bld.kernels - kernels
+    return system
 
 
 def assemble_stokes(mesh, spaces, ws: WeightSet, nu, y0,
@@ -424,11 +515,19 @@ def assemble_stokes(mesh, spaces, ws: WeightSet, nu, y0,
 
 
 def assemble_oseen(mesh, spaces, ws: WeightSet, nu, ybar, w, u0,
-                   rule: QuadratureRule = None) -> SaddleSystem:
+                   rule: QuadratureRule = None,
+                   fixed: OseenFixedPart = None) -> SaddleSystem:
     """Saddle system for the Oseen (transport-linearized) control problem.
 
     The Stokes system plus the transport terms of the background trajectory
     ybar and the transported field w (see _assemble_flow); each is None,
     a callable of (X, t) or a batch evaluator with an `on_batch` method.
+
+    The systems of a fixed point differ in w only.  It passes one
+    `OseenFixedPart` to all its assemblies: the first assembles in full and
+    fills it; each later one computes only the terms in w and returns the
+    first system's A, M_primal, M_dual and L with a new B, which is bit for
+    bit the B of an assembly without `fixed`.  A later call must pass the
+    first one's objects (the same nu); otherwise it raises ValueError.
     """
-    return _assemble_flow(mesh, spaces, ws, nu, u0, ybar, w, rule)
+    return _assemble_flow(mesh, spaces, ws, nu, u0, ybar, w, rule, fixed)

@@ -284,17 +284,32 @@ def p2_flow_spaces(mesh):
             build_space(mesh, 1, 2, 1, "none"))
 
 
-def taylor_green_oseen():
-    """Oseen assembly on the 3x3x4 Taylor-Green mesh around the vortex,
-    with a transported field w."""
+def taylor_green_flow():
+    """The Oseen problem on the 3x3x4 Taylor-Green mesh around the vortex:
+    (spaces, WeightSet, assemble(w, fixed=None)), where assemble is
+    `assemble_oseen` of the transported field w, through the fixed part
+    `fixed` when given."""
     box = (math.pi / 3, 2 * math.pi / 3, math.pi / 3, 2 * math.pi / 3)
     mesh = build_mesh(3, 3, 4, math.pi, math.pi, 1.0, box,
                       diagonal="alternate")
     ws = WeightSet(math.pi, math.pi, 1.0, (math.pi / 2, math.pi / 2))
     spaces = p2_flow_spaces(mesh)
-    return lambda: assemble_oseen(mesh, spaces, ws, 1.0,
-                                  Trajectory("taylor_green"), wfun,
-                                  (0.1, 0.0))
+    ybar, u0 = Trajectory("taylor_green"), (0.1, 0.0)
+    return spaces, ws, lambda w, fixed=None: assemble_oseen(
+        mesh, spaces, ws, 1.0, ybar, w, u0, fixed=fixed)
+
+
+def taylor_green_oseen():
+    """Oseen assembly on the 3x3x4 Taylor-Green mesh around the vortex,
+    with a transported field w."""
+    assemble = taylor_green_flow()[2]
+    return lambda: assemble(wfun)
+
+
+def fresh_oseen(mesh, spaces, ws, nu, ybar, w, u0, rule=None, fixed=None):
+    """`assemble_oseen` that ignores the fixed part: every pass of a fixed
+    point assembles its whole system from scratch."""
+    return assemble_oseen(mesh, spaces, ws, nu, ybar, w, u0, rule)
 
 
 def peak_over_csr_bytes(build):

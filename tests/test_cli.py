@@ -179,7 +179,7 @@ def test_run_artifacts(tmp_path, preset):
     heads = {"norms.csv": "t,control_norm,state_norm",
              "norms_uncontrolled.csv": "t,control_norm,state_norm",
              "iterations.csv": "iter,rel_err1,rel_err2",
-             "outer_iterations.csv": "iter,rel_err"}
+             "outer_iterations.csv": "iter,rel_err,element_kernels"}
     for name in set(files) & set(heads):
         assert read(out, name).splitlines()[0] == heads[name], name
     text = read(out, vtks[0])

@@ -1,5 +1,7 @@
 """Assembled systems: expansion oracles, symmetry, support, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,13 @@ from nullctrl.fem import (QuadratureRule, build_space, interval_quadrature,
 from nullctrl.forms import assemble_heat, assemble_oseen, assemble_stokes
 from nullctrl.forward import Trajectory
 from nullctrl.mesh import build_mesh
+from nullctrl.pipeline import WeightedField
 from nullctrl.weights import WeightSet
 
 from oracles import (ConcatenatingBuilder, Poly2T,
                      hatted_flow_constraint_oracle, heat_constraint_oracle,
                      p2_flow_spaces, peak_over_csr_bytes, reduced_vector,
-                     taylor_green_oseen, wfun)
+                     taylor_green_flow, taylor_green_oseen, wfun)
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +364,119 @@ def test_assembly_memory_peak_bounded_by_assembled_matrices(ws):
         _assembled_matrices(_heat_assembly(ws, 5, 4))) <= 5.0
     assert peak_over_csr_bytes(
         _assembled_matrices(taylor_green_oseen())) <= 10.0
+
+
+def _random_w(spaces, ws, rng):
+    """A transported field as the fixed point builds one: a velocity FEM
+    field, here with random coefficients, times the inverse weight."""
+    return WeightedField(spaces[0], 0.1 * rng.standard_normal(spaces[0].ndof),
+                         ws, weight="-")
+
+
+def test_fixed_part_systems_bit_identical_to_fresh_assemblies(monkeypatch):
+    """Passes through one OseenFixedPart (w = 0, then two random w) return
+    the matrices and load of a fresh assembly of the same w, bit for bit,
+    and count the element kernels they compute."""
+    spaces, ws, assemble = taylor_green_flow()
+    rng = np.random.default_rng(22)
+    einsum, kernels = np.einsum, []
+
+    def counted(spec, *operands, **kwargs):
+        kernels.append(spec == forms._ELEMENT)
+        return einsum(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    fixed = forms.OseenFixedPart()
+    first = assemble(None, fixed)
+    # 54 terms in each of 8 batches, less the control-region mass of p on
+    # the 4 batches without a control-region triangle (2 terms each)
+    assert fixed.kernels == sum(kernels) == 424
+    _assert_same_matrices(first, assemble(None))
+    for _ in range(2):
+        w = _random_w(spaces, ws, rng)
+        kernels.clear()
+        system = assemble(w, fixed)
+        # the 6 transport terms per batch
+        assert fixed.kernels == sum(kernels) == 48
+        _assert_same_matrices(system, assemble(w))
+        for name in ("A", "M_primal", "M_dual", "L"):
+            assert getattr(system, name) is getattr(first, name)
+        assert system.B is not first.B
+
+
+def test_fixed_part_rejects_another_problem(ws, small_mesh, flow_spaces):
+    """A fixed part serves only the problem it was filled for: another nu,
+    background flow or initial datum raises, and the held problem goes on."""
+    ybar, u0 = Trajectory("taylor_green"), (0.1, 0.0)
+    fixed = forms.OseenFixedPart()
+
+    def assemble(nu, background, datum):
+        return assemble_oseen(small_mesh, flow_spaces, ws, nu, background,
+                              wfun, datum, fixed=fixed)
+
+    first = assemble(1.0, ybar, u0)
+    for other in ((0.5, ybar, u0), (1.0, Trajectory("taylor_green"), u0),
+                  (1.0, ybar, (0.2, 0.0))):
+        with pytest.raises(ValueError, match="another problem"):
+            assemble(*other)
+    assert assemble(1.0, ybar, u0).A is first.A
+
+
+def _csr_bytes(system):
+    return system.L.nbytes + sum(
+        M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+        for M in (getattr(system, name) for name in _MATRICES))
+
+
+def test_fixed_part_holds_only_the_w_free_element_values(monkeypatch):
+    """The held element values are B's terms that do not read w: with the
+    terms a later pass computes they make up one assembly's B exactly, so
+    neither A nor the mass values are held.  What the first pass leaves
+    allocated besides its system stays below one assembly's B element
+    values, and a later pass leaves nothing."""
+    spaces, ws, assemble = taylor_green_flow()
+    rng = np.random.default_rng(5)
+    converted, added = [], []
+    matrix, add = forms._Builder._matrix, forms._Builder.add
+
+    def recorded_matrix(self, target, *args):
+        converted.append((target, sum(E.nbytes
+                                      for E, _, _ in self._terms[target])))
+        return matrix(self, target, *args)
+
+    def recorded_add(self, target, *args, **kwargs):
+        before = len(self._terms[target])
+        add(self, target, *args, **kwargs)
+        added.extend(E.nbytes for E, _, _ in self._terms[target][before:])
+
+    monkeypatch.setattr(forms._Builder, "_matrix", recorded_matrix)
+    monkeypatch.setattr(forms._Builder, "add", recorded_add)
+    assemble(_random_w(spaces, ws, rng))
+    b_bytes = dict(converted)["B"]
+    fields = [_random_w(spaces, ws, rng) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fixed = forms.OseenFixedPart()
+        first = assemble(None, fixed)
+        kept = tracemalloc.get_traced_memory()[0] - start - _csr_bytes(first)
+        held, growth = [fixed.nbytes], []
+        for w in fields:
+            converted.clear()
+            added.clear()
+            start = tracemalloc.get_traced_memory()[0]
+            system = assemble(w, fixed)
+            assert converted == [("B", b_bytes)]
+            del system
+            growth.append(tracemalloc.get_traced_memory()[0] - start)
+            held.append(fixed.nbytes)
+            assert fixed.nbytes + sum(added) == b_bytes
+    finally:
+        tracemalloc.stop()
+    assert held[0] == held[1] == held[2] < kept < b_bytes
+    # 36 of the 42 terms per batch; the 4 divergence-row terms are smaller
+    assert 36 / 42 - 0.05 < held[0] / b_bytes < 36 / 42 + 0.05
+    assert max(growth) < 0.01 * b_bytes
 
 
 @pytest.mark.parametrize("case", ["heat", "oseen"])

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from nullctrl import pipeline, saddle
-from nullctrl.cli import _summary_lines
+from nullctrl.cli import _summary_lines, _tables
 from nullctrl.config import RunConfig, from_preset, validate
 from nullctrl.fem import Assembler, QuadratureRule, build_space, l2_norm
+from nullctrl.forms import SaddleSystem
 from nullctrl.mesh import build_mesh
 from nullctrl.pipeline import WeightedField, fixed_point_ns, \
     solve_heat_control, solve_stokes_control
 from nullctrl.weights import WeightSet
+
+from oracles import fresh_oseen
 
 
 def heat_cfg(**over):
@@ -220,9 +223,9 @@ def test_fixed_point_stops_on_stagnation(monkeypatch):
     systems = []
     assemble = pipeline.assemble_oseen
 
-    def first_system(*args):
+    def first_system(*args, **kwargs):
         if not systems:
-            systems.append(assemble(*args))
+            systems.append(assemble(*args, **kwargs))
         return systems[0]
 
     monkeypatch.setattr(pipeline, "l2_norm", growing)
@@ -236,6 +239,52 @@ def test_fixed_point_stops_on_stagnation(monkeypatch):
     lines = _summary_lines(cfg, sol, fp, 0.0)
     assert "outer_iterations = 11" in lines
     assert "outer_stagnated = True" in lines
+
+
+def _taylor_green_direct(outer_max):
+    return validate(dataclasses.replace(
+        from_preset("ns-taylor-green"), nx=3, ny=3, nt=2,
+        solver_method="direct", outer_max=outer_max, verify=False))
+
+
+def test_fixed_point_bitwise_equal_to_assembling_every_pass(monkeypatch):
+    """The passes after the first assemble only the transport terms in the
+    iterate; the run keeps the bits of one that assembles every pass from
+    scratch, and its outer log counts the element kernels of each pass."""
+    cfg = _taylor_green_direct(outer_max=3)
+    sol, fp = fixed_point_ns(cfg)
+    # 54 terms in each of 8 batches, less 8 control-region terms on batches
+    # without a control-region triangle; then 6 transport terms per batch
+    assert fp.kernels == [424, 48, 48]
+    outer = _tables(sol, fp)["outer_iterations.csv"]
+    assert outer["element_kernels"] == [424, 48, 48]
+    monkeypatch.setattr(pipeline, "assemble_oseen", fresh_oseen)
+    ref, ref_fp = fixed_point_ns(cfg)
+    assert fp.iters == ref_fp.iters == [1, 2, 3]
+    assert (np.array(fp.rel_err).tobytes()
+            == np.array(ref_fp.rel_err).tobytes())
+    assert np.float64(sol.J).tobytes() == np.float64(ref.J).tobytes()
+    assert sol.x.tobytes() == ref.x.tobytes()
+
+
+def test_fixed_point_assembles_each_pass_through_its_entry_point(
+        monkeypatch):
+    """The benchmark's tracer wraps `pipeline.assemble_oseen` by name,
+    forwarding every argument, and reads each pass's system from its
+    result."""
+    systems = []
+    assemble = pipeline.assemble_oseen
+
+    def wrapper(*args, **kwargs):
+        result = assemble(*args, **kwargs)
+        systems.append(result)
+        return result
+
+    monkeypatch.setattr(pipeline, "assemble_oseen", wrapper)
+    sol, fp = fixed_point_ns(_taylor_green_direct(outer_max=2))
+    assert len(systems) == len(fp.iters) == 2
+    assert all(isinstance(system, SaddleSystem) for system in systems)
+    assert systems[-1] is sol.system
 
 
 def test_direct_fallback_factorizes_once(factorizations, monkeypatch,
