@@ -115,11 +115,16 @@ class RunConfig:
 
 
 def snap_omega(omega, nx, ny, L1, L2):
-    """Snap the control box corners to the nearest grid lines.
+    """Snap the corners of a nonempty control box inside the domain to the
+    nearest grid lines.
 
     Guarantees at least one cell of width in each direction; the exact-union
     requirement of the mesh builder then holds by construction.
     """
+    x0, x1, y0, y1 = omega
+    if not (0.0 <= x0 < x1 <= L1 and 0.0 <= y0 < y1 <= L2):
+        raise ValueError("geometry.omega must be a nonempty box inside the "
+                         "domain")
     xg = np.linspace(0.0, L1, nx + 1)
     yg = np.linspace(0.0, L2, ny + 1)
 
@@ -139,6 +144,10 @@ def snap_omega(omega, nx, ny, L1, L2):
 
 def validate(cfg: RunConfig) -> RunConfig:
     """Check module preconditions and return the snapped configuration."""
+    for f in fields(cfg):
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in np.ravel(getattr(cfg, f.name))):
+            raise ValueError(f"{_KEYS.get(f.name, f.name)} must be finite")
     if cfg.scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
     if cfg.diagonal not in ("same", "alternate"):
@@ -194,6 +203,7 @@ _SECTION_MAP = {
     "verify.ny": "verify_ny", "verify.nt": "verify_nt",
     "output.dir": "output_dir",
 }
+_KEYS = {name: key for key, name in _SECTION_MAP.items()}
 
 
 def _coerce(name, raw, current):

@@ -18,7 +18,7 @@ test suite before the signs here were frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,10 +98,12 @@ class _Builder:
 
     The system is laid out by `fields` (HEAT_FIELDS or FLOW_FIELDS) on
     `spaces`, one space per row, each checked against its row; rule defaults
-    to the one of the largest degrees.
+    to the one of the largest degrees.  A target's conversion drops its
+    element values, unless the builder is made to `keep` the last ones for
+    its next assembly (see `add`).
     """
 
-    def __init__(self, mesh, spaces, fields, rule=None):
+    def __init__(self, mesh, spaces, fields, rule=None, keep=False):
         primal, dual = fields
         named = list(zip(primal + dual, spaces, strict=True))
         self.spaces, self.full_off = {}, {}
@@ -131,6 +133,11 @@ class _Builder:
                                               max(s.n for s in spaces))
         self.asm = Assembler(mesh, rule)
         self._terms = {"A": [], "B": [], "Mp": [], "Md": []}
+        # element values by kernel key: of the current terms, of the last
+        # conversion's (kept builder); per target
+        self._values = {target: {} for target in self._terms}
+        self._kept = {target: {} for target in self._terms}
+        self.keep = keep
         self.L_full = np.zeros(self.n_full[0])
         self._paths = {}   # einsum contraction path per operand shapes
         self._maps = {}    # DOF map per (batch, field, component)
@@ -141,6 +148,11 @@ class _Builder:
 
         test/trial are (name, component, op) triples; cvals is a scalar or an
         array broadcastable to (P1, P2, Q).
+
+        A term whose kernel inputs match a current or kept term's of the
+        target takes its element values: equal inputs give equal bits.  The
+        inputs are the basis tables, held by the assembler and so known by
+        identity, and the exact shape and bytes of CW.
         """
         tname, tcomp, topn = test
         rname, rcomp, ropn = trial
@@ -154,16 +166,25 @@ class _Builder:
             if not region_mask.any():
                 return
             CW = CW * region_mask[:, None, None]
+        key = (id(Ti), id(Tj), CW.shape, CW.tobytes())
+        values, kept = self._values[target], self._kept[target]
+        if key not in values:
+            values[key] = (kept.pop(key) if key in kept
+                           else self._kernel(CW, Ti, Tj))
+        self._terms[target].append((values[key],
+                                    self._dofs(batch, tname, tcomp),
+                                    self._dofs(batch, rname, rcomp)))
+
+    def _kernel(self, CW, Ti, Tj):
+        """Element values sum_q CW_q Ti_qi Tj_qj, (P1, P2, ni, nj)."""
         # the optimal path depends on the operand shapes only, and a given
         # path computes the same bits as optimize=True
-        key = (CW.shape, Ti.shape, Tj.shape)
-        if key not in self._paths:
-            self._paths[key] = np.einsum_path(_ELEMENT, CW, Ti, Tj,
-                                              optimize=True)[0]
-        E = np.einsum(_ELEMENT, CW, Ti, Tj, optimize=self._paths[key])
+        shapes = (CW.shape, Ti.shape, Tj.shape)
+        if shapes not in self._paths:
+            self._paths[shapes] = np.einsum_path(_ELEMENT, CW, Ti, Tj,
+                                                 optimize=True)[0]
         self.kernels += 1
-        self._terms[target].append((E, self._dofs(batch, tname, tcomp),
-                                    self._dofs(batch, rname, rcomp)))
+        return np.einsum(_ELEMENT, CW, Ti, Tj, optimize=self._paths[shapes])
 
     def _dofs(self, batch, name, comp):
         """Full-vector DOFs of the field's component on the batch's prisms,
@@ -182,6 +203,7 @@ class _Builder:
         (a scalar or a 2-vector) or a callable of the points X (..., 2)."""
         asm, spc = self.asm, self.spaces["p"]
         X, comps = asm.Xq_space, spc.components
+        self.L_full = np.zeros(self.n_full[0])
         y = np.asarray(y0(X) if callable(y0) else y0, dtype=float)
         shape = X.shape[:-1] + ((2,) if comps == 2 else ())
         y = np.broadcast_to(y, shape).reshape(X.shape[:-1] + (comps,))
@@ -208,9 +230,11 @@ class _Builder:
         sees the same sequence of entries whatever the cuts, and the bits do
         not depend on them; but adding or reordering terms can change the
         rounding of other entries in the same row.  The target starts over
-        with no terms.
+        with no terms; a kept builder keeps their element values.
         """
         terms, self._terms[target] = self._terms[target], []
+        self._kept[target] = self._values[target] if self.keep else {}
+        self._values[target] = {}
         n_rows = len(rows_idx)
         if not terms or not n_rows:
             return sp.csr_matrix((n_rows, len(cols_idx)))
@@ -271,18 +295,13 @@ class _Builder:
         groups.clear()   # the element values, before the blocks are stacked
         return sp.vstack(blocks, format="csr")
 
-    def constraint(self):
-        """B from the B terms added since the last conversion."""
-        (n_p, n_d), (pfree, dfree) = self.n_full, self.free
-        return self._matrix("B", (n_d, n_p), dfree, pfree)
-
     def finish(self) -> SaddleSystem:
         """The system.  A and B are converted first; then the L2 mass of
         every primal field is added to Mp and converted, and that of every
         dual field to Md, so no two targets' element values coexist."""
         (n_p, n_d), (pfree, dfree) = self.n_full, self.free
         A = self._matrix("A", (n_p, n_p), pfree, pfree)
-        B = self.constraint()
+        B = self._matrix("B", (n_d, n_p), dfree, pfree)
         masses = []
         for target, layout, n, rows in (("Mp", self.layouts[0], n_p, pfree),
                                         ("Md", self.layouts[1], n_d, dfree)):
@@ -350,61 +369,46 @@ def _batch_values(fun, batch):
                            (P1, P2, len(batch.w), 2))
 
 
-def _flow_batch(bld, batch, ws, nu, ybar, w, held=None):
+def _flow_batch(bld, batch, ws, nu, ybar, w):
     """Add one batch's terms of a flow system (see _assemble_flow) to bld:
     per component the A terms and the Stokes terms of B, then the transport
-    terms in adv = ybar + w, then the terms in ybar alone.  Returns the
-    batch's B terms that do not read w, as the lists before and after the
-    transport terms.
-
-    `held` is such a pair from an earlier assembly with the same ybar: its
-    terms take their places in B, and only the transport terms are computed
-    (A is not added at all).
-    """
-    terms = bld._terms["B"]
+    terms in adv = ybar + w, then the terms in ybar alone."""
     chi, gchi, _ = ws.chi(batch.X)
     tau = ws.T - batch.t
     sq = np.sqrt(tau)
     c_time = tau * sq                                  # rho^-1 rho0
+    c_pt = -1.5 * sq + chi / sq                        # rho^-1 d_t rho0
+    gchi2 = np.einsum("...i,...i->...", gchi, gchi)
+    om = bld.asm.mesh.omega_flag[batch.tris]
     gops = ("gx", "gy")
-    start = len(terms)
-    if held is not None:
-        terms.extend(held[0])
-    else:
-        om = bld.asm.mesh.omega_flag[batch.tris]
-        c_pt = -1.5 * sq + chi / sq                    # rho^-1 d_t rho0
-        gchi2 = np.einsum("...i,...i->...", gchi, gchi)
-        for c in range(2):
-            bld.add("A", batch, ("z", c, "v"), ("z", c, "v"), 1.0)
-            bld.add("A", batch, ("p", c, "v"), ("p", c, "v"), 1.0,
-                    region_mask=om)
-            # zhat . lamhat + rho^-1 d_t(rho0 phat) . lamhat
-            bld.add("B", batch, ("lam", c, "v"), ("z", c, "v"), 1.0)
-            bld.add("B", batch, ("lam", c, "v"), ("p", c, "t"), c_time)
-            bld.add("B", batch, ("lam", c, "v"), ("p", c, "v"), c_pt)
-            # - rho^-1 grad(rho sigmahat) . lamhat
-            bld.add("B", batch, ("lam", c, "v"), ("sigma", 0, gops[c]), -1.0)
-            bld.add("B", batch, ("lam", c, "v"), ("sigma", 0, "v"),
-                    -gchi[..., c] / tau)
-            # - nu grad(rho0 phat) : grad(rho^-1 lamhat), expanded
-            bld.add("B", batch, ("lam", c, "gx"), ("p", c, "gx"), -nu * c_time)
-            bld.add("B", batch, ("lam", c, "gy"), ("p", c, "gy"), -nu * c_time)
-            for d in range(2):
-                bld.add("B", batch, ("lam", c, "v"), ("p", c, gops[d]),
-                        nu * sq * gchi[..., d])
-                bld.add("B", batch, ("lam", c, gops[d]), ("p", c, "v"),
-                        -nu * sq * gchi[..., d])
-            bld.add("B", batch, ("lam", c, "v"), ("p", c, "v"),
-                    nu * gchi2 / sq)
-            # divergence rows: rho1^-1 div(rho0 phat) muhat
-            bld.add("B", batch, ("mu", 0, "v"), ("p", c, gops[c]), tau)
-            bld.add("B", batch, ("mu", 0, "v"), ("p", c, "v"), gchi[..., c])
-    before = terms[start:]
+    for c in range(2):
+        bld.add("A", batch, ("z", c, "v"), ("z", c, "v"), 1.0)
+        bld.add("A", batch, ("p", c, "v"), ("p", c, "v"), 1.0, region_mask=om)
+        # zhat . lamhat + rho^-1 d_t(rho0 phat) . lamhat
+        bld.add("B", batch, ("lam", c, "v"), ("z", c, "v"), 1.0)
+        bld.add("B", batch, ("lam", c, "v"), ("p", c, "t"), c_time)
+        bld.add("B", batch, ("lam", c, "v"), ("p", c, "v"), c_pt)
+        # - rho^-1 grad(rho sigmahat) . lamhat
+        bld.add("B", batch, ("lam", c, "v"), ("sigma", 0, gops[c]), -1.0)
+        bld.add("B", batch, ("lam", c, "v"), ("sigma", 0, "v"),
+                -gchi[..., c] / tau)
+        # - nu grad(rho0 phat) : grad(rho^-1 lamhat), expanded
+        bld.add("B", batch, ("lam", c, "gx"), ("p", c, "gx"), -nu * c_time)
+        bld.add("B", batch, ("lam", c, "gy"), ("p", c, "gy"), -nu * c_time)
+        for d in range(2):
+            bld.add("B", batch, ("lam", c, "v"), ("p", c, gops[d]),
+                    nu * sq * gchi[..., d])
+            bld.add("B", batch, ("lam", c, gops[d]), ("p", c, "v"),
+                    -nu * sq * gchi[..., d])
+        bld.add("B", batch, ("lam", c, "v"), ("p", c, "v"), nu * gchi2 / sq)
+        # divergence rows: rho1^-1 div(rho0 phat) muhat
+        bld.add("B", batch, ("mu", 0, "v"), ("p", c, gops[c]), tau)
+        bld.add("B", batch, ("mu", 0, "v"), ("p", c, "v"), gchi[..., c])
 
     yb = _batch_values(ybar, batch)
     wv = _batch_values(w, batch)
     if yb is None and wv is None:
-        return before, []
+        return
     adv = yb if wv is None else wv if yb is None else yb + wv
     # grad p (ybar + w) . lam : sum_j adv_j d_j p_i lam_i
     for i in range(2):
@@ -415,10 +419,7 @@ def _flow_batch(bld, batch, ws, nu, ybar, w, held=None):
     gdot = np.einsum("...i,...i->...", gchi, adv)
     for i in range(2):
         bld.add("B", batch, ("lam", i, "v"), ("p", i, "v"), sq * gdot)
-    start = len(terms)
-    if held is not None:
-        terms.extend(held[1])
-    elif yb is not None:
+    if yb is not None:
         # (grad p)^T ybar . lam : sum_j yb_j d_i p_j lam_i
         for i in range(2):
             for j in range(2):
@@ -429,37 +430,30 @@ def _flow_batch(bld, batch, ws, nu, ybar, w, held=None):
             for j in range(2):
                 bld.add("B", batch, ("lam", i, "v"), ("p", j, "v"),
                         sq * gchi[..., i] * yb[..., j])
-    return before, terms[start:]
 
 
 class OseenFixedPart:
-    """The part of a fixed point's Oseen systems that does not depend on the
-    transported field w, held across its passes by `assemble_oseen`.
-
-    The first assembly through it keeps its builder (quadrature grid, basis
-    tables, contraction paths, DOF maps), its system (A, M_primal, M_dual, L
-    and the layouts) and the element values of B's terms that do not read
-    w: the Stokes terms and the terms in ybar alone, 36 of B's 42 per batch.
-    A later assembly computes only the 6 transport terms per batch and
-    converts B from the whole term list, held and new terms in the order of
-    a single-shot assembly.  The conversion then sees the same entries in
-    the same order, so B has the bits of a fresh assembly; a held B summed
-    with a fresh transport part would round each row differently.
-    """
+    """The builder of a fixed point's Oseen systems, held across its passes
+    by `assemble_oseen`: its quadrature grid, basis tables, contraction
+    paths, DOF maps and the element values of its last assembly."""
 
     def __init__(self):
-        self._problem = None   # (mesh, spaces, ws, ybar, y0, rule), then nu
-        self._nu = None
+        self._problem = None   # (nu, mesh, spaces, ws, ybar, y0, rule)
         self._builder = None
-        self._system = None
-        self._held = None      # per batch: `_flow_batch`'s pair of B terms
         self.kernels = 0       # element kernels of the last assembly
 
-    @property
-    def nbytes(self):
-        """Bytes of the held element values."""
-        return sum(E.nbytes for pair in self._held or () for terms in pair
-                   for E, _, _ in terms)
+    def builder(self, nu, problem):
+        """The builder, made on first use; ValueError for another nu or
+        problem (by identity)."""
+        if self._builder is None:
+            mesh, spaces, _, _, _, rule = problem
+            self._problem = (nu,) + problem
+            self._builder = _Builder(mesh, spaces, FLOW_FIELDS, rule,
+                                     keep=True)
+        elif nu != self._problem[0] or any(
+                a is not b for a, b in zip(problem, self._problem[1:])):
+            raise ValueError("the fixed part was held for another problem")
+        return self._builder
 
 
 def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule, fixed=None):
@@ -474,32 +468,19 @@ def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule, fixed=None):
     grow like the (overflowing) weights themselves near the horizon.  Where
     ybar or w is given, the constraint bracket also carries the transport
     terms [grad p (ybar + w) + (grad p)^T ybar] . lam.  `fixed` is an
-    `OseenFixedPart`, filled by this assembly or held from an earlier one.
+    `OseenFixedPart` whose builder assembles the system.
     """
     if not nu > 0:
         raise ValueError("flow problems need positive viscosity")
-    problem = (mesh, spaces, ws, ybar, y0, rule)
-    held = fixed is not None and fixed._builder is not None
-    if held and (nu != fixed._nu or any(
-            a is not b for a, b in zip(problem, fixed._problem))):
-        raise ValueError("the fixed part was held for another problem")
-    bld = fixed._builder if held else _Builder(mesh, spaces, FLOW_FIELDS,
-                                               rule)
-    kernels = bld.kernels
-    pairs = []
-    for k, batch in enumerate(bld.asm.batches()):
-        pair = _flow_batch(bld, batch, ws, nu, ybar, w,
-                           fixed._held[k] if held else None)
-        if fixed is not None:
-            pairs.append(pair)
-    if held:
-        system = replace(fixed._system, B=bld.constraint())
+    if fixed is None:
+        bld = _Builder(mesh, spaces, FLOW_FIELDS, rule)
     else:
-        bld.add_initial_datum(ws, y0)
-        system = bld.finish()
-        if fixed is not None:
-            fixed._problem, fixed._nu = problem, nu
-            fixed._builder, fixed._system, fixed._held = bld, system, pairs
+        bld = fixed.builder(nu, (mesh, spaces, ws, ybar, y0, rule))
+    kernels = bld.kernels
+    for batch in bld.asm.batches():
+        _flow_batch(bld, batch, ws, nu, ybar, w)
+    bld.add_initial_datum(ws, y0)
+    system = bld.finish()
     if fixed is not None:
         fixed.kernels = bld.kernels - kernels
     return system
@@ -524,10 +505,10 @@ def assemble_oseen(mesh, spaces, ws: WeightSet, nu, ybar, w, u0,
     a callable of (X, t) or a batch evaluator with an `on_batch` method.
 
     The systems of a fixed point differ in w only.  It passes one
-    `OseenFixedPart` to all its assemblies: the first assembles in full and
-    fills it; each later one computes only the terms in w and returns the
-    first system's A, M_primal, M_dual and L with a new B, which is bit for
-    bit the B of an assembly without `fixed`.  A later call must pass the
+    `OseenFixedPart` to all its assemblies, which then run on one builder:
+    a later one computes only the element kernels of the terms in w and
+    reuses the others of the assembly before it, and its system is bit for
+    bit that of an assembly without `fixed`.  A later call must pass the
     first one's objects (the same nu); otherwise it raises ValueError.
     """
     return _assemble_flow(mesh, spaces, ws, nu, u0, ybar, w, rule, fixed)

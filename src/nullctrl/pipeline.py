@@ -229,9 +229,9 @@ def fixed_point_ns(cfg):
     previous deviation iterate (zero to start), solves it from the previous
     pass's solution, and replaces the iterate by the extracted deviation
     state; the loop stops when the relative L2(Q_T) increment drops below
-    the outer tolerance.  The first pass assembles in full; the later ones
-    compute only the transport terms in the iterate and reuse the rest
-    (`forms.OseenFixedPart`), with the bits of a full assembly.  The held
+    the outer tolerance.  Every pass assembles in full on one held builder
+    (`forms.OseenFixedPart`); the later ones compute only the kernels of the
+    transport terms in the iterate and reuse the rest.  The held
     part is released before verification, which runs the full nonlinear
     forward problem with and without the control.  Returns (solution,
     FixedPointLog).

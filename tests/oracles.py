@@ -270,6 +270,17 @@ class ConcatenatingBuilder(_Builder):
         return M
 
 
+class EveryKernelBuilder(_Builder):
+    """The assembly builder that computes every term's element kernel and
+    reuses none; the library's builder, which computes each distinct kernel
+    once, must give the same systems bit for bit."""
+
+    def add(self, target, *args, **kwargs):
+        self._values[target].clear()
+        self._kept[target].clear()
+        super().add(target, *args, **kwargs)
+
+
 def wfun(X, t):
     """A smooth transported field w for the Oseen assemblies."""
     return np.stack([0.02 * X[..., 1] ** 2, 0.05 * X[..., 0]], axis=-1)

@@ -1,5 +1,6 @@
 """CLI driver: presets, artifact layout, determinism, failure modes."""
 
+import argparse
 import importlib
 import os
 import re
@@ -96,6 +97,11 @@ def test_omega_snapping():
     same = cfgmod.snap_omega((0.2, 0.6, 0.2, 0.6), 10, 10, 1.0, 1.0)
     assert same[0] == pytest.approx(0.2)
     assert same[1] == pytest.approx(0.6)
+    # a box is checked before it is snapped, not clamped into the domain
+    for box in ((0.2, 5.0, 0.2, 0.6), (-3.0, 0.6, 0.2, 0.6),
+                (0.6, 0.2, 0.2, 0.6)):
+        with pytest.raises(ValueError, match="inside the domain"):
+            cfgmod.snap_omega(box, 10, 10, 1.0, 1.0)
 
 
 def test_method_flag_takes_every_solver_method():
@@ -125,11 +131,22 @@ def test_removed_keys_rejected(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("key,value", [("solver.outer_max", "0"),
-                                       ("verify.nx", "0"),
-                                       ("verify.ny", "0"),
-                                       ("verify.nt", "0"),
-                                       ("weights.K2", "1")])
+@pytest.mark.parametrize("key,value", [
+    ("solver.outer_max", "0"), ("verify.nx", "0"), ("verify.ny", "0"),
+    ("verify.nt", "0"), ("weights.K2", "1"),
+    # non-finite numbers: nu and K1 used to write the output directory and
+    # fail in the solver, the others passed validation
+    ("physics.nu", "nan"), ("weights.K1", "nan"), ("solver.tol", "nan"),
+    ("geometry.T", "inf"), ("physics.G", "nan"), ("physics.y0_scale", "nan"),
+    ("solver.r", "inf"), ("solver.outer_tol", "-inf"), ("physics.M", "nan"),
+    ("weights.anchor", "nan,1.5"),
+    # control boxes that leave the domain (pi x pi) or are empty: they used
+    # to be clamped into it, or widened, and then run
+    ("geometry.omega", "1.0,5.0,1.0,2.0"),
+    ("geometry.omega", "-3,2.0,1.0,2.0"),
+    ("geometry.omega", "1.0,2.0,1.5,1.5"),
+    ("geometry.omega", "2.0,1.0,1.0,2.0"),
+    ("geometry.omega", "1.0,2.0,1.0,inf")])
 def test_out_of_range_setting_rejected_before_any_output(tmp_path, capsys,
                                                          key, value):
     # each of these used to run (part of) the solve, write its output
@@ -249,11 +266,32 @@ def test_readme_documents_only_written_summary_keys(summary_keys):
     assert written == _documented_summary_keys()
 
 
+def _run_options():
+    """The option strings of the `run` subcommand, less -h/--help."""
+    sub = next(action for action in _parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {s for action in sub.choices["run"]._actions
+            for s in action.option_strings} - {"-h", "--help"}
+
+
+def test_readme_shortcuts_are_the_run_options():
+    """README's shortcut list, with `--set`, names every option of `run`
+    and nothing else."""
+    text = read(README)
+    spans = re.findall(r"`(--[^`]*)` are shortcuts", text)
+    assert len(spans) == 1
+    shortcuts = {s.strip() for s in spans[0].split("/")}
+    assert "`--set section.key=value`" in text
+    assert shortcuts | {"--set"} == _run_options()
+
+
 def test_console_script_runs_cli_main():
     tomllib = pytest.importorskip("tomllib")   # Python 3.11 and later
     with open(os.path.join(os.path.dirname(README), "pyproject.toml"),
               "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["nullctrl"]
+        project = tomllib.load(fh)["project"]
+    assert project["name"] == "nullctrl"
+    target = project["scripts"]["nullctrl"]
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is cli.main
 

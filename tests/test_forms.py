@@ -14,7 +14,7 @@ from nullctrl.mesh import build_mesh
 from nullctrl.pipeline import WeightedField
 from nullctrl.weights import WeightSet
 
-from oracles import (ConcatenatingBuilder, Poly2T,
+from oracles import (ConcatenatingBuilder, EveryKernelBuilder, Poly2T,
                      hatted_flow_constraint_oracle, heat_constraint_oracle,
                      p2_flow_spaces, peak_over_csr_bytes, reduced_vector,
                      taylor_green_flow, taylor_green_oseen, wfun)
@@ -373,40 +373,83 @@ def _random_w(spaces, ws, rng):
                          ws, weight="-")
 
 
+def _assert_same_bits(system, reference):
+    for name in _MATRICES:
+        got, want = getattr(system, name), getattr(reference, name)
+        assert got.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert system.L.tobytes() == reference.L.tobytes()
+
+
+def _computed_kernels(monkeypatch):
+    """The (target, test, trial) of every add that computes its element
+    kernel, from now on."""
+    computed = []
+    add = forms._Builder.add
+
+    def recorded(self, target, batch, test, trial, *args, **kwargs):
+        kernels = self.kernels
+        add(self, target, batch, test, trial, *args, **kwargs)
+        if self.kernels > kernels:
+            computed.append((target, test, trial))
+
+    monkeypatch.setattr(forms._Builder, "add", recorded)
+    return computed
+
+
+def test_kernel_reuse_bitwise_equal_to_every_kernel_assembly(ws,
+                                                             monkeypatch):
+    """Heat, Stokes, a single-shot Oseen system and three fixed-point passes
+    with random w, each computing every distinct element kernel once (the
+    passes reuse the kernels of the one before), have the bytes of an
+    assembly that computes every term's kernel."""
+    spaces, tg_ws, assemble = taylor_green_flow()
+    rng = np.random.default_rng(23)
+    fields = [_random_w(spaces, tg_ws, rng) for _ in range(3)]
+    builds = [_heat_assembly(ws, 5, 3), _stokes_assembly(ws),
+              taylor_green_oseen()]
+    builds += [lambda w=w: assemble(w) for w in fields]
+    fixed = forms.OseenFixedPart()
+    systems = [build() for build in builds[:3]]
+    systems += [assemble(w, fixed) for w in fields]
+    monkeypatch.setattr(forms, "_Builder", EveryKernelBuilder)
+    for system, build in zip(systems, builds, strict=True):
+        _assert_same_bits(system, build())
+
+
 def test_fixed_part_systems_bit_identical_to_fresh_assemblies(monkeypatch):
     """Passes through one OseenFixedPart (w = 0, then two random w) return
-    the matrices and load of a fresh assembly of the same w, bit for bit,
-    and count the element kernels they compute."""
+    the matrices and load of a fresh assembly of the same w, bit for bit;
+    a later pass computes only the kernels of the transport terms in w."""
     spaces, ws, assemble = taylor_green_flow()
     rng = np.random.default_rng(22)
-    einsum, kernels = np.einsum, []
-
-    def counted(spec, *operands, **kwargs):
-        kernels.append(spec == forms._ELEMENT)
-        return einsum(spec, *operands, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", counted)
+    computed = _computed_kernels(monkeypatch)
     fixed = forms.OseenFixedPart()
     first = assemble(None, fixed)
     # 54 terms in each of 8 batches, less the control-region mass of p on
-    # the 4 batches without a control-region triangle (2 terms each)
-    assert fixed.kernels == sum(kernels) == 424
-    _assert_same_matrices(first, assemble(None))
+    # the 4 batches without a control-region triangle (2 terms each), less
+    # the terms whose kernel equals an earlier one of the same target
+    assert fixed.kernels == len(computed) == 252
+    _assert_same_bits(first, assemble(None))
+    transport = {("B", ("lam", 0, "v"), ("p", 0, op))
+                 for op in ("gx", "gy", "v")}
     for _ in range(2):
         w = _random_w(spaces, ws, rng)
-        kernels.clear()
+        computed.clear()
         system = assemble(w, fixed)
-        # the 6 transport terms per batch
-        assert fixed.kernels == sum(kernels) == 48
-        _assert_same_matrices(system, assemble(w))
-        for name in ("A", "M_primal", "M_dual", "L"):
-            assert getattr(system, name) is getattr(first, name)
-        assert system.B is not first.B
+        # the 6 transport terms per batch, 3 of them distinct: the second
+        # velocity component's equal the first's
+        assert fixed.kernels == len(computed) == 24
+        assert set(computed) == transport
+        _assert_same_bits(system, assemble(w))
 
 
 def test_fixed_part_rejects_another_problem(ws, small_mesh, flow_spaces):
     """A fixed part serves only the problem it was filled for: another nu,
-    background flow or initial datum raises, and the held problem goes on."""
+    background flow or initial datum raises, and the held problem goes on,
+    here with the same w and so with every kernel reused."""
     ybar, u0 = Trajectory("taylor_green"), (0.1, 0.0)
     fixed = forms.OseenFixedPart()
 
@@ -419,64 +462,55 @@ def test_fixed_part_rejects_another_problem(ws, small_mesh, flow_spaces):
                   (1.0, ybar, (0.2, 0.0))):
         with pytest.raises(ValueError, match="another problem"):
             assemble(*other)
-    assert assemble(1.0, ybar, u0).A is first.A
+    _assert_same_bits(assemble(1.0, ybar, u0), first)
+    assert fixed.kernels == 0
 
 
-def _csr_bytes(system):
-    return system.L.nbytes + sum(
-        M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-        for M in (getattr(system, name) for name in _MATRICES))
+def _held_bytes(fixed):
+    return sum(E.nbytes for kept in fixed._builder._kept.values()
+               for E in kept.values())
 
 
-def test_fixed_part_holds_only_the_w_free_element_values(monkeypatch):
-    """The held element values are B's terms that do not read w: with the
-    terms a later pass computes they make up one assembly's B exactly, so
-    neither A nor the mass values are held.  What the first pass leaves
-    allocated besides its system stays below one assembly's B element
-    values, and a later pass leaves nothing."""
+def test_fixed_part_element_values_do_not_grow(monkeypatch):
+    """A held builder keeps the distinct element values of its last
+    assembly, those of a fresh assembly of the same w, and no more: from the
+    second pass on (the first, with w = 0, has fewer distinct transport
+    kernels) its bytes stay the same, and a pass leaves nothing else
+    allocated."""
     spaces, ws, assemble = taylor_green_flow()
     rng = np.random.default_rng(5)
-    converted, added = [], []
-    matrix, add = forms._Builder._matrix, forms._Builder.add
+    computed = []
+    kernel = forms._Builder._kernel
 
-    def recorded_matrix(self, target, *args):
-        converted.append((target, sum(E.nbytes
-                                      for E, _, _ in self._terms[target])))
-        return matrix(self, target, *args)
+    def recorded(self, *args):
+        E = kernel(self, *args)
+        computed.append(E.nbytes)
+        return E
 
-    def recorded_add(self, target, *args, **kwargs):
-        before = len(self._terms[target])
-        add(self, target, *args, **kwargs)
-        added.extend(E.nbytes for E, _, _ in self._terms[target][before:])
-
-    monkeypatch.setattr(forms._Builder, "_matrix", recorded_matrix)
-    monkeypatch.setattr(forms._Builder, "add", recorded_add)
-    assemble(_random_w(spaces, ws, rng))
-    b_bytes = dict(converted)["B"]
-    fields = [_random_w(spaces, ws, rng) for _ in range(2)]
+    monkeypatch.setattr(forms._Builder, "_kernel", recorded)
+    fields = [None] + [_random_w(spaces, ws, rng) for _ in range(3)]
+    distinct = []
+    for w in fields:
+        computed.clear()
+        assemble(w)
+        distinct.append(sum(computed))
+    held, growth = [], []
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
         fixed = forms.OseenFixedPart()
-        first = assemble(None, fixed)
-        kept = tracemalloc.get_traced_memory()[0] - start - _csr_bytes(first)
-        held, growth = [fixed.nbytes], []
         for w in fields:
-            converted.clear()
-            added.clear()
             start = tracemalloc.get_traced_memory()[0]
             system = assemble(w, fixed)
-            assert converted == [("B", b_bytes)]
             del system
             growth.append(tracemalloc.get_traced_memory()[0] - start)
-            held.append(fixed.nbytes)
-            assert fixed.nbytes + sum(added) == b_bytes
+            held.append(_held_bytes(fixed))
     finally:
         tracemalloc.stop()
-    assert held[0] == held[1] == held[2] < kept < b_bytes
-    # 36 of the 42 terms per batch; the 4 divergence-row terms are smaller
-    assert 36 / 42 - 0.05 < held[0] / b_bytes < 36 / 42 + 0.05
-    assert max(growth) < 0.01 * b_bytes
+    assert held == distinct
+    assert held[0] < held[1] == held[2] == held[3]
+    # the first pass keeps its element values and their keys
+    assert growth[0] > held[0]
+    assert max(growth[2:]) < 0.01 * held[1]
 
 
 @pytest.mark.parametrize("case", ["heat", "oseen"])

@@ -248,16 +248,17 @@ def _taylor_green_direct(outer_max):
 
 
 def test_fixed_point_bitwise_equal_to_assembling_every_pass(monkeypatch):
-    """The passes after the first assemble only the transport terms in the
-    iterate; the run keeps the bits of one that assembles every pass from
+    """The passes after the first compute only the kernels of the transport
+    terms in the iterate; the run keeps the bits of one that assembles every pass from
     scratch, and its outer log counts the element kernels of each pass."""
     cfg = _taylor_green_direct(outer_max=3)
     sol, fp = fixed_point_ns(cfg)
-    # 54 terms in each of 8 batches, less 8 control-region terms on batches
-    # without a control-region triangle; then 6 transport terms per batch
-    assert fp.kernels == [424, 48, 48]
+    # the distinct kernels: 54 terms in each of 8 batches, less 8
+    # control-region terms on batches without a control-region triangle,
+    # less those equal to an earlier one; then 3 transport terms per batch
+    assert fp.kernels == [252, 24, 24]
     outer = _tables(sol, fp)["outer_iterations.csv"]
-    assert outer["element_kernels"] == [424, 48, 48]
+    assert outer["element_kernels"] == [252, 24, 24]
     monkeypatch.setattr(pipeline, "assemble_oseen", fresh_oseen)
     ref, ref_fp = fixed_point_ns(cfg)
     assert fp.iters == ref_fp.iters == [1, 2, 3]
