@@ -440,11 +440,16 @@ class OseenFixedPart:
     def __init__(self):
         self._problem = None   # (nu, mesh, spaces, ws, ybar, y0, rule)
         self._builder = None
-        self.kernels = 0       # element kernels of the last assembly
+        self._start = 0        # the builder's kernels before the last assembly
+
+    @property
+    def kernels(self):
+        """Element kernels computed by the last assembly."""
+        return self._builder.kernels - self._start if self._builder else 0
 
     def builder(self, nu, problem):
-        """The builder, made on first use; ValueError for another nu or
-        problem (by identity)."""
+        """The builder for a new assembly, made on first use; ValueError
+        for another nu or problem (by identity)."""
         if self._builder is None:
             mesh, spaces, _, _, _, rule = problem
             self._problem = (nu,) + problem
@@ -453,6 +458,7 @@ class OseenFixedPart:
         elif nu != self._problem[0] or any(
                 a is not b for a, b in zip(problem, self._problem[1:])):
             raise ValueError("the fixed part was held for another problem")
+        self._start = self._builder.kernels
         return self._builder
 
 
@@ -476,14 +482,10 @@ def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule, fixed=None):
         bld = _Builder(mesh, spaces, FLOW_FIELDS, rule)
     else:
         bld = fixed.builder(nu, (mesh, spaces, ws, ybar, y0, rule))
-    kernels = bld.kernels
     for batch in bld.asm.batches():
         _flow_batch(bld, batch, ws, nu, ybar, w)
     bld.add_initial_datum(ws, y0)
-    system = bld.finish()
-    if fixed is not None:
-        fixed.kernels = bld.kernels - kernels
-    return system
+    return bld.finish()
 
 
 def assemble_stokes(mesh, spaces, ws: WeightSet, nu, y0,
