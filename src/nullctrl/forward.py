@@ -7,18 +7,22 @@ rather than tautology.  The only shared interface is the control field: a
 solver picks its own quadrature points X, calls control.at(X) once, and gets
 back a function t -> pointwise control values at X.
 
-The heat solver factorizes each theta of its schedule once.  The flow solver
-holds one factorization for the whole run: its step matrices are refilled in
-place on a fixed sparsity pattern, each step is solved by GMRES
-preconditioned with the held LU and stopped on the true residual of the
-step's own system, and the step's matrix is refactorized at the switch of
-time scheme and when GMRES fails or needs more than a few iterations.
+Heat, Stokes and Navier-Stokes share one discretization class and one
+time loop: one P2 field for heat, two velocity components plus P1 pressure
+rows for a flow.  The step matrices are refilled in place on the mass
+matrix's sparsity pattern, only when theta or the operator changes (every
+step under Navier-Stokes convection).  One factorization is held for the
+whole run: each step is solved with it, checked on the true residual of the
+step's own system, and handed to GMRES preconditioned with the held LU when
+that check fails; the step's matrix is refactorized at the switch of time
+scheme and when GMRES fails or needs more than a few iterations.
 Nothing is imported from the space-time solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -215,8 +219,9 @@ class SpatialGrid:
 
 
 # ---------------------------------------------------------------------------
-# shared core: element table, assembly, control binding, step schedule; the
-# solvers differ only in the PDE operator, Dirichlet data and state norm
+# one discretization and one theta-scheme time loop for every problem; the
+# solvers differ only in the step operator, the field count and the
+# Dirichlet data
 # ---------------------------------------------------------------------------
 
 def _matrix(rconn, cconn, E):
@@ -228,17 +233,29 @@ def _matrix(rconn, cconn, E):
     return sp.coo_matrix((E.ravel(), (rows, cols)), shape=shape).tocsr()
 
 
-class _Elements:
-    """P2 element table of the grid for one Gauss rule of npts points.
+class _StepMatrices:
+    """P2 element table and theta-scheme step matrices of one problem.
 
-    X are the physical quadrature points (ntri, Q, 2), w the weights times
-    |det J| (ntri, Q), lam the barycentric coordinates of the rule's points
-    (Q, 3), v the P2 values (Q, 6), g the physical P2 gradients
-    (ntri, Q, 6, 2); M and K are the P2 mass and stiffness matrices.
+    The state has `fields` P2 fields: one for heat; two velocity components
+    for a flow, whose step system adds the P1 pressure rows.  X are the
+    physical quadrature points (ntri, Q, 2) of the Gauss rule of npts
+    points, w the weights times |det J| (ntri, Q), lam the barycentric
+    coordinates of the rule's points (Q, 3), v the P2 values (Q, 6), g the
+    physical P2 gradients (ntri, Q, 6, 2); M and K are the P2 mass and
+    stiffness matrices.  A flow also has the divergence blocks, split into
+    interior columns Dint (both components side by side) and boundary
+    columns Db[c], and the zero-mean pressure constraint row pmean.
+
+    The step matrices live on M's own canonical CSR pattern, which K shares
+    (both sum the same element entries), so Mv and Kv are M.data and
+    K.data.  `lhs` (M/dt + theta S), `rhs_op` (M/dt - (1-theta) S) and the
+    step's system `kkt` (the interior dofs of every field, then for a flow
+    the full pressure and the mean row) are built once; `refill` rewrites
+    their values in place.
     """
 
-    def __init__(self, grid, npts):
-        self.grid = grid
+    def __init__(self, grid, npts, fields):
+        self.grid, self.fields = grid, fields
         qp, qw, self.X = grid.quad_points(npts)
         self.lam = np.column_stack([1 - qp[:, 0] - qp[:, 1], qp])
         self.v = _p2_shape(self.lam)
@@ -253,23 +270,123 @@ class _Elements:
                          np.einsum("tq,qi,qj->tij", self.w, self.v, self.v))
         self.K = _matrix(self.conn, self.conn,
                          np.einsum("tq,tqid,tqjd->tij", self.w, self.g, self.g))
+        self.Mv, self.Kv = self.M.data, self.K.data
+
+        n = len(self.nodes)
+
+        def on_pattern(data):
+            """CSR matrix sharing M's index arrays."""
+            return sp.csr_matrix((data, self.M.indices, self.M.indptr),
+                                 shape=(n, n))
+
+        self.lhs = on_pattern(np.zeros(self.M.nnz))
+        self.rhs_op = on_pattern(np.zeros(self.M.nnz))
+        # the field blocks carry each entry's pattern position plus one;
+        # they fill the step system's leading corner, which holds nothing
+        # else
+        tag = on_pattern(np.arange(1.0, self.M.nnz + 1))[self.interior][
+            :, self.interior]
+        blocks = sp.block_diag((tag,) * fields)
+        if fields == 1:
+            self.kkt = blocks.tocsc()
+        else:
+            conn1 = grid.conn(1)
+            # rows pressure, cols velocity component c; the P1 values are
+            # lam
+            D = [_matrix(conn1, self.conn,
+                         np.einsum("tq,qi,tqjc->tij", self.w, self.lam,
+                                   self.g[..., c:c + 1]).squeeze())
+                 for c in range(2)]
+            self.Dint = sp.hstack([D[0][:, self.interior],
+                                   D[1][:, self.interior]]).tocsr()
+            self.Db = [Dc[:, self.bdry] for Dc in D]
+            self.pmean = np.zeros(conn1.max() + 1)
+            np.add.at(self.pmean, conn1,
+                      np.einsum("tq,qi->ti", self.w, self.lam))
+            self.kkt = sp.bmat([[blocks, self.Dint.T, None],
+                                [self.Dint, None, self.pmean[:, None]],
+                                [None, self.pmean[None, :], None]],
+                               format="csc")
+        nv = fields * len(self.interior)
+        kcol = np.repeat(np.arange(self.kkt.shape[1]),
+                         np.diff(self.kkt.indptr))
+        self.field_entries = np.flatnonzero((self.kkt.indices < nv)
+                                            & (kcol < nv))
+        self.source = self.kkt.data[self.field_entries].astype(np.intp) - 1
 
     def bind(self, control, box):
-        """(w, conn, v_at, norm) on the triangles in box: their weights and
-        connectivity, control.at bound once to their quadrature points, and
-        t -> the control's L2 norm over them (0 without a control)."""
-        keep = self.grid.tris_in(box)
-        w = self.w[keep]
+        """(load, norm) of a control on the triangles in box: t -> its load
+        vector (n, fields) and t -> its L2 norm over them, both zero without
+        a control.  control.at is bound once to their quadrature points.
+        Raises ValueError when a control is given and no triangle of the
+        grid has its centroid in box, since the run would then verify a
+        zero control."""
+        n, keep = len(self.nodes), self.grid.tris_in(box)
+        if control is not None and len(keep) == 0:
+            raise ValueError(
+                f"no triangle of the {self.grid.nx}x{self.grid.ny} "
+                f"verification grid has its centroid in the control region "
+                f"{tuple(box)}; refine the verification grid")
+        w, conn = self.w[keep], self.conn[keep]
         v_at = None if control is None else control.at(self.X[keep])
+
+        def values(t):
+            return np.asarray(v_at(t), dtype=float).reshape(
+                w.shape + (self.fields,))
+
+        def load(t):
+            out = np.zeros((n, self.fields))
+            if v_at is not None:
+                np.add.at(out, conn, np.einsum("tqc,qi->tic",
+                                               w[..., None] * values(t),
+                                               self.v))
+            return out
 
         def norm(t):
             if v_at is None:
                 return 0.0
-            v = np.asarray(v_at(t), dtype=float)
-            wv = w.reshape(w.shape + (1,) * (v.ndim - w.ndim))
-            return float(np.sqrt(max((wv * v * v).sum(), 0.0)))
+            v = values(t)
+            return float(np.sqrt(max((w[..., None] * v * v).sum(), 0.0)))
 
-        return w, self.conn[keep], v_at, norm
+        return load, norm
+
+    @cached_property
+    def pos(self):
+        """Each element entry's position in the pattern (ntri * 36,)."""
+        n = len(self.nodes)
+        rows = np.repeat(np.arange(n), np.diff(self.M.indptr))
+        entries = self.conn[:, :, None] * n + self.conn[:, None, :]
+        return np.searchsorted(rows * n + self.M.indices, entries.ravel())
+
+    def convection(self, adv):
+        """(adv . grad) u . v for a P2 vector field adv (n2, 2), as values
+        on the pattern: rows test functions, columns trial functions."""
+        a = np.matmul(self.v, adv[self.conn])                # (ntri, Q, 2)
+        b = np.matmul(self.g, a[..., None])[..., 0]          # (ntri, Q, 6)
+        E = np.matmul(self.v.T, self.w[..., None] * b)       # (ntri, 6, 6)
+        return np.bincount(self.pos, weights=E.ravel(),
+                           minlength=self.M.nnz)
+
+    def refill(self, dt, theta, S):
+        """Write one step's matrices for S on the pattern: M/dt + theta S
+        into lhs and the step system's field blocks, M/dt - (1-theta) S
+        into rhs_op."""
+        np.add(self.Mv / dt, theta * S, out=self.lhs.data)
+        np.subtract(self.Mv / dt, (1.0 - theta) * S, out=self.rhs_op.data)
+        self.kkt.data[self.field_entries] = self.lhs.data[self.source]
+
+    def divergence_residual(self, u):
+        """|div u|_L2 relative to |grad u|_L2."""
+        gu = np.einsum("tic,tqid->tqcd", u[self.conn], self.g)
+        div = gu[..., 0, 0] + gu[..., 1, 1]
+        nrm = np.einsum("tq,tqcd,tqcd->", self.w, gu, gu)
+        dd = np.einsum("tq,tq,tq->", self.w, div, div)
+        return float(np.sqrt(max(dd, 0.0) / max(nrm, 1e-300)))
+
+    def norm(self, u):
+        """L2 norm of the P2 fields u (n2, fields)."""
+        return float(np.sqrt(max(sum(u[:, c] @ (self.M @ u[:, c])
+                                     for c in range(self.fields)), 0.0)))
 
 
 _STARTUP_STEPS = 2
@@ -293,168 +410,9 @@ def _nodal(y0, nodes, shape):
     """Initial nodal values from a callable of the node coordinates or a
     constant (a scalar, or one value per velocity component)."""
     y = np.empty(shape)
-    y[...] = y0(nodes) if callable(y0) else np.asarray(y0, dtype=float)
+    y[...] = (np.reshape(y0(nodes), shape) if callable(y0)
+              else np.asarray(y0, dtype=float))
     return y
-
-
-# ---------------------------------------------------------------------------
-# Crank-Nicolson heat solver
-# ---------------------------------------------------------------------------
-
-def heat_forward_cn(grid: SpatialGrid, y0, G, control, T, nt_fwd,
-                    omega_box=None):
-    """theta = 1/2 stepping of the controlled reaction-diffusion problem.
-
-    y_t - Lap y + G y = v 1_omega with homogeneous Dirichlet data; y0 is a
-    scalar or a callable of the node coordinates and G a constant; control
-    is None or a field whose control.at(X) returns t -> values at the points
-    X, supported in the control region.  Steps follow `_steps`; each theta
-    is factorized when the schedule reaches it, and only the current
-    theta's factorization is held.
-    Returns the norm history and the final coefficient vector.
-    """
-    el = _Elements(grid, 6)
-    M, interior = el.M, el.interior
-    S = el.K + float(G) * M
-    n = len(el.nodes)
-    y = _nodal(y0, el.nodes, n)
-    y[el.bdry] = 0.0
-
-    dt = T / nt_fwd
-
-    def operators(theta):
-        """The factorized interior M/dt + theta S and M/dt - (1-theta) S."""
-        lhs = (M / dt + theta * S).tocsc()[interior][:, interior]
-        return (spla.factorized(lhs.tocsc()),
-                (M / dt - (1.0 - theta) * S).tocsr())
-
-    w, conn, v_at, control_norm = el.bind(control, omega_box)
-
-    def control_load(t):
-        out = np.zeros(n)
-        if control is not None:
-            np.add.at(out, conn, np.einsum("tq,qi->ti", w * v_at(t), el.v))
-        return out
-
-    times, steps = _steps(T, nt_fwd)
-    state_norms = [float(np.sqrt(max(y @ (M @ y), 0.0)))]
-    control_norms = [control_norm(0.0)]
-    current = None
-    factorizations = 0
-    for theta, t_load, t_new in steps:
-        if theta != current:
-            # one factorization at a time: the startup one is dropped
-            # before the next theta is factorized
-            solve = rhs_op = None
-            solve, rhs_op = operators(theta)
-            current = theta
-            factorizations += 1
-        b = (rhs_op @ y)[interior] + control_load(t_load)[interior]
-        y = np.zeros(n)
-        y[interior] = solve(b)
-        state_norms.append(float(np.sqrt(max(y @ (M @ y), 0.0))))
-        control_norms.append(control_norm(t_new))
-    hist = NormHistory(times=times, control_norms=np.array(control_norms),
-                       state_norms=np.array(state_norms),
-                       factorizations=factorizations)
-    return hist, y
-
-
-# ---------------------------------------------------------------------------
-# incompressible flow solver (Taylor-Hood, semi-implicit convection)
-# ---------------------------------------------------------------------------
-
-class _TaylorHood(_Elements):
-    """P2 velocity / P1 pressure operators on the grid: the P2 table on the
-    7-point rule plus the divergence blocks, split into interior columns
-    Dint (both components side by side) and boundary columns Db[c], and the
-    zero-mean pressure constraint row.
-
-    The step matrices live on one fixed pattern, the P2 conn x conn sparsity
-    in canonical CSR, found once per grid together with each element
-    entry's position `pos` in it.  M and K are read onto the pattern as Mv
-    and Kv.  `lhs` (M/dt + theta S), `rhs_op` (M/dt - (1-theta) S) and the
-    step's KKT matrix `kkt` (interior velocity dofs of both components,
-    full pressure, mean row) are built once; `refill` rewrites their values
-    in place.
-    """
-
-    def __init__(self, grid):
-        super().__init__(grid, 7)
-        conn1 = grid.conn(1)
-        # rows pressure, cols velocity component c; the P1 values are lam
-        D = [_matrix(conn1, self.conn,
-                     np.einsum("tq,qi,tqjc->tij", self.w, self.lam,
-                               self.g[..., c:c + 1]).squeeze())
-             for c in range(2)]
-        self.Dint = sp.hstack([D[0][:, self.interior],
-                               D[1][:, self.interior]]).tocsr()
-        self.Db = [Dc[:, self.bdry] for Dc in D]
-        self.pmean = np.zeros(conn1.max() + 1)
-        np.add.at(self.pmean, conn1, np.einsum("tq,qi->ti", self.w, self.lam))
-
-        n, k = len(self.nodes), self.conn.shape[1]
-        rows = np.broadcast_to(self.conn[:, :, None], (len(self.conn), k, k))
-        cols = np.broadcast_to(self.conn[:, None, :], rows.shape)
-        keys, self.pos = np.unique((rows * n + cols).ravel(),
-                                   return_inverse=True)
-        prow, pcol = np.divmod(keys, n)
-        self.nnz = len(keys)
-        self.Mv = np.asarray(self.M[prow, pcol]).ravel()
-        self.Kv = np.asarray(self.K[prow, pcol]).ravel()
-
-        self.lhs = sp.csr_matrix((np.zeros(self.nnz), pcol,
-                                  np.searchsorted(prow, np.arange(n + 1))),
-                                 shape=(n, n))
-
-        def on_pattern(data):
-            """CSR matrix sharing lhs's index arrays."""
-            return sp.csr_matrix((data, self.lhs.indices, self.lhs.indptr),
-                                 shape=(n, n))
-
-        self.rhs_op = on_pattern(np.zeros(self.nnz))
-        # the velocity blocks carry each entry's pattern position plus one;
-        # they fill the KKT matrix's leading 2 ni x 2 ni corner, which holds
-        # nothing else
-        tag = on_pattern(np.arange(1.0, self.nnz + 1))[self.interior][
-            :, self.interior]
-        self.kkt = sp.bmat([[sp.block_diag((tag, tag)), self.Dint.T, None],
-                            [self.Dint, None, self.pmean[:, None]],
-                            [None, self.pmean[None, :], None]], format="csc")
-        nv = 2 * len(self.interior)
-        kcol = np.repeat(np.arange(self.kkt.shape[1]),
-                         np.diff(self.kkt.indptr))
-        self.velocity = np.flatnonzero((self.kkt.indices < nv) & (kcol < nv))
-        self.source = self.kkt.data[self.velocity].astype(np.intp) - 1
-
-    def convection(self, adv):
-        """(adv . grad) u . v for a P2 vector field adv (n2, 2), as values
-        on the pattern: rows test functions, columns trial functions."""
-        a = np.matmul(self.v, adv[self.conn])                # (ntri, Q, 2)
-        b = np.matmul(self.g, a[..., None])[..., 0]          # (ntri, Q, 6)
-        E = np.matmul(self.v.T, self.w[..., None] * b)       # (ntri, 6, 6)
-        return np.bincount(self.pos, weights=E.ravel(), minlength=self.nnz)
-
-    def refill(self, dt, theta, S):
-        """Write one step's matrices for S on the pattern: M/dt + theta S
-        into lhs and the KKT velocity blocks, M/dt - (1-theta) S into
-        rhs_op."""
-        np.add(self.Mv / dt, theta * S, out=self.lhs.data)
-        np.subtract(self.Mv / dt, (1.0 - theta) * S, out=self.rhs_op.data)
-        self.kkt.data[self.velocity] = self.lhs.data[self.source]
-
-    def divergence_residual(self, u):
-        """|div u|_L2 relative to |grad u|_L2."""
-        gu = np.einsum("tic,tqid->tqcd", u[self.conn], self.g)
-        div = gu[..., 0, 0] + gu[..., 1, 1]
-        nrm = np.einsum("tq,tqcd,tqcd->", self.w, gu, gu)
-        dd = np.einsum("tq,tq,tq->", self.w, div, div)
-        return float(np.sqrt(max(dd, 0.0) / max(nrm, 1e-300)))
-
-    def norm(self, u):
-        """L2 norm of a P2 vector field (n2, 2)."""
-        return float(np.sqrt(sum(u[:, c] @ (self.M @ u[:, c])
-                                 for c in range(2))))
 
 
 _GMRES_RTOL = 1e-12     # true residual, relative to the right-hand side
@@ -508,10 +466,105 @@ class _HeldFactorization:
         return x
 
 
+def _march(st, y0, S, control, omega_box, T, nt_fwd, trajectory=None):
+    """Theta-scheme steps of M y' + S y = control load on st's fields.
+
+    S are the operator's values on st's pattern.  Without a trajectory the
+    Dirichlet data are zero and the step matrices are refilled only when
+    theta changes; with one, its values on the boundary are the data, and
+    every step adds the convection by the state extrapolated from the two
+    previous levels to S.  Steps follow `_steps`; each step's system is
+    solved through one `_HeldFactorization`, refactorized at the theta
+    switch.  Returns the norm history, with ||y - ybar|| as the state norm
+    (ybar the trajectory, or 0) and for a flow the largest divergence
+    residual over the steps, and the final coefficients (n, fields).
+    """
+    nodes, bdry, interior = st.nodes, st.bdry, st.interior
+    n, ni, nf = len(nodes), len(interior), st.fields
+
+    def wall(t):
+        """Reference state at the nodes; its boundary values are the data."""
+        if trajectory is None:
+            return np.zeros((n, nf))
+        return np.asarray(trajectory(nodes, t), dtype=float)
+
+    ybar = wall(0.0)
+    y = _nodal(y0, nodes, (n, nf))
+    y[bdry] = ybar[bdry]
+    load, control_norm = st.bind(control, omega_box)
+
+    dt = T / nt_fwd
+    times, steps = _steps(T, nt_fwd)
+    state_norms = [st.norm(y - ybar)]
+    control_norms = [control_norm(0.0)]
+    max_div = 0.0
+    y_prev = y
+    solve = _HeldFactorization()
+    for k, (theta, t_load, t_new) in enumerate(steps):
+        switch = k > 0 and theta != steps[k - 1][0]
+        if trajectory is not None:
+            st.refill(dt, theta,
+                      S + st.convection(1.5 * y - 0.5 * y_prev if k > 0
+                                        else y))
+        elif k == 0 or switch:
+            st.refill(dt, theta, S)
+        if switch:
+            # the new theta's matrix is a multiple of S away from the held
+            # LU's for the rest of the run; where GMRES absorbs that in a
+            # few iterations (Stokes with steps of 1/5 or longer), it would
+            # pay them again at every later step
+            solve.refactor(st.kkt)
+        ybar = wall(t_new)
+        g = np.zeros((n, nf))
+        g[bdry] = ybar[bdry]
+        rhs = st.rhs_op @ y + load(t_load)
+        if trajectory is not None:
+            # known boundary values at t_new move to the right side
+            rhs = rhs - st.lhs @ g
+        parts = [rhs[interior, c] for c in range(nf)]
+        if nf == 2:
+            parts += [-(st.Db[0] @ g[bdry, 0] + st.Db[1] @ g[bdry, 1]), [0.0]]
+        sol = solve(st.kkt, np.concatenate(parts))
+        y_prev = y
+        y = g
+        for c in range(nf):
+            y[interior, c] = sol[c * ni:(c + 1) * ni]
+        state_norms.append(st.norm(y - ybar))
+        control_norms.append(control_norm(t_new))
+        if nf == 2:
+            max_div = max(max_div, st.divergence_residual(y))
+
+    hist = NormHistory(times=times, control_norms=np.array(control_norms),
+                       state_norms=np.array(state_norms),
+                       divergence_residual=max_div if nf == 2 else None,
+                       factorizations=solve.factorizations,
+                       gmres_iterations=solve.gmres_iterations)
+    return hist, y
+
+
+def heat_forward_cn(grid: SpatialGrid, y0, G, control, T, nt_fwd,
+                    omega_box=None):
+    """Theta-scheme stepping of the controlled reaction-diffusion problem:
+    _STARTUP_STEPS backward-Euler steps, then Crank-Nicolson (`_steps`).
+
+    y_t - Lap y + G y = v 1_omega with homogeneous Dirichlet data on one P2
+    field; y0 is a scalar or a callable of the node coordinates and G a
+    constant; control is None or a field whose control.at(X) returns t ->
+    values at the points X, supported in the control region.  Every step
+    goes through `_march`'s held factorization.  Returns the norm history
+    and the final coefficient vector.
+    """
+    st = _StepMatrices(grid, 6, fields=1)
+    hist, y = _march(st, y0, st.Kv + float(G) * st.Mv, control, omega_box,
+                     T, nt_fwd)
+    return hist, y[:, 0]
+
+
 def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
                  omega_box=None):
     """Velocity/pressure stepping of the (Navier-)Stokes momentum balance.
 
+    Taylor-Hood: two P2 velocity components and P1 pressure.
     trajectory=None is the Stokes problem with no-slip walls and no
     convection.  Otherwise the velocity's Dirichlet data come from the
     trajectory and the convecting field is extrapolated from the previous
@@ -519,78 +572,13 @@ def flow_forward(grid: SpatialGrid, nu, y0, control, trajectory, T, nt_fwd,
     the divergence constraint is enforced at the new time level with a
     zero-mean pressure.
 
-    Every step refills the step matrices on `_TaylorHood`'s fixed pattern
-    and solves its KKT system through one held factorization
-    (`_HeldFactorization`): GMRES preconditioned by it stops on the true
-    residual of the step's own matrix, at _GMRES_RTOL, and the step's matrix
-    is refactorized when GMRES fails or needs more than _REFACTOR_AFTER
-    iterations.  The theta switch refactorizes before its step is solved.
-    Returns the norm history, with ||y - ybar|| (ybar = 0 for Stokes) as
-    the state norm and the factorization and GMRES iteration counts, and
-    the final velocity coefficients.
+    Each step's KKT system is solved through `_march`'s held factorization
+    (`_HeldFactorization`), refactorized at the theta switch and when GMRES
+    on it fails or needs more than _REFACTOR_AFTER iterations.  Returns the
+    norm history, with ||y - ybar|| (ybar = 0 for Stokes) as the state norm
+    and the factorization and GMRES iteration counts, and the final
+    velocity coefficients.
     """
-    th = _TaylorHood(grid)
-    nodes, bdry, interior = th.nodes, th.bdry, th.interior
-    n, ni = len(nodes), len(interior)
-
-    def wall(t):
-        """Reference flow at the nodes; its boundary values are the data."""
-        if trajectory is None:
-            return np.zeros((n, 2))
-        return np.asarray(trajectory(nodes, t), dtype=float)
-
-    ybar = wall(0.0)
-    y = _nodal(y0, nodes, (n, 2))
-    y[bdry] = ybar[bdry]
-
-    w, conn, v_at, control_norm = th.bind(control, omega_box)
-
-    def control_load(t):
-        out = np.zeros((n, 2))
-        if control is not None:
-            v = np.asarray(v_at(t), dtype=float)
-            np.add.at(out, conn, np.einsum("tq,tqc,qi->tic", w, v, th.v))
-        return out
-
-    dt = T / nt_fwd
-    times, steps = _steps(T, nt_fwd)
-    state_norms = [th.norm(y - ybar)]
-    control_norms = [control_norm(0.0)]
-    max_div = 0.0
-    y_prev = y
-    viscous = nu * th.Kv
-    solve = _HeldFactorization()
-    for k, (theta, t_load, t_new) in enumerate(steps):
-        S = viscous
-        if trajectory is not None:
-            S = S + th.convection(1.5 * y - 0.5 * y_prev if k > 0 else y)
-        th.refill(dt, theta, S)
-        if k > 0 and theta != steps[k - 1][0]:
-            # the new theta's matrix is a multiple of S away from the held
-            # LU's for the rest of the run; where GMRES absorbs that in a
-            # few iterations (Stokes with steps of 1/5 or longer), it would
-            # pay them again at every later step
-            solve.refactor(th.kkt)
-        # known boundary values at t_new move to the right side
-        ybar = wall(t_new)
-        g = np.zeros((n, 2))
-        g[bdry] = ybar[bdry]
-        rhs_v = (th.rhs_op @ y + control_load(t_load) - th.lhs @ g)[interior]
-        rhs = np.concatenate([rhs_v[:, 0], rhs_v[:, 1],
-                              -(th.Db[0] @ g[bdry, 0] + th.Db[1] @ g[bdry, 1]),
-                              [0.0]])
-        sol = solve(th.kkt, rhs)
-        y_prev = y
-        y = g
-        y[interior, 0] = sol[:ni]
-        y[interior, 1] = sol[ni:2 * ni]
-        state_norms.append(th.norm(y - ybar))
-        control_norms.append(control_norm(t_new))
-        max_div = max(max_div, th.divergence_residual(y))
-
-    hist = NormHistory(times=times, control_norms=np.array(control_norms),
-                       state_norms=np.array(state_norms),
-                       divergence_residual=max_div,
-                       factorizations=solve.factorizations,
-                       gmres_iterations=solve.gmres_iterations)
-    return hist, y
+    st = _StepMatrices(grid, 7, fields=2)
+    return _march(st, y0, nu * st.Kv, control, omega_box, T, nt_fwd,
+                  trajectory)

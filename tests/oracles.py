@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 from nullctrl.fem import Assembler, build_space
 from nullctrl.forms import _Builder, assemble_oseen
 from nullctrl.forward import (NormHistory, Trajectory, _matrix, _nodal,
-                              _steps, _TaylorHood)
+                              _StepMatrices, _steps)
 from nullctrl.mesh import build_mesh
 from nullctrl.weights import WeightSet
 
@@ -347,24 +347,76 @@ def einsum_convection(th, adv):
 
 
 def bmat_step_operators(th, dt, theta, Sop):
-    """One flow step's operators built from scratch: M/dt - (1-theta) Sop,
-    the interior rows' boundary columns of M/dt + theta Sop, and the KKT
-    matrix of interior velocity dofs of both components, full pressure
-    and mean row."""
+    """One step's operators built from scratch: M/dt - (1-theta) Sop, the
+    interior rows' boundary columns of M/dt + theta Sop, and the step
+    system: the interior block for one field; for a flow the KKT matrix of
+    interior velocity dofs of both components, full pressure and mean
+    row."""
     Ai = (th.M / dt + theta * Sop).tocsr()[th.interior]
     Aii = Ai[:, th.interior]
-    KKT = sp.bmat([[sp.bmat([[Aii, None], [None, Aii]], format="csr"),
-                    th.Dint.T, None],
-                   [th.Dint, None, th.pmean[:, None]],
-                   [None, th.pmean[None, :], None]], format="csc")
+    if th.fields == 1:
+        KKT = Aii.tocsc()
+    else:
+        KKT = sp.bmat([[sp.bmat([[Aii, None], [None, Aii]], format="csr"),
+                        th.Dint.T, None],
+                       [th.Dint, None, th.pmean[:, None]],
+                       [None, th.pmean[None, :], None]], format="csc")
     return th.M / dt - (1.0 - theta) * Sop, Ai[:, th.bdry], KKT
+
+
+def fresh_heat_forward(grid, y0, G, control, T, nt_fwd, omega_box=None):
+    """`forward.heat_forward_cn` as a loop of its own: each theta of the
+    schedule factorized afresh from sparse sums of M and K when the
+    schedule reaches it, and every step solved directly with it."""
+    el = _StepMatrices(grid, 6, fields=1)
+    M, interior = el.M, el.interior
+    S = el.K + float(G) * M
+    n = len(el.nodes)
+    y = _nodal(y0, el.nodes, (n, 1))[:, 0]
+    y[el.bdry] = 0.0
+    dt = T / nt_fwd
+    keep = grid.tris_in(omega_box)
+    w, conn = el.w[keep], el.conn[keep]
+    v_at = None if control is None else control.at(el.X[keep])
+
+    def control_load(t):
+        out = np.zeros(n)
+        if v_at is not None:
+            np.add.at(out, conn, np.einsum("tq,qi->ti", w * v_at(t), el.v))
+        return out
+
+    def control_norm(t):
+        if v_at is None:
+            return 0.0
+        v = v_at(t)
+        return float(np.sqrt(max((w * v * v).sum(), 0.0)))
+
+    times, steps = _steps(T, nt_fwd)
+    state_norms = [float(np.sqrt(max(y @ (M @ y), 0.0)))]
+    control_norms = [control_norm(0.0)]
+    current, factorizations = None, 0
+    for theta, t_load, t_new in steps:
+        if theta != current:
+            lhs = (M / dt + theta * S).tocsc()[interior][:, interior]
+            solve = spla.factorized(lhs.tocsc())
+            rhs_op = (M / dt - (1.0 - theta) * S).tocsr()
+            current = theta
+            factorizations += 1
+        b = (rhs_op @ y)[interior] + control_load(t_load)[interior]
+        y = np.zeros(n)
+        y[interior] = solve(b)
+        state_norms.append(float(np.sqrt(max(y @ (M @ y), 0.0))))
+        control_norms.append(control_norm(t_new))
+    return NormHistory(times=times, control_norms=np.array(control_norms),
+                       state_norms=np.array(state_norms),
+                       factorizations=factorizations), y
 
 
 def fresh_flow_forward(grid, nu, y0, control, trajectory, T, nt_fwd,
                        omega_box=None):
     """`forward.flow_forward` with a fresh factorization of every step's own
     matrix, assembled from scratch, and a direct solve with it."""
-    th = _TaylorHood(grid)
+    th = _StepMatrices(grid, 7, fields=2)
     nodes, bdry, interior = th.nodes, th.bdry, th.interior
     n, ni = len(nodes), len(interior)
 
@@ -376,14 +428,7 @@ def fresh_flow_forward(grid, nu, y0, control, trajectory, T, nt_fwd,
     ybar = wall(0.0)
     y = _nodal(y0, nodes, (n, 2))
     y[bdry] = ybar[bdry]
-    w, conn, v_at, control_norm = th.bind(control, omega_box)
-
-    def control_load(t):
-        out = np.zeros((n, 2))
-        if control is not None:
-            v = np.asarray(v_at(t), dtype=float)
-            np.add.at(out, conn, np.einsum("tq,tqc,qi->tic", w, v, th.v))
-        return out
+    control_load, control_norm = th.bind(control, omega_box)
 
     dt = T / nt_fwd
     times, steps = _steps(T, nt_fwd)

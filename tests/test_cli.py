@@ -348,6 +348,24 @@ def test_failing_solve_prints_traceback(tmp_path, monkeypatch, capsys):
     assert err.strip().splitlines()[-1].startswith("error: solver:")
 
 
+@pytest.mark.parametrize("preset", ["heat-sec26", "stokes-sec37"])
+def test_control_region_off_the_verification_grid_fails(tmp_path, capsys,
+                                                        preset):
+    # the control region snaps to (1/3, 2/3)^2 on the 3x3 mesh, where no
+    # triangle of a 2x2 verification grid has its centroid: the run fails
+    # rather than verify a zero control
+    out = tmp_path / "run"
+    rc = run(["run", preset, "--set", "mesh.nx=3", "--set", "mesh.ny=3",
+              "--set", "mesh.nt=3", "--set", "solver.method=direct",
+              "--set", "verify.nx=2", "--set", "verify.ny=2",
+              "--set", "verify.nt=10", "--out", str(out)])
+    assert rc == 1
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("error: solver:")
+    assert "control region" in last
+    assert not (out / "norms.csv").exists()
+
+
 def test_import_starts_no_thread():
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -1,5 +1,9 @@
 """Forward verification solvers: analytic benchmarks and exactness checks."""
 
+import contextlib
+import io
+import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +14,10 @@ from nullctrl.forward import (SpatialGrid, Trajectory, curl_perturbation,
                               flow_forward, heat_forward_cn)
 
 from oracles import (bmat_step_operators, einsum_convection, fd_divergence,
-                     fresh_flow_forward)
+                     fresh_flow_forward, fresh_heat_forward)
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench")
 
 
 def sin_mode(X):
@@ -179,19 +186,24 @@ def test_stokes_theta_switch_refactorizes():
 
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 def test_step_matrix_refill_matches_bmat(theta):
+    # two fields are the Taylor-Hood step, one the heat step; the
+    # convection is the same scalar operator in either
     grid = SpatialGrid(5, 4, np.pi, 2.0)
-    th = forward._TaylorHood(grid)
-    adv = np.random.default_rng(3).standard_normal((len(th.nodes), 2))
-    dt, nu = 0.05, 0.7
-    th.refill(dt, theta, nu * th.Kv + th.convection(adv))
-    rhs_op, Aib, KKT = bmat_step_operators(
-        th, dt, theta, nu * th.K + einsum_convection(th, adv))
-    # every entry within 1e-14 of the matrix's largest: an entry where
-    # M/dt and theta S nearly cancel keeps only the sum's absolute accuracy
-    for new, ref in ((th.kkt, KKT), (th.rhs_op, rhs_op),
-                     (th.lhs[th.interior][:, th.bdry], Aib)):
-        new, ref = new.toarray(), ref.toarray()
-        assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
+    for npts, fields in ((7, 2), (6, 1)):
+        th = forward._StepMatrices(grid, npts, fields)
+        adv = np.random.default_rng(3).standard_normal((len(th.nodes), 2))
+        dt, nu = 0.05, 0.7
+        th.refill(dt, theta, nu * th.Kv + th.convection(adv))
+        rhs_op, Aib, KKT = bmat_step_operators(
+            th, dt, theta, nu * th.K + einsum_convection(th, adv))
+        # every entry within 1e-14 of the matrix's largest: an entry where
+        # M/dt and theta S nearly cancel keeps only the sum's absolute
+        # accuracy
+        for new, ref in ((th.kkt, KKT), (th.rhs_op, rhs_op),
+                         (th.lhs[th.interior][:, th.bdry], Aib)):
+            new, ref = new.toarray(), ref.toarray()
+            assert new.shape == ref.shape
+            assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _stokes_flow(forward_solver):
@@ -223,6 +235,134 @@ def test_reuse_matches_fresh_factorization(flow):
     assert hist.divergence_residual == pytest.approx(
         ref.divergence_residual, rel=1e-11)
     assert np.allclose(y, y_ref, rtol=0.0, atol=1e-11 * np.abs(y_ref).max())
+
+
+def _heat_flow(forward_solver, control=None):
+    # constant data against homogeneous walls, with or without a control
+    box = (0.25, 0.75, 0.25, 0.5)
+    return forward_solver(SpatialGrid(8, 8, 1.0, 1.0), 2.0, 1.0, control,
+                          0.5, 9, omega_box=box)
+
+
+@pytest.mark.parametrize("control", [None, ConstantControl(-3.0)])
+def test_heat_matches_per_theta_factorization(control):
+    hist, y = _heat_flow(heat_forward_cn, control)
+    ref, y_ref = _heat_flow(fresh_heat_forward, control)
+    assert hist.factorizations == ref.factorizations == 2
+    assert hist.gmres_iterations == 0
+    assert hist.divergence_residual is None
+    assert np.allclose(hist.control_norms, ref.control_norms, rtol=1e-11,
+                       atol=0.0)
+    assert np.allclose(hist.state_norms, ref.state_norms, rtol=1e-11,
+                       atol=0.0)
+    assert y.shape == y_ref.shape
+    assert np.allclose(y, y_ref, rtol=0.0, atol=1e-11 * np.abs(y_ref).max())
+
+
+@pytest.mark.parametrize("nx, ny, L, npts, fields", [
+    (32, 32, 1.0, 6, 1), (12, 12, np.pi, 7, 2), (5, 4, np.pi, 7, 2)])
+def test_step_pattern_is_mass_and_stiffness_csr(nx, ny, L, npts, fields):
+    st = forward._StepMatrices(SpatialGrid(nx, ny, L, L), npts, fields)
+    for A in (st.lhs, st.rhs_op):
+        assert np.shares_memory(A.indices, st.M.indices)
+        assert np.shares_memory(A.indptr, st.M.indptr)
+    assert np.array_equal(st.K.indices, st.M.indices)
+    assert np.array_equal(st.K.indptr, st.M.indptr)
+    assert st.Mv is st.M.data and st.Kv is st.K.data
+    # the pattern holds every element entry once, rows and columns sorted,
+    # and pos sends each element entry to its place in it
+    n = len(st.nodes)
+    entries = (st.conn[:, :, None] * n + st.conn[:, None, :]).ravel()
+    keys = np.unique(entries)
+    prow, pcol = np.divmod(keys, n)
+    assert np.array_equal(st.M.indices, pcol)
+    assert np.array_equal(st.M.indptr, np.searchsorted(prow,
+                                                       np.arange(n + 1)))
+    assert np.array_equal(keys[st.pos], entries)
+
+
+@pytest.fixture
+def refills(monkeypatch):
+    """The theta of each refill of the step matrices."""
+    thetas = []
+    real = forward._StepMatrices.refill
+
+    def counted(self, dt, theta, S):
+        thetas.append(theta)
+        return real(self, dt, theta, S)
+
+    monkeypatch.setattr(forward._StepMatrices, "refill", counted)
+    return thetas
+
+
+def test_fixed_operators_refill_at_start_and_switch(refills):
+    # heat and Stokes keep their operator: two refills, whatever the steps
+    grid = SpatialGrid(4, 4, 1.0, 1.0)
+    heat_forward_cn(grid, sin_mode, 1.0, None, 0.1, 7)
+    assert refills == [1.0, 0.5]
+    refills.clear()
+    flow_forward(grid, 1.0, (0.0, 0.0), None, None, 0.1, 7)
+    assert refills == [1.0, 0.5]
+    refills.clear()
+    heat_forward_cn(grid, sin_mode, 1.0, None, 0.1, 2)
+    assert refills == [1.0]
+
+
+def test_convection_refills_every_step(refills):
+    grid = SpatialGrid(4, 4, np.pi, np.pi)
+    traj = Trajectory("taylor_green")
+    flow_forward(grid, 1.0, lambda X: traj(X, 0.0), None, traj, 0.1, 5)
+    assert refills == [1.0, 1.0, 0.5, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("solver", ["heat", "flow"])
+def test_control_outside_every_triangle_rejected(solver):
+    # on a 2x2 grid no centroid lies strictly inside the middle third, so a
+    # run would verify a zero control; without a control the box is unread
+    grid = SpatialGrid(2, 2, 1.0, 1.0)
+    box = (1 / 3, 2 / 3, 1 / 3, 2 / 3)
+    assert len(grid.tris_in(box)) == 0
+    if solver == "heat":
+        def run(control):
+            return heat_forward_cn(grid, 0.0, 0.0, control, 0.1, 3,
+                                   omega_box=box)
+        c = 1.0
+    else:
+        def run(control):
+            return flow_forward(grid, 1.0, (0.0, 0.0), control, None, 0.1,
+                                3, omega_box=box)
+        c = (1.0, -2.0)
+    control = ConstantControl(c)
+    with pytest.raises(ValueError, match="control region"):
+        run(control)
+    assert control.bindings == 0
+    hist, _ = run(None)
+    assert np.array_equal(hist.control_norms, np.zeros(4))
+
+
+def test_traced_navier_stokes_run_counts_forward_work(tmp_path):
+    # the benchmark's tracer wraps the forward solvers through the pipeline
+    # and counts their factorizations under the forward layer
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    import tracing
+    rec = tracing.Recorder()
+    tracing.install(rec)
+    argv = ["run", "ns-taylor-green", "--nx", "3", "--ny", "3", "--nt", "2",
+            "--set", "solver.method=direct", "--set", "solver.outer_max=1",
+            "--set", "verify.nx=4", "--set", "verify.ny=4",
+            "--set", "verify.nt=3", "--out", str(tmp_path)]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert rec.call("cli.run", cli.run, argv) == 0
+    finally:
+        rec.restore()
+    m = tracing.layer_metrics(rec.spans)
+    assert m["forward.steps"] == 6
+    assert m["forward.factorizations"] >= 1
+    summary = (tmp_path / "summary.txt").read_text()
+    factorizations = int(m["forward.factorizations"])
+    assert f"verify_factorizations = {factorizations}\n" in summary
 
 
 def test_zero_trajectory_kind_rejected():
