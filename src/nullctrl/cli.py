@@ -16,6 +16,14 @@ from .pipeline import (fixed_point_ns, solve_heat_control,
 from .vtkout import write_field_series
 
 
+# the shortcut flags of `run`, each the `--set` of one config key: a flag
+# that takes a value sets its key to it, --no-verify gives its whole setting
+SHORTCUTS = {"--nx": "mesh.nx", "--ny": "mesh.ny", "--nt": "mesh.nt",
+             "--y0-scale": "physics.y0_scale",
+             "--max-iter": "solver.max_iter", "--method": "solver.method",
+             "--out": "output.dir", "--no-verify": "verify.enabled=false"}
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="nullctrl",
@@ -25,16 +33,17 @@ def _parser():
     run = sub.add_parser("run", help="execute a scenario run")
     run.add_argument("source", help="preset name or config file path; "
                      "presets: " + ", ".join(sorted(cfgmod.PRESETS)))
-    run.add_argument("--nx", type=int)
-    run.add_argument("--ny", type=int)
-    run.add_argument("--nt", type=int)
-    run.add_argument("--y0-scale", dest="y0_scale", type=float)
-    run.add_argument("--max-iter", dest="max_iter", type=int)
-    run.add_argument("--method", choices=cfgmod.SOLVER_METHODS)
-    run.add_argument("--out", dest="output_dir")
-    run.add_argument("--no-verify", action="store_true")
+    # every setting lands in `sets`, in command-line order
     run.add_argument("--set", dest="sets", action="append", default=[],
                      metavar="key=value", help="override any config key")
+    for flag, setting in SHORTCUTS.items():
+        if "=" in setting:
+            run.add_argument(flag, dest="sets", action="append_const",
+                             const=setting, help=f"--set {setting}")
+        else:
+            run.add_argument(flag, dest="sets", action="append",
+                             type=lambda v, key=setting: f"{key}={v}",
+                             metavar="value", help=f"--set {setting}=value")
     return p
 
 
@@ -43,14 +52,6 @@ def _load_config(args) -> cfgmod.RunConfig:
         cfg = cfgmod.from_file(args.source)
     else:
         cfg = cfgmod.from_preset(args.source)
-    for flag in ("nx", "ny", "nt", "y0_scale", "max_iter", "output_dir"):
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg = cfgmod.apply_setting(cfg, flag, val)
-    if args.method is not None:
-        cfg = cfgmod.apply_setting(cfg, "solver_method", args.method)
-    if args.no_verify:
-        cfg = cfgmod.apply_setting(cfg, "verify", False)
     for item in args.sets:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")

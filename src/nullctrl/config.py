@@ -9,7 +9,7 @@ config.resolved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,48 +53,51 @@ PRESETS = {
 }
 
 
+def _setting(key, default):
+    """A RunConfig field whose settings key (`section.key`) is `key`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run description; validated before any work starts."""
+    """Fully resolved run description; validated before any work starts.
 
-    scenario: str = "heat"
-    # geometry
-    L1: float = 1.0
-    L2: float = 1.0
-    T: float = 1.0
-    omega: tuple = (0.2, 0.6, 0.2, 0.6)
-    # mesh and degrees
-    nx: int = 10
-    ny: int = 10
-    nt: int = 16
-    diagonal: str = "same"
-    m: int = 2
-    n: int = 2
-    # weights
-    K1: float = 1.0
-    K2: float = 2.0
-    anchor: tuple = (0.5, 0.5)
-    # physics
-    G: float = 1.0
-    nu: float = 1.0
-    trajectory: str = "taylor_green"
-    M: float = 0.1
-    y0_scale: float = 1.0
-    # solver
-    r: float = 0.5
-    s: float = 1.0
-    tol: float = 1e-6
-    max_iter: int = 30000
-    solver_method: str = "ah"
-    outer_tol: float = 1e-4
-    outer_max: int = 60
-    # verification
-    verify: bool = True
-    verify_nx: int = 32
-    verify_ny: int = 32
-    verify_nt: int = 200
-    # output
-    output_dir: str = "run_out"
+    Each field declares the one key that config files, `--set` and
+    config.resolved name it by; its default gives the value's type, and a
+    tuple default the number of entries.
+    """
+
+    scenario: str = _setting("scenario", "heat")
+    L1: float = _setting("geometry.L1", 1.0)
+    L2: float = _setting("geometry.L2", 1.0)
+    T: float = _setting("geometry.T", 1.0)
+    omega: tuple = _setting("geometry.omega", (0.2, 0.6, 0.2, 0.6))
+    nx: int = _setting("mesh.nx", 10)
+    ny: int = _setting("mesh.ny", 10)
+    nt: int = _setting("mesh.nt", 16)
+    diagonal: str = _setting("mesh.diagonal", "same")
+    m: int = _setting("degrees.m", 2)
+    n: int = _setting("degrees.n", 2)
+    K1: float = _setting("weights.K1", 1.0)
+    K2: float = _setting("weights.K2", 2.0)
+    anchor: tuple = _setting("weights.anchor", (0.5, 0.5))
+    G: float = _setting("physics.G", 1.0)
+    nu: float = _setting("physics.nu", 1.0)
+    trajectory: str = _setting("physics.trajectory", "taylor_green")
+    M: float = _setting("physics.M", 0.1)
+    y0_scale: float = _setting("physics.y0_scale", 1.0)
+    r: float = _setting("solver.r", 0.5)
+    s: float = _setting("solver.s", 1.0)
+    tol: float = _setting("solver.tol", 1e-6)
+    max_iter: int = _setting("solver.max_iter", 30000)
+    solver_method: str = _setting("solver.method", "ah")
+    outer_tol: float = _setting("solver.outer_tol", 1e-4)
+    outer_max: int = _setting("solver.outer_max", 60)
+    verify: bool = _setting("verify.enabled", True)
+    verify_nx: int = _setting("verify.nx", 32)
+    verify_ny: int = _setting("verify.ny", 32)
+    verify_nt: int = _setting("verify.nt", 200)
+    output_dir: str = _setting("output.dir", "run_out")
 
     @property
     def y0_value(self) -> float:
@@ -105,12 +108,14 @@ class RunConfig:
         return (Y0_BASE * self.y0_scale, 0.0)
 
     def resolved_text(self) -> str:
+        """Every setting as a `key = value` line: a config file that
+        `from_file` reads back into this configuration."""
         lines = []
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, tuple):
                 v = ",".join(repr(float(c)) for c in v)
-            lines.append(f"{f.name} = {v}")
+            lines.append(f"{f.metadata['key']} = {v}")
         return "\n".join(lines) + "\n"
 
 
@@ -147,91 +152,80 @@ def validate(cfg: RunConfig) -> RunConfig:
     for f in fields(cfg):
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in np.ravel(getattr(cfg, f.name))):
-            raise ValueError(f"{_KEYS.get(f.name, f.name)} must be finite")
+            raise ValueError(f"{f.metadata['key']} must be finite")
     if cfg.scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
     if cfg.diagonal not in ("same", "alternate"):
         raise ValueError("mesh.diagonal must be 'same' or 'alternate'")
     if min(cfg.nx, cfg.ny, cfg.nt) < 1:
-        raise ValueError("mesh counts nx, ny, nt must be >= 1")
+        raise ValueError("mesh.nx, mesh.ny, mesh.nt must be >= 1")
     if min(cfg.m, cfg.n) < 1:
-        raise ValueError("degrees m, n must be >= 1")
+        raise ValueError("degrees.m, degrees.n must be >= 1")
     if min(cfg.L1, cfg.L2, cfg.T) <= 0:
-        raise ValueError("L1, L2, T must be positive")
+        raise ValueError("geometry.L1, geometry.L2, geometry.T must be "
+                         "positive")
     if cfg.K1 <= 0 or cfg.K2 <= 1:
         # chi = K1 (e^K2 - e^chi0) must stay positive where chi0 reaches 1
-        raise ValueError("K1 must be positive and K2 greater than 1")
+        raise ValueError("weights.K1 must be positive and weights.K2 "
+                         "greater than 1")
     if cfg.scenario in ("stokes", "navier_stokes") and cfg.nu <= 0:
-        raise ValueError("viscosity nu must be positive")
+        raise ValueError("physics.nu must be positive")
     if cfg.scenario == "navier_stokes" and cfg.trajectory not in (
             "poiseuille", "taylor_green"):
-        raise ValueError(f"unknown trajectory {cfg.trajectory!r}")
+        raise ValueError(f"unknown physics.trajectory {cfg.trajectory!r}")
     if (cfg.r <= 0 or cfg.s <= 0 or cfg.tol <= 0 or cfg.max_iter < 1
             or cfg.outer_max < 1):
-        raise ValueError("solver parameters must be positive")
+        raise ValueError("solver.r, solver.s, solver.tol, solver.max_iter, "
+                         "solver.outer_max must be positive")
     if min(cfg.verify_nx, cfg.verify_ny, cfg.verify_nt) < 1:
-        raise ValueError("verification counts verify.nx, verify.ny, "
-                         "verify.nt must be >= 1")
+        raise ValueError("verify.nx, verify.ny, verify.nt must be >= 1")
     if cfg.solver_method not in SOLVER_METHODS:
-        raise ValueError("solver_method must be one of "
+        raise ValueError("solver.method must be one of "
                          + ", ".join(SOLVER_METHODS))
     omega = snap_omega(cfg.omega, cfg.nx, cfg.ny, cfg.L1, cfg.L2)
     cfg = replace(cfg, omega=omega)
     a, b = cfg.anchor
     x0, x1, y0, y1 = cfg.omega
     if not (x0 < a < x1 and y0 < b < y1):
-        raise ValueError("anchor must lie strictly inside the control region")
+        raise ValueError("weights.anchor must lie strictly inside the "
+                         "control region")
     return cfg
 
 
-_TUPLE_KEYS = {"omega": 4, "anchor": 2}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
-_SECTION_MAP = {
-    "mesh.nx": "nx", "mesh.ny": "ny", "mesh.nt": "nt",
-    "mesh.diagonal": "diagonal",
-    "degrees.m": "m", "degrees.n": "n",
-    "geometry.L1": "L1", "geometry.L2": "L2", "geometry.T": "T",
-    "geometry.omega": "omega",
-    "weights.K1": "K1", "weights.K2": "K2", "weights.anchor": "anchor",
-    "physics.G": "G", "physics.nu": "nu", "physics.trajectory": "trajectory",
-    "physics.M": "M", "physics.y0_scale": "y0_scale",
-    "solver.r": "r", "solver.s": "s", "solver.tol": "tol",
-    "solver.max_iter": "max_iter", "solver.method": "solver_method",
-    "solver.outer_tol": "outer_tol", "solver.outer_max": "outer_max",
-    "verify.enabled": "verify", "verify.nx": "verify_nx",
-    "verify.ny": "verify_ny", "verify.nt": "verify_nt",
-    "output.dir": "output_dir",
-}
-_KEYS = {name: key for key, name in _SECTION_MAP.items()}
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
-def _coerce(name, raw, current):
-    if name in _TUPLE_KEYS:
-        parts = [float(p) for p in str(raw).replace("(", "").replace(")", "").split(",")]
-        if len(parts) != _TUPLE_KEYS[name]:
-            raise ValueError(f"{name} needs {_TUPLE_KEYS[name]} numbers")
-        return tuple(parts)
-    if isinstance(current, bool):
-        word = str(raw).strip().lower()
-        if word not in _BOOL_WORDS:
-            raise ValueError(f"{name} needs one of {', '.join(_BOOL_WORDS)}, "
-                             f"got {raw!r}")
-        return _BOOL_WORDS[word]
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    return str(raw)
+def _kind(default):
+    """The kind of value a setting with this default takes."""
+    if isinstance(default, tuple):
+        return f"{len(default)} floats"
+    return type(default).__name__
+
+
+def _coerce(key, raw, default):
+    """raw as a value of the kind of default."""
+    text = str(raw).replace("(", "").replace(")", "")
+    try:
+        if isinstance(default, bool):
+            return _BOOL_WORDS[text.strip().lower()]
+        if not isinstance(default, tuple):
+            return type(default)(raw)
+        parts = tuple(float(p) for p in text.split(","))
+        if len(parts) == len(default):
+            return parts
+    except (KeyError, ValueError):
+        pass
+    raise ValueError(f"{key} takes {_kind(default)}, got {raw!r}")
 
 
 def apply_setting(cfg: RunConfig, key: str, raw) -> RunConfig:
-    """Apply one 'section.key = value' (or bare field name) setting."""
-    name = _SECTION_MAP.get(key, key)
-    valid = {f.name for f in fields(RunConfig)}
-    if name not in valid:
+    """Apply one `section.key = value` (or `scenario = name`) setting."""
+    if key not in _FIELDS:
         raise ValueError(f"unknown config key {key!r}")
-    return replace(cfg, **{name: _coerce(name, raw, getattr(cfg, name))})
+    f = _FIELDS[key]
+    return replace(cfg, **{f.name: _coerce(key, raw, f.default)})
 
 
 def from_preset(name: str) -> RunConfig:
@@ -242,7 +236,8 @@ def from_preset(name: str) -> RunConfig:
 
 
 def from_file(path: str) -> RunConfig:
-    """Flat key-value text: 'section.key = value', '#' comments allowed.
+    """Flat key-value text: 'section.key = value', '#' comments allowed;
+    the keys are those of RunConfig's fields, and config.resolved is one.
 
     A 'preset = name' line seeds the remaining keys; it must be the first
     setting, since it would silently replace the ones before it.

@@ -97,13 +97,13 @@ class _Builder:
     each target to a CSR matrix over the free DOFs, one row block at a time.
 
     The system is laid out by `fields` (HEAT_FIELDS or FLOW_FIELDS) on
-    `spaces`, one space per row, each checked against its row; rule defaults
-    to the one of the largest degrees.  A target's conversion drops its
-    element values, unless the builder is made to `keep` the last ones for
-    its next assembly (see `add`).
+    `spaces`, one space per row, each checked against its row, and
+    integrated by the default rule of their largest degrees.  A target's
+    conversion drops its element values, unless the builder is made to
+    `keep` the last ones for its next assembly (see `add`).
     """
 
-    def __init__(self, mesh, spaces, fields, rule=None, keep=False):
+    def __init__(self, mesh, spaces, fields, keep=False):
         primal, dual = fields
         named = list(zip(primal + dual, spaces, strict=True))
         self.spaces, self.full_off = {}, {}
@@ -129,9 +129,8 @@ class _Builder:
             self.layouts.append(layout)
             self.free.append(np.concatenate(idx))
             self.n_full.append(full)
-        rule = rule or QuadratureRule.default(max(s.m for s in spaces),
-                                              max(s.n for s in spaces))
-        self.asm = Assembler(mesh, rule)
+        self.asm = Assembler(mesh, QuadratureRule.default(
+            max(s.m for s in spaces), max(s.n for s in spaces)))
         self._terms = {"A": [], "B": [], "Mp": [], "Md": []}
         # element values by kernel key: of the current terms, of the last
         # conversion's (kept builder); per target
@@ -325,13 +324,12 @@ FLOW_FIELDS = ((("z", 2, "none"), ("p", 2, "zero_lateral"),
                (("lam", 2, "zero_lateral"), ("mu", 1, "none")))
 
 
-def assemble_heat(mesh, spaces, ws: WeightSet, G, y0,
-                  rule: QuadratureRule = None) -> SaddleSystem:
+def assemble_heat(mesh, spaces, ws: WeightSet, G, y0) -> SaddleSystem:
     """Saddle system of the normalized heat control formulation.
 
     spaces = one space per row of HEAT_FIELDS (z, p, lam), on the mesh.
     """
-    bld = _Builder(mesh, spaces, HEAT_FIELDS, rule)
+    bld = _Builder(mesh, spaces, HEAT_FIELDS)
     G = float(G)
 
     for batch in bld.asm.batches():
@@ -438,7 +436,7 @@ class OseenFixedPart:
     paths, DOF maps and the element values of its last assembly."""
 
     def __init__(self):
-        self._problem = None   # (nu, mesh, spaces, ws, ybar, y0, rule)
+        self._problem = None   # (nu, mesh, spaces, ws, ybar, y0)
         self._builder = None
         self._start = 0        # the builder's kernels before the last assembly
 
@@ -451,10 +449,9 @@ class OseenFixedPart:
         """The builder for a new assembly, made on first use; ValueError
         for another nu or problem (by identity)."""
         if self._builder is None:
-            mesh, spaces, _, _, _, rule = problem
+            mesh, spaces = problem[:2]
             self._problem = (nu,) + problem
-            self._builder = _Builder(mesh, spaces, FLOW_FIELDS, rule,
-                                     keep=True)
+            self._builder = _Builder(mesh, spaces, FLOW_FIELDS, keep=True)
         elif nu != self._problem[0] or any(
                 a is not b for a, b in zip(problem, self._problem[1:])):
             raise ValueError("the fixed part was held for another problem")
@@ -462,7 +459,7 @@ class OseenFixedPart:
         return self._builder
 
 
-def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule, fixed=None):
+def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, fixed=None):
     """Saddle system of a flow control problem (Stokes or Oseen).
 
     spaces = one space per row of FLOW_FIELDS (z, p, sigma, lam, mu).
@@ -479,26 +476,24 @@ def _assemble_flow(mesh, spaces, ws, nu, y0, ybar, w, rule, fixed=None):
     if not nu > 0:
         raise ValueError("flow problems need positive viscosity")
     if fixed is None:
-        bld = _Builder(mesh, spaces, FLOW_FIELDS, rule)
+        bld = _Builder(mesh, spaces, FLOW_FIELDS)
     else:
-        bld = fixed.builder(nu, (mesh, spaces, ws, ybar, y0, rule))
+        bld = fixed.builder(nu, (mesh, spaces, ws, ybar, y0))
     for batch in bld.asm.batches():
         _flow_batch(bld, batch, ws, nu, ybar, w)
     bld.add_initial_datum(ws, y0)
     return bld.finish()
 
 
-def assemble_stokes(mesh, spaces, ws: WeightSet, nu, y0,
-                    rule: QuadratureRule = None) -> SaddleSystem:
+def assemble_stokes(mesh, spaces, ws: WeightSet, nu, y0) -> SaddleSystem:
     """Saddle system of the final mixed Stokes control formulation: the
     Oseen system without a background trajectory (see _assemble_flow).
     Blocks that underflow to exactly 0 near the final time produce no
     non-finite entries."""
-    return _assemble_flow(mesh, spaces, ws, nu, y0, None, None, rule)
+    return _assemble_flow(mesh, spaces, ws, nu, y0, None, None)
 
 
 def assemble_oseen(mesh, spaces, ws: WeightSet, nu, ybar, w, u0,
-                   rule: QuadratureRule = None,
                    fixed: OseenFixedPart = None) -> SaddleSystem:
     """Saddle system for the Oseen (transport-linearized) control problem.
 
@@ -513,4 +508,4 @@ def assemble_oseen(mesh, spaces, ws: WeightSet, nu, ybar, w, u0,
     bit that of an assembly without `fixed`.  A later call must pass the
     first one's objects (the same nu); otherwise it raises ValueError.
     """
-    return _assemble_flow(mesh, spaces, ws, nu, u0, ybar, w, rule, fixed)
+    return _assemble_flow(mesh, spaces, ws, nu, u0, ybar, w, fixed)

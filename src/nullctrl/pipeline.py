@@ -130,6 +130,10 @@ def _setup(cfg, flow):
         for name, components, constraint in primal + dual)
 
 
+# the fixed point has stagnated when its last this many passes bring no
+# relative increment below the best one before them
+_STALL_PASSES = 5
+
 # LSMR's istop codes for a solved system; 2 and 5 only certify a
 # least-squares optimum (|K^T r| small against |K| |r|), not a solution
 _LSMR_MET = (0, 1, 4)
@@ -229,10 +233,11 @@ def fixed_point_ns(cfg):
     previous deviation iterate (zero to start), solves it from the previous
     pass's solution, and replaces the iterate by the extracted deviation
     state; the loop stops when the relative L2(Q_T) increment drops below
-    the outer tolerance.  Every pass assembles in full on one held builder
-    (`forms.OseenFixedPart`); the later ones compute only the kernels of the
-    transport terms in the iterate and reuse the rest.  The held
-    part is released before verification, which runs the full nonlinear
+    the outer tolerance, or when _STALL_PASSES passes in a row bring no new
+    best increment (stagnation).  Every pass assembles in full on one held
+    builder (`forms.OseenFixedPart`); the later ones compute only the
+    kernels of the transport terms in the iterate and reuse the rest.  The
+    held part is released before verification, which runs the full nonlinear
     forward problem with and without the control.  Returns (solution,
     FixedPointLog).
     """
@@ -267,8 +272,8 @@ def fixed_point_ns(cfg):
         if rel <= cfg.outer_tol:
             fp.converged = True
             break
-        if len(fp.rel_err) > 10 and all(
-                fp.rel_err[-j] >= fp.rel_err[-j - 1] for j in range(1, 11)):
+        if min(fp.rel_err[-_STALL_PASSES:]) >= min(
+                fp.rel_err[:-_STALL_PASSES], default=np.inf):
             fp.stagnated = True
             break
     del fixed

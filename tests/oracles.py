@@ -317,10 +317,10 @@ def taylor_green_oseen():
     return lambda: assemble(wfun)
 
 
-def fresh_oseen(mesh, spaces, ws, nu, ybar, w, u0, rule=None, fixed=None):
+def fresh_oseen(mesh, spaces, ws, nu, ybar, w, u0, fixed=None):
     """`assemble_oseen` that ignores the fixed part: every pass of a fixed
     point assembles its whole system from scratch."""
-    return assemble_oseen(mesh, spaces, ws, nu, ybar, w, u0, rule)
+    return assemble_oseen(mesh, spaces, ws, nu, ybar, w, u0)
 
 
 def peak_over_csr_bytes(build):

@@ -59,7 +59,7 @@ def test_criterion_1_weight_suite():
 
 # ---------------------------------------------------------------------- 2
 
-def test_criterion_2_assembly_oracles():
+def test_criterion_2_assembly_oracles(monkeypatch):
     t0 = time.time()
     ws = WeightSet(1.0, 1.0, 1.0, (0.5, 0.5))
     mesh = build_mesh(2, 2, 2, 1.0, 1.0, 1.0, (0.0, 1.0, 0.0, 1.0))
@@ -71,7 +71,8 @@ def test_criterion_2_assembly_oracles():
           build_space(mesh, 4, 2, 1, "zero_lateral"),
           build_space(mesh, 4, 2, 1, "zero_lateral_final"))
     rule = QuadratureRule.default(4, 2)
-    system = assemble_heat(mesh, hs, ws, 1.0, 1000.0, rule)
+    # the builder's rule, the default one of the spaces' degrees
+    system = assemble_heat(mesh, hs, ws, 1.0, 1000.0)
     errs, vals = [], []
     for _ in range(10):
         z = Poly2T.random(rng, 4, 2)
@@ -108,7 +109,8 @@ def test_criterion_2_assembly_oracles():
 
     # the comparison needs a raised rule (the two routes differ by an
     # integration-by-parts residual with non-polynomial weight gradients), so
-    # it runs on a single-slab mesh to stay inside the budget
+    # it runs on a single-slab mesh to stay inside the budget; the assembly
+    # takes it in place of the default rule its builder derives
     tp, tw = triangle_quadrature(16)
     sp_, sw_ = interval_quadrature(12)
     fp_, fw_ = interval_quadrature(14)
@@ -119,7 +121,9 @@ def test_criterion_2_assembly_oracles():
            build_space(mesh1, 4, 2, 1, "none"),
            build_space(mesh1, 4, 2, 2, "zero_lateral"),
            build_space(mesh1, 4, 2, 1, "none"))
-    sys_h = assemble_oseen(mesh1, fs1, ws, nu, ybar, wfun, (0.1, 0.0), hi)
+    with monkeypatch.context() as mp:
+        mp.setattr(QuadratureRule, "default", lambda m, n: hi)
+        sys_h = assemble_oseen(mesh1, fs1, ws, nu, ybar, wfun, (0.1, 0.0))
     errs_h, vals_h = [], []
     for _ in range(10):
         zv, pv, sg, lamv, muv = flow_inputs()

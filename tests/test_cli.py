@@ -1,6 +1,8 @@
 """CLI driver: presets, artifact layout, determinism, failure modes."""
 
 import argparse
+import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -168,6 +170,89 @@ def test_equilibrate_key_rejected():
                              "solver.equilibrate", "false")
 
 
+KEYS = {f.metadata["key"]: f for f in dataclasses.fields(cfgmod.RunConfig)}
+
+
+def test_settings_have_one_name_each():
+    assert len(KEYS) == 31
+    assert {key for key in KEYS if "." not in key} == {"scenario"}
+    preset = cfgmod.from_preset("ns-taylor-green")
+    for key, f in KEYS.items():
+        value = getattr(preset, f.name)
+        text = (",".join(map(repr, value)) if isinstance(value, tuple)
+                else str(value))
+        cfg = cfgmod.apply_setting(cfgmod.RunConfig(), key, text)
+        assert getattr(cfg, f.name) == value, key
+        if f.name != key:
+            with pytest.raises(ValueError, match="unknown config key"):
+                cfgmod.apply_setting(cfgmod.RunConfig(), f.name, text)
+
+
+def test_field_names_rejected_as_keys(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("preset = heat-sec26\nnx = 5\n")
+    for source, extra in ((str(path), []), ("heat-sec26", ["--set", "nx=5"])):
+        out = tmp_path / "out"
+        assert run(["run", source, "--out", str(out)] + extra) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config: unknown config key 'nx'")
+        assert not os.path.exists(out)
+
+
+# a value for each shortcut flag that differs from every preset's
+SHORTCUT_VALUES = {"--nx": "7", "--ny": "5", "--nt": "3", "--y0-scale": "0.5",
+                   "--max-iter": "11", "--method": "direct", "--out": "o"}
+
+
+@pytest.mark.parametrize("flag", sorted(cli.SHORTCUTS))
+def test_shortcut_sets_its_key(flag):
+    setting = cli.SHORTCUTS[flag]
+    value = SHORTCUT_VALUES.get(flag)
+    argv = ["run", "heat-sec26", flag] + ([value] if value else [])
+    by_flag = _load_config(_parser().parse_args(argv))
+    by_set = _load_config(_parser().parse_args(
+        ["run", "heat-sec26", "--set",
+         setting if value is None else f"{setting}={value}"]))
+    assert by_flag == by_set != _load_config(
+        _parser().parse_args(["run", "heat-sec26"]))
+
+
+def test_settings_apply_in_command_line_order():
+    for argv, nx in ((["--nx", "5", "--set", "mesh.nx=8"], 8),
+                     (["--set", "mesh.nx=8", "--nx", "5"], 5)):
+        args = _parser().parse_args(["run", "heat-sec26"] + argv)
+        assert _load_config(args).nx == nx
+
+
+# every preset, and one run with shortcut and --set overrides
+RESOLVED_CASES = [[preset] for preset in sorted(cfgmod.PRESETS)] + [[
+    "ns-taylor-green", "--nx", "3", "--ny", "3", "--nt", "2", "--method",
+    "direct", "--set", "geometry.omega=1.0,2.1,1.1,2.0", "--set",
+    "physics.M=0.05", "--y0-scale", "2", "--max-iter", "9", "--no-verify",
+    "--out", "o"]]
+
+
+@pytest.mark.parametrize("argv", RESOLVED_CASES)
+def test_config_resolved_reads_back(tmp_path, argv):
+    cfg = _load_config(_parser().parse_args(["run"] + argv))
+    path = tmp_path / "config.resolved"
+    path.write_text(cfg.resolved_text())
+    assert cfgmod.validate(cfgmod.from_file(str(path))) == cfg
+
+
+def test_rerun_from_config_resolved(tmp_path):
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    assert run(["run", "heat-sec26", "--nx", "3", "--ny", "3", "--nt", "2",
+                "--method", "direct", "--no-verify", "--out", first]) == 0
+    assert run(["run", os.path.join(first, "config.resolved"),
+                "--out", second]) == 0
+
+    def j_line(out):
+        return next(line for line in read(out, "summary.txt").splitlines()
+                    if line.startswith("J = "))
+    assert j_line(first) == j_line(second)
+
+
 TINY_FLOW = ["--nx", "3", "--ny", "3", "--nt", "3",
              "--set", "solver.outer_max=2"]
 
@@ -285,15 +370,50 @@ def test_readme_shortcuts_are_the_run_options():
     assert shortcuts | {"--set"} == _run_options()
 
 
-def test_console_script_runs_cli_main():
+def test_readme_settings_table_is_the_declared_keys():
+    """README's settings reference names every declared key with the kind
+    of value it takes, and nothing else."""
+    text = read(README)
+    start = text.index("## Settings")
+    table = text[start:text.index("\n## ", start + 1)]
+    rows = re.findall(r"^\| `([\w.]+)` \| ([^|]+?) \|", table, re.M)
+    assert len(rows) == len({key for key, _ in rows})
+    assert dict(rows) == {key: cfgmod._kind(f.default)
+                          for key, f in KEYS.items()}
+
+
+def _project():
     tomllib = pytest.importorskip("tomllib")   # Python 3.11 and later
     with open(os.path.join(os.path.dirname(README), "pyproject.toml"),
               "rb") as fh:
-        project = tomllib.load(fh)["project"]
+        return tomllib.load(fh)["project"]
+
+
+def test_console_script_runs_cli_main():
+    project = _project()
     assert project["name"] == "nullctrl"
     target = project["scripts"]["nullctrl"]
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is cli.main
+
+
+def test_imported_libraries_are_declared():
+    """Every library the package imports is a declared dependency; scipy
+    from 1.12, whose gmres is the first to take `rtol`."""
+    package = os.path.dirname(os.path.abspath(cfgmod.__file__))
+    imported = set()
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            for node in ast.walk(ast.parse(read(package, name))):
+                if isinstance(node, ast.Import):
+                    imported |= {a.name.split(".")[0] for a in node.names}
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    imported.add(node.module.split(".")[0])
+    libraries = imported - set(sys.stdlib_module_names) - {"__future__"}
+    declared = {re.match(r"[\w.-]+", d).group(0): d
+                for d in _project()["dependencies"]}
+    assert libraries == set(declared) == {"numpy", "scipy"}
+    assert declared["scipy"] == "scipy>=1.12"
 
 
 def test_vtk_fields_locate_vertices_once(tmp_path, monkeypatch):

@@ -50,7 +50,8 @@ def test_heat_constraint_matches_expansion_oracle(ws, small_mesh, heat_spaces):
     zsp, psp, lsp = heat_spaces
     rule = QuadratureRule.default(4, 2)
     G = 1.0
-    system = assemble_heat(small_mesh, heat_spaces, ws, G, 1000.0, rule)
+    # the builder's rule, the default one of the spaces' degrees
+    system = assemble_heat(small_mesh, heat_spaces, ws, G, 1000.0)
     rng = np.random.default_rng(42)
     bub = Poly2T.bubble(1.0, 1.0)
     for _ in range(4):
@@ -92,12 +93,14 @@ def _ybar(X, t):
 
 
 def test_hatted_flow_constraint_matches_expansion_oracle(ws, small_mesh,
-                                                         flow_spaces):
+                                                         flow_spaces,
+                                                         monkeypatch):
     """Normalized-variable assembly against the product-rule expansion.
 
     The comparison rule is raised well above the defaults because the
     integration-by-parts residual between the two routes involves the
-    non-polynomial weight gradients.
+    non-polynomial weight gradients; the assembly takes it in place of the
+    default rule that its builder derives from the spaces.
     """
     tp, tw = triangle_quadrature(18)
     sp_, sw_ = interval_quadrature(14)
@@ -105,8 +108,10 @@ def test_hatted_flow_constraint_matches_expansion_oracle(ws, small_mesh,
     rule = QuadratureRule(tp, tw, sp_, sw_, fp_, fw_)
     nu = 0.7
     ybar = _ybar
-    system = assemble_oseen(small_mesh, flow_spaces, ws, nu, ybar, wfun,
-                            (0.1, 0.0), rule)
+    with monkeypatch.context() as mp:
+        mp.setattr(QuadratureRule, "default", lambda m, n: rule)
+        system = assemble_oseen(small_mesh, flow_spaces, ws, nu, ybar, wfun,
+                                (0.1, 0.0))
     rng = np.random.default_rng(15)
     vals, errs = [], []
     for _ in range(3):
@@ -125,10 +130,9 @@ def test_hatted_flow_constraint_matches_expansion_oracle(ws, small_mesh,
 
 def test_oseen_with_zero_background_reduces_to_stokes(ws, small_mesh,
                                                       flow_spaces):
-    rule = QuadratureRule.default(4, 2)
-    s1 = assemble_stokes(small_mesh, flow_spaces, ws, 0.7, (0.1, 0.0), rule)
+    s1 = assemble_stokes(small_mesh, flow_spaces, ws, 0.7, (0.1, 0.0))
     s2 = assemble_oseen(small_mesh, flow_spaces, ws, 0.7, None, None,
-                        (0.1, 0.0), rule)
+                        (0.1, 0.0))
     assert abs(s1.A - s2.A).max() == 0.0
     assert abs(s1.B - s2.B).max() == 0.0
     assert np.array_equal(s1.L, s2.L)
@@ -139,7 +143,7 @@ def test_oseen_with_zero_background_reduces_to_stokes(ws, small_mesh,
     # duplicates, so those agree to rounding; the mu rows stay bitwise.
     s3 = assemble_oseen(small_mesh, flow_spaces, ws, 0.7,
                         Trajectory("taylor_green", nu=0.7), wfun,
-                        (0.1, 0.0), rule)
+                        (0.1, 0.0))
     for name in ("A", "M_primal", "M_dual"):
         assert abs(getattr(s1, name) - getattr(s3, name)).max() == 0.0, name
     assert np.array_equal(s1.L, s3.L)

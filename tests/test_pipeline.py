@@ -209,17 +209,18 @@ def test_lsq_fixed_point_keeps_last_pass_diagnostics(monkeypatch):
     assert f"kkt_residual = {rn:.6e}" in lines
 
 
-def test_fixed_point_stops_on_stagnation(monkeypatch):
-    # l2_norm is called for the increment, then for the iterate: the
-    # relative increments read 1, 2, 3, ..., growing at every pass
+def _scripted_fixed_point(monkeypatch, increments):
+    """The Taylor-Green fixed point (3x3x2, direct) whose relative
+    increments read `increments`, pass by pass: (cfg, solution, log)."""
+    # l2_norm is called for the increment, then for the iterate (norm 1)
     calls = []
 
-    def growing(space, coeffs, weight=None, assembler=None):
+    def scripted(space, coeffs, weight=None, assembler=None):
         calls.append(1)
-        return float(len(calls) + 1) / 2 if len(calls) % 2 else 1.0
+        return increments[len(calls) // 2] if len(calls) % 2 else 1.0
 
     # the stop depends on the increments only: every pass reuses the first
-    # pass's system, which keeps the eleven passes cheap
+    # pass's system, which keeps the passes cheap
     systems = []
     assemble = pipeline.assemble_oseen
 
@@ -228,17 +229,47 @@ def test_fixed_point_stops_on_stagnation(monkeypatch):
             systems.append(assemble(*args, **kwargs))
         return systems[0]
 
-    monkeypatch.setattr(pipeline, "l2_norm", growing)
+    monkeypatch.setattr(pipeline, "l2_norm", scripted)
     monkeypatch.setattr(pipeline, "assemble_oseen", first_system)
     cfg = validate(dataclasses.replace(
         from_preset("ns-taylor-green"), nx=3, ny=3, nt=2,
-        solver_method="direct", outer_max=20, verify=False))
-    sol, fp = fixed_point_ns(cfg)
-    assert fp.rel_err == [float(k) for k in range(1, 12)]
+        solver_method="direct", outer_max=len(increments), verify=False))
+    return (cfg,) + fixed_point_ns(cfg)
+
+
+def test_fixed_point_stops_on_stagnation(monkeypatch):
+    # growing increments: five passes after the first bring no new best
+    cfg, sol, fp = _scripted_fixed_point(
+        monkeypatch, [float(k) for k in range(1, 21)])
+    assert fp.rel_err == [float(k) for k in range(1, 7)]
     assert fp.stagnated and not fp.converged
     lines = _summary_lines(cfg, sol, fp, 0.0)
-    assert "outer_iterations = 11" in lines
+    assert "outer_iterations = 6" in lines
     assert "outer_stagnated = True" in lines
+
+
+# relative increments, and the passes after which the fixed point stops
+# (stagnated unless it ran out of passes); pass 1's increment is 1, the
+# whole first iterate
+STAGNATION = {
+    # 3x3x8 Taylor-Green with P1 sigma: increments alternate about 1.1-1.5
+    "alternating": ([1.0, 1.2, 1.1, 1.4, 1.3, 1.5, 1.2, 1.4], 6),
+    # 5x5x8: a dip, then growth
+    "dip-then-grow": ([1.0, 0.24, 0.24, 0.11, 0.2, 0.4, 0.7, 1.0, 1.24, 1.3],
+                      9),
+    # a new best every fifth pass keeps the loop going to outer_max
+    "slow-progress": ([1.0, 2.0, 2.0, 2.0, 2.0, 0.9, 2.0, 2.0, 2.0, 2.0, 0.8,
+                       2.0], 12),
+}
+
+
+@pytest.mark.parametrize("name", STAGNATION)
+def test_stagnation_on_recorded_increment_patterns(monkeypatch, name):
+    increments, passes = STAGNATION[name]
+    _, _, fp = _scripted_fixed_point(monkeypatch, increments)
+    assert fp.rel_err == increments[:passes]
+    assert fp.stagnated is (passes < len(increments))
+    assert not fp.converged
 
 
 def _taylor_green_direct(outer_max):

@@ -4,6 +4,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,8 +13,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nullctrl import cli, saddle
+from nullctrl.config import from_preset, validate
 from nullctrl.fem import build_space
-from nullctrl.forms import SaddleSystem, assemble_heat, assemble_stokes
+from nullctrl.forms import (FLOW_FIELDS, SaddleSystem, assemble_heat,
+                            assemble_stokes)
 from nullctrl.mesh import build_mesh
 from nullctrl.saddle import (AHParams, IterationLog, KktSolver,
                              SolverDiverged, arrow_hurwicz, direct_solve,
@@ -511,6 +514,38 @@ def test_kkt_solver_unpivoted_on_singular_primal_block(factorizations):
     assert stop == "converged" and rn <= 1e-9
     assert np.allclose(x, xd, rtol=0, atol=1e-8)
     assert np.allclose(lam, ld, rtol=0, atol=1e-8)
+
+
+def _stokes_kkt_case(sigma_degree):
+    """The Stokes system of the stokes-sec37 data on 3x3x1, the smallest
+    mesh that validates them, with sigma at the given spatial degree (the
+    other fields as the pipeline builds them), and its equilibrated KKT
+    matrix, dense."""
+    cfg = validate(replace(from_preset("stokes-sec37"), nx=3, ny=3, nt=1))
+    mesh = build_mesh(cfg.nx, cfg.ny, cfg.nt, cfg.L1, cfg.L2, cfg.T,
+                      cfg.omega)
+    ws = WeightSet(cfg.L1, cfg.L2, cfg.T, cfg.anchor, cfg.K1, cfg.K2)
+    degrees = {"sigma": sigma_degree, "mu": 1}
+    primal, dual = FLOW_FIELDS
+    spaces = tuple(build_space(mesh, degrees.get(name, 2), 2, components,
+                               constraint)
+                   for name, components, constraint in primal + dual)
+    system = assemble_stokes(mesh, spaces, ws, cfg.nu, cfg.y0_vector)
+    eq = equilibrated(system)
+    return system, sp.bmat([[eq.A, eq.B.T], [eq.B, None]]).toarray()
+
+
+def test_stokes_kkt_kernel_by_sigma_degree():
+    """With sigma at P1 the flow KKT matrix has no kernel and KktSolver
+    meets its tolerance; with sigma at the velocity degree P2 it has one."""
+    system, K = _stokes_kkt_case(sigma_degree=1)
+    assert not np.any(np.abs(np.linalg.eigvalsh(K)) < 1e-10)
+    _, _, rn, steps, stop = KktSolver(system).resolve()
+    assert stop == "converged" and rn <= 1e-9 and steps <= 2
+    # P2 is the pipeline's sigma degree (`pipeline._setup`); moving it to P1
+    # there turns the default into the case above
+    _, K = _stokes_kkt_case(sigma_degree=2)
+    assert np.count_nonzero(np.abs(np.linalg.eigvalsh(K)) < 1e-10) == 45
 
 
 def test_iteration_log_csv(tmp_path):
