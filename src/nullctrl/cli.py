@@ -145,9 +145,13 @@ def run(argv=None) -> int:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "config.resolved"), "w") as fh:
-        fh.write(cfg.resolved_text())
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        with open(os.path.join(cfg.output_dir, "config.resolved"), "w") as fh:
+            fh.write(cfg.resolved_text())
+    except OSError as exc:
+        print(f"error: output: {exc}", file=sys.stderr)
+        return 2
 
     t0 = time.time()
     fp = None

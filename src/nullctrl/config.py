@@ -182,6 +182,11 @@ def validate(cfg: RunConfig) -> RunConfig:
     if cfg.solver_method not in SOLVER_METHODS:
         raise ValueError("solver.method must be one of "
                          + ", ".join(SOLVER_METHODS))
+    # from_file, reading config.resolved back, cuts at '#' and strips lines
+    if (any(c in cfg.output_dir for c in "#\r\n")
+            or cfg.output_dir != cfg.output_dir.strip()):
+        raise ValueError("output.dir must not contain '#' or a line break, "
+                         "nor start or end with whitespace")
     omega = snap_omega(cfg.omega, cfg.nx, cfg.ny, cfg.L1, cfg.L2)
     cfg = replace(cfg, omega=omega)
     a, b = cfg.anchor

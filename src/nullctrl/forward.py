@@ -62,26 +62,18 @@ class Trajectory:
         return np.stack(np.broadcast_arrays(u1, u2), axis=-1)
 
 
-def curl_perturbation(psi_kind, M, x):
-    """Divergence-free perturbation M * curl(psi) for the flow scenarios.
+def curl_perturbation(L1, L2, M, x):
+    """Divergence-free perturbation M * curl(psi) on the box (0,L1)x(0,L2).
 
     psi = (x1 x2)^2 [(L1 - x1)(L2 - x2)]^2 vanishes to second order on the
-    box boundary, so the field and its normal trace vanish there.  psi_kind
-    picks the box: 'poiseuille' -> (0,5)x(0,1), 'taylor_green' -> (0,pi)^2.
+    box boundary, so the field and its normal trace vanish there.
     """
-    if psi_kind == "poiseuille":
-        L1, L2 = 5.0, 1.0
-    elif psi_kind == "taylor_green":
-        L1, L2 = np.pi, np.pi
-    else:
-        raise ValueError(f"unknown perturbation kind {psi_kind!r}")
     x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
     f = (x1 * (L1 - x1)) ** 2
     g = (x2 * (L2 - x2)) ** 2
     df = 2.0 * x1 * (L1 - x1) * (L1 - 2.0 * x1)
     dg = 2.0 * x2 * (L2 - x2) * (L2 - 2.0 * x2)
-    # psi = f g / ... with the paper's (x y)^2 [(L-x)(L-y)]^2 = f g
     return M * np.stack([f * dg, -df * g], axis=-1)
 
 

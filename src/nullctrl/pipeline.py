@@ -18,8 +18,8 @@ from .forms import (FLOW_FIELDS, HEAT_FIELDS, OseenFixedPart, SaddleSystem,
 from .forward import (SpatialGrid, Trajectory, curl_perturbation,
                       flow_forward, heat_forward_cn)
 from .mesh import build_mesh
-from .saddle import (AHParams, KktSolver, arrow_hurwicz, direct_solve,
-                     kkt_residual, lsq_solve)
+from .saddle import (KKT_TOL, AHParams, KktSolver, arrow_hurwicz,
+                     direct_solve, kkt_residual, lsq_solve)
 from .weights import WeightSet
 
 
@@ -134,10 +134,6 @@ def _setup(cfg, flow):
 # relative increment below the best one before them
 _STALL_PASSES = 5
 
-# LSMR's istop codes for a solved system; 2 and 5 only certify a
-# least-squares optimum (|K^T r| small against |K| |r|), not a solution
-_LSMR_MET = (0, 1, 4)
-
 
 def _solve_system(system, cfg, start=None):
     """(x, lam, AH log or None, report) by cfg's method from start.
@@ -146,33 +142,33 @@ def _solve_system(system, cfg, start=None):
     `KktSolver` factorization per system (refinement against another
     system's factorization diverges), while heat keeps the exact oracle.
     The report has the same four entries for every method: the method's
-    iterations, its stop word, whether its own stopping test passed, and
-    the relative KKT residual reached (`saddle.kkt_residual`, computed once
-    the solver has returned and released its operators).
+    iterations, its stop word, whether the solve is certified (the relative
+    KKT residual at most solver.tol for `ah` and `lsq`, `saddle.KKT_TOL` for
+    `direct`) and that residual (`saddle.kkt_residual`, computed once the
+    solver has returned and released its operators).
     """
     log = rn = None
     if cfg.solver_method == "direct" and cfg.scenario != "heat":
         x, lam, rn, steps, stop = KktSolver(system).resolve(start=start)
-        converged = stop == "converged"
     elif cfg.solver_method == "direct":
         x, lam, flagged = direct_solve(system)
         steps, stop = 0, "least_squares" if flagged else "exact"
-        converged = not flagged
     elif cfg.solver_method == "lsq":
         x, lam, info = lsq_solve(system, start=start, tol=cfg.tol,
                                  max_iter=cfg.max_iter)
         steps, stop = info["iterations"], f"istop_{info['istop']}"
-        converged = info["istop"] in _LSMR_MET
     else:
         params = AHParams(r=cfg.r, s=cfg.s, tol=cfg.tol,
                           max_iter=cfg.max_iter)
         x, lam, log = arrow_hurwicz(system, params, start=start)
-        steps, converged = log.iters[-1], log.converged
-        stop = "converged" if converged else "max_iter"
+        steps = log.iters[-1]
+        stop = "converged" if log.converged else "max_iter"
     if rn is None:   # KktSolver returns the residual it stopped on
         rn = kkt_residual(system, x, lam)
+    tol = KKT_TOL if cfg.solver_method == "direct" else cfg.tol
     return x, lam, log, {"solver_iterations": steps, "solver_stop": stop,
-                         "solver_converged": converged, "kkt_residual": rn}
+                         "solver_converged": bool(rn <= tol),
+                         "kkt_residual": rn}
 
 
 def _solution(cfg, mesh, ws, spaces, system, solved, forward,
@@ -246,7 +242,7 @@ def fixed_point_ns(cfg):
     traj = Trajectory(cfg.trajectory, nu=cfg.nu)
 
     def u0(X):
-        return curl_perturbation(cfg.trajectory, cfg.M, X)
+        return curl_perturbation(cfg.L1, cfg.L2, cfg.M, X)
 
     asm = Assembler(mesh, QuadratureRule.default(cfg.m, cfg.n))
     uweight = lambda X, t: ws.inv_weight("-", X, t) ** 2

@@ -255,6 +255,7 @@ def arrow_hurwicz(system: SaddleSystem, params: AHParams = AHParams(),
 
 _MAX_REFINE = 40
 _EPS = 1e-8   # KktSolver's regularization
+KKT_TOL = 1e-9   # relative KKT residual that certifies a direct solve
 
 
 def _regularized_kkt(eq: Equilibrated):
@@ -302,7 +303,7 @@ class KktSolver:
                             diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True))
 
-    def resolve(self, start=None, tol=1e-9):
+    def resolve(self, start=None, tol=KKT_TOL):
         """Refine from start (zero by default).
 
         Stops when the relative KKT residual (`_residual`) is at most tol

@@ -225,6 +225,53 @@ def test_settings_apply_in_command_line_order():
 
 
 # every preset, and one run with shortcut and --set overrides
+@pytest.mark.parametrize("value", ["r#1", "a\nb", "a\rb", " r", "r\t"])
+def test_output_dir_that_cannot_read_back_rejected(value):
+    # from_file cuts a '#' comment, reads one setting a line and strips it
+    cfg = cfgmod.RunConfig(output_dir=value)
+    with pytest.raises(ValueError, match="output.dir"):
+        cfgmod.validate(cfg)
+
+
+@pytest.mark.parametrize("option", ["--out", "--set"])
+def test_output_dir_with_hash_rejected_before_any_output(tmp_path, capsys,
+                                                         option):
+    out = str(tmp_path / "r#1")
+    value = out if option == "--out" else f"output.dir={out}"
+    rc = run(["run", "heat-sec26", "--nx", "3", "--ny", "3", "--nt", "2",
+              "--method", "direct", "--no-verify", option, value])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config: output.dir")
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_dir_from_config_file_reads_back(tmp_path):
+    # in a config file the '#' starts a comment, so the directory it names
+    # is the one config.resolved gives back
+    out = tmp_path / "run 1"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"preset = heat-sec26\nmesh.nx = 3\nmesh.ny = 3\n"
+                    f"mesh.nt = 2\nsolver.method = direct\n"
+                    f"verify.enabled = false\noutput.dir = {out}  # #2\n")
+    assert run(["run", str(path)]) == 0
+    resolved = cfgmod.from_file(str(out / "config.resolved"))
+    assert resolved == cfgmod.validate(cfgmod.from_file(str(path)))
+    assert resolved.output_dir == str(out)
+
+
+def test_unusable_output_dir_reported(tmp_path, capsys):
+    # a file in the directory's place, or in config.resolved's
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    (tmp_path / "dir" / "config.resolved").mkdir(parents=True)
+    for out in (taken, taken / "sub", tmp_path / "dir"):
+        rc = run(["run", "heat-sec26", "--no-verify", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output:") and "Traceback" not in err
+    assert taken.read_text() == ""
+
+
 RESOLVED_CASES = [[preset] for preset in sorted(cfgmod.PRESETS)] + [[
     "ns-taylor-green", "--nx", "3", "--ny", "3", "--nt", "2", "--method",
     "direct", "--set", "geometry.omega=1.0,2.1,1.1,2.0", "--set",
@@ -399,7 +446,8 @@ def test_console_script_runs_cli_main():
 
 def test_imported_libraries_are_declared():
     """Every library the package imports is a declared dependency; scipy
-    from 1.12, whose gmres is the first to take `rtol`."""
+    from 1.12, whose gmres is the first to take `rtol`.  The test suite's
+    runner is the `test` extra."""
     package = os.path.dirname(os.path.abspath(cfgmod.__file__))
     imported = set()
     for name in os.listdir(package):
@@ -414,6 +462,7 @@ def test_imported_libraries_are_declared():
                 for d in _project()["dependencies"]}
     assert libraries == set(declared) == {"numpy", "scipy"}
     assert declared["scipy"] == "scipy>=1.12"
+    assert _project()["optional-dependencies"]["test"] == ["pytest"]
 
 
 def test_vtk_fields_locate_vertices_once(tmp_path, monkeypatch):

@@ -173,7 +173,7 @@ def _stokes_large_steps(forward_solver):
     # steps of 1/8: GMRES on the theta = 1 factorization would absorb the
     # switch to theta = 1/2 in 7 or 8 iterations, at every later step
     return forward_solver(SpatialGrid(4, 4, np.pi, np.pi), 1.0,
-                          lambda X: curl_perturbation("taylor_green", 1.0, X),
+                          lambda X: curl_perturbation(np.pi, np.pi, 1.0, X),
                           None, None, 1.0, 8)
 
 
@@ -211,7 +211,7 @@ def _stokes_flow(forward_solver):
     # control
     box = (np.pi / 3, 2 * np.pi / 3, np.pi / 3, 2 * np.pi / 3)
     return forward_solver(SpatialGrid(8, 8, np.pi, np.pi), 0.5,
-                          lambda X: curl_perturbation("taylor_green", 1.0, X),
+                          lambda X: curl_perturbation(np.pi, np.pi, 1.0, X),
                           ConstantControl((1.0, -2.0)), None, 0.4, 12,
                           omega_box=box)
 
@@ -220,7 +220,7 @@ def _taylor_green_flow(forward_solver):
     traj = Trajectory("taylor_green")
     return forward_solver(
         SpatialGrid(8, 8, np.pi, np.pi), 1.0,
-        lambda X: traj(X, 0.0) + curl_perturbation("taylor_green", 0.1, X),
+        lambda X: traj(X, 0.0) + curl_perturbation(np.pi, np.pi, 0.1, X),
         None, traj, 1.0, 20)
 
 
@@ -392,18 +392,18 @@ def test_taylor_green_divergence_free():
 
 
 def test_curl_perturbation_properties():
+    # the two presets' boxes and one that neither preset has
     rng = np.random.default_rng(6)
-    for kind, L1, L2 in (("taylor_green", np.pi, np.pi),
-                         ("poiseuille", 5.0, 1.0)):
+    for L1, L2 in ((np.pi, np.pi), (5.0, 1.0), (2.0, 1.5)):
         for x in (np.array([0.0, 0.3 * L2]), np.array([L1, 0.9 * L2]),
                   np.array([0.4 * L1, 0.0]), np.array([0.7 * L1, L2])):
-            assert np.abs(curl_perturbation(kind, 0.1, x)).max() == 0.0
+            assert np.abs(curl_perturbation(L1, L2, 0.1, x)).max() == 0.0
         pts = rng.random((30, 2)) * [L1, L2]
         for k in range(30):
-            d = fd_divergence(lambda x: curl_perturbation(kind, 0.1, x),
+            d = fd_divergence(lambda x: curl_perturbation(L1, L2, 0.1, x),
                               pts[k], h=1e-5)
             assert abs(d) <= 1e-8
-        assert np.abs(curl_perturbation(kind, 0.0, pts)).max() == 0.0
+        assert np.abs(curl_perturbation(L1, L2, 0.0, pts)).max() == 0.0
 
 
 def test_flow_zero_data_stays_zero():

@@ -1,6 +1,7 @@
 """Pipeline orchestration: extraction identities, linearity, locality."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nullctrl.forms import SaddleSystem
 from nullctrl.mesh import build_mesh
 from nullctrl.pipeline import WeightedField, fixed_point_ns, \
     solve_heat_control, solve_stokes_control
+from nullctrl.saddle import IterationLog
 from nullctrl.weights import WeightSet
 
 from oracles import fresh_oseen
@@ -70,6 +72,64 @@ def test_ah_report_names_its_stop():
         "solver_converged": False,
         "kkt_residual": saddle.kkt_residual(sol.system, sol.x, sol.lam)}
     assert 0 < sol.report["kkt_residual"] < 1
+
+
+def _scripted_report(monkeypatch, method, scenario, result, rn, tol=1e-5):
+    """`_solve_system`'s report when cfg's solver returns `result` and the
+    KKT residual of its solution reads rn; a flow `direct` result is what
+    `KktSolver.resolve` returns."""
+    if method == "direct" and scenario != "heat":
+        monkeypatch.setattr(pipeline, "KktSolver", lambda system:
+                            SimpleNamespace(resolve=lambda start: result))
+    else:
+        solver = {"ah": "arrow_hurwicz", "lsq": "lsq_solve",
+                  "direct": "direct_solve"}[method]
+        monkeypatch.setattr(pipeline, solver, lambda *a, **k: result)
+    monkeypatch.setattr(pipeline, "kkt_residual", lambda *a: rn)
+    cfg = RunConfig(scenario=scenario, solver_method=method, tol=tol)
+    return pipeline._solve_system(None, cfg)[3]
+
+
+X, LAM = np.ones(3), np.ones(2)
+
+
+def test_lsmr_stop_without_small_residual_not_certified(monkeypatch):
+    # istop 1: LSMR's own test passed, but the system is not solved
+    report = _scripted_report(monkeypatch, "lsq", "stokes",
+                              (X, LAM, {"iterations": 9, "istop": 1}), 1e-2)
+    assert report["solver_stop"] == "istop_1"
+    assert report["solver_converged"] is False
+
+
+def test_ah_increment_test_without_small_residual_not_certified(
+        monkeypatch):
+    log = IterationLog(iters=[40], rel_err1=[1e-5], rel_err2=[1e-5],
+                       converged=True)
+    report = _scripted_report(monkeypatch, "ah", "heat", (X, LAM, log), 1e-3,
+                              tol=1e-4)
+    assert report["solver_stop"] == "converged"
+    assert report["solver_converged"] is False
+
+
+@pytest.mark.parametrize("flagged, rn, certified", [
+    (True, 1e-10, True),     # the fallback met KKT_TOL
+    (False, 1e-8, False)])   # below solver.tol, above KKT_TOL
+def test_heat_direct_certified_against_kkt_tol(monkeypatch, flagged, rn,
+                                               certified):
+    report = _scripted_report(monkeypatch, "direct", "heat",
+                              (X, LAM, flagged), rn)
+    assert report["solver_stop"] == ("least_squares" if flagged else "exact")
+    assert report["solver_converged"] is certified
+
+
+@pytest.mark.parametrize("method, scenario, result", [
+    ("ah", "heat", (X, LAM, IterationLog(iters=[1], converged=True))),
+    ("lsq", "stokes", (X, LAM, {"iterations": 1, "istop": 0})),
+    ("direct", "heat", (X, LAM, False)),
+    ("direct", "stokes", (X, LAM, np.nan, 0, "converged"))])
+def test_nan_residual_never_certified(monkeypatch, method, scenario, result):
+    report = _scripted_report(monkeypatch, method, scenario, result, np.nan)
+    assert report["solver_converged"] is False
 
 
 def test_heat_scaling_linearity():
@@ -201,7 +261,7 @@ def test_lsq_fixed_point_keeps_last_pass_diagnostics(monkeypatch):
     assert sol.report == {
         "solver_iterations": last["iterations"],
         "solver_stop": f"istop_{last['istop']}",
-        "solver_converged": last["istop"] in (0, 1, 4),
+        "solver_converged": rn <= cfg.tol,
         "kkt_residual": rn}
     lines = _summary_lines(cfg, sol, fp, 0.0)
     assert f"solver_iterations = {last['iterations']}" in lines

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from nullctrl import cli, saddle
+from nullctrl import cli, pipeline, saddle
 from nullctrl.config import from_preset, validate
 from nullctrl.fem import build_space
 from nullctrl.forms import (FLOW_FIELDS, SaddleSystem, assemble_heat,
@@ -546,6 +546,23 @@ def test_stokes_kkt_kernel_by_sigma_degree():
     # there turns the default into the case above
     _, K = _stokes_kkt_case(sigma_degree=2)
     assert np.count_nonzero(np.abs(np.linalg.eigvalsh(K)) < 1e-10) == 45
+
+
+@pytest.mark.parametrize("method, certified", [
+    ("ah", False),      # stopped at max_iter
+    ("lsq", False),     # istop_1, with 0.5% of the load unmet
+    ("direct", True)])
+def test_solve_report_certifies_by_kkt_residual(method, certified):
+    """On the nonsingular Stokes system (sigma at P1) every method's report
+    certifies exactly when the KKT residual meets the method's tolerance:
+    solver.tol for `ah` and `lsq`, KKT_TOL for `direct`."""
+    system, _ = _stokes_kkt_case(sigma_degree=1)
+    cfg = replace(from_preset("stokes-sec37"), solver_method=method,
+                  tol=1e-5, max_iter=200 if method == "ah" else 2000)
+    report = pipeline._solve_system(system, cfg)[3]
+    tol = saddle.KKT_TOL if method == "direct" else cfg.tol
+    assert report["solver_converged"] == (report["kkt_residual"] <= tol)
+    assert report["solver_converged"] is certified
 
 
 def test_iteration_log_csv(tmp_path):
